@@ -317,6 +317,8 @@ def cmd_lift(args, seed):
     for f in rep.failures:
         lines.append(f"  unfilled boundary: {f['boundary']} "
                      f"with {f['extensions']} extensions")
+    if not rep.passed and not rep.failures:
+        lines.append(f"  {rep.detail}")
     return results, certificates, status, [digest], lines
 
 

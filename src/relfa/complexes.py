@@ -17,8 +17,10 @@ large lifting problems by fiber counting.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -34,6 +36,10 @@ class TruncatedEpsilonComplex:
     marked: frozenset[str]
 
     def nonidentity_edges(self) -> tuple[str, ...]:
+        return self._nonidentity_edges
+
+    @functools.cached_property
+    def _nonidentity_edges(self) -> tuple[str, ...]:
         ids = set(self.identity.values())
         return tuple(e for e in self.edges if e not in ids)
 
@@ -165,20 +171,25 @@ class ComplexMorphism:
 
 
 class _TargetIndex:
-    """Lookup tables for a codomain used by the morphism search."""
+    """Lookup tables for a codomain used by the morphism search.
+
+    ``d0_of[(d1, d2)]`` lists every edge completing the faces ``d1, d2`` to a
+    triangle, and likewise ``d1_of[(d0, d2)]`` and ``d2_of[(d0, d1)]``; each
+    list is in declared edge order, as is every ``by_endpoints`` list."""
 
     def __init__(self, Y: TruncatedEpsilonComplex):
         self.Y = Y
         self.by_endpoints: dict[tuple[str, str], list[str]] = {}
         for e in Y.edges:
             self.by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
-        self.d0_of: dict[tuple[str, str], set[str]] = {}
-        self.d1_of: dict[tuple[str, str], set[str]] = {}
-        self.d2_of: dict[tuple[str, str], set[str]] = {}
-        for d0, d1, d2 in Y.triangles:
-            self.d1_of.setdefault((d0, d2), set()).add(d1)
-            self.d0_of.setdefault((d1, d2), set()).add(d0)
-            self.d2_of.setdefault((d0, d1), set()).add(d2)
+        self.d0_of: dict[tuple[str, str], list[str]] = {}
+        self.d1_of: dict[tuple[str, str], list[str]] = {}
+        self.d2_of: dict[tuple[str, str], list[str]] = {}
+        pos = {e: i for i, e in enumerate(Y.edges)}
+        for d0, d1, d2 in sorted(Y.triangles, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
+            self.d1_of.setdefault((d0, d2), []).append(d1)
+            self.d0_of.setdefault((d1, d2), []).append(d0)
+            self.d2_of.setdefault((d0, d1), []).append(d2)
 
     def slot_functional(self, slot: int) -> bool:
         table = (self.d0_of, self.d1_of, self.d2_of)[slot]
@@ -187,79 +198,117 @@ class _TargetIndex:
 
 def _edge_order(X: TruncatedEpsilonComplex) -> list[str]:
     """Static assignment order for non-identity edges, greedily preferring
-    edges that close triangles with earlier edges."""
-    ids = set(X.identity.values())
+    edges that close triangles with earlier edges (ties go to the edge
+    declared first)."""
     remaining = list(X.nonidentity_edges())
-    placed: set[str] = set(ids)
+    ids = set(X.identity.values())
+    open_edges = {t: set(t) - ids for t in X.triangles}
+    tris_of: dict[str, list[tuple[str, str, str]]] = {e: [] for e in remaining}
+    score = dict.fromkeys(remaining, 0)
+    for t, rest in open_edges.items():
+        for e in rest:
+            tris_of[e].append(t)
+        if len(rest) == 1:
+            score[next(iter(rest))] += 1
     order: list[str] = []
-    tri_list = list(X.triangles)
     while remaining:
-        best, best_score = None, -1
-        for e in remaining:
-            score = 0
-            for t in tri_list:
-                if e in t and all(x in placed or x == e for x in t):
-                    score += 1
-            if score > best_score:
-                best, best_score = e, score
+        best = max(remaining, key=score.__getitem__)
         order.append(best)
-        placed.add(best)
         remaining.remove(best)
+        for t in tris_of[best]:
+            rest = open_edges[t]
+            rest.discard(best)
+            if len(rest) == 1:
+                score[next(iter(rest))] += 1
     return order
 
 
-def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
-    """Yield every morphism X -> Y, in a deterministic search order."""
-    index = _TargetIndex(Y)
-    vset = list(Y.vertices)
-    edge_order = _edge_order(X)
-    ids = set(X.identity.values())
+def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
+    """Per edge of ``order``: its endpoints, whether it is marked, the face
+    table lookup that yields its candidates, and the remaining triangles it
+    closes.
 
-    tri_by_last: dict[str, list[tuple[str, str, str]]] = {e: [] for e in edge_order}
-    pos = {e: i for i, e in enumerate(edge_order)}
-    for t in X.triangles:
+    An edge closes the triangles whose other edges come earlier in ``order``
+    or are identities.  The first of them (in sorted order) in which the
+    edge fills exactly one slot is the lookup ``(slot, other, other)``: the
+    images of the two other faces select the candidates from the target's
+    ``d{slot}_of`` table.  An edge with no such triangle takes its
+    candidates from ``by_endpoints``."""
+    pos = {e: i for i, e in enumerate(order)}
+    closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
+    for t in sorted(X.triangles):
         nonid = [x for x in t if x in pos]
-        if not nonid:
+        if nonid:
+            closers[max(nonid, key=pos.__getitem__)].append(t)
+    plan = []
+    for e in order:
+        first = next((t for t in closers[e] if t.count(e) == 1), None)
+        lookup = None if first is None else \
+            (first.index(e),) + tuple(x for x in first if x != e)
+        checks = [t for t in closers[e] if t != first]
+        plan.append((e, X.src[e], X.tgt[e], e in X.marked, lookup, checks))
+    return plan
+
+
+def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
+    """Yield every morphism X -> Y, in a deterministic search order.
+
+    Vertices are assigned in every combination, then the non-identity edges
+    one at a time in ``_edge_order`` with forward checking: an edge that
+    completes a triangle takes its candidates from the target's face table
+    for the images of the triangle's other two faces, not from every edge
+    with the right endpoints, and is then tested against the other
+    triangles it closes.  Candidates are tried in the target's declared edge
+    order, so the sequence is that of a plain backtracking search over
+    ``by_endpoints``.  The search keeps an explicit stack of candidate
+    iterators rather than nesting generators."""
+    index = _TargetIndex(Y)
+    plan = _search_plan(X, _edge_order(X))
+    tables = (index.d0_of, index.d1_of, index.d2_of)
+    by_endpoints = index.by_endpoints
+    ysrc, ytgt, ytris, ymarked = Y.src, Y.tgt, Y.triangles, Y.marked
+    marked_ids = [X.identity[v] for v in X.vertices if X.identity[v] in X.marked]
+
+    def candidates(i: int, vmap: dict[str, str], emap: dict[str, str]):
+        _, s, t, marked, lookup, _ = plan[i]
+        vs, vt = vmap[s], vmap[t]
+        if lookup is None:
+            vals = by_endpoints.get((vs, vt), ())
+        else:
+            slot, a, b = lookup
+            vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
+                    if ysrc[y] == vs and ytgt[y] == vt]
+        if marked:
+            vals = [y for y in vals if y in ymarked]
+        return iter(vals)
+
+    depth = len(plan)
+    for images in itertools.product(Y.vertices, repeat=len(X.vertices)):
+        vmap = dict(zip(X.vertices, images))
+        emap = {X.identity[v]: Y.identity[w] for v, w in vmap.items()}
+        if any(emap[iv] not in ymarked for iv in marked_ids):
             continue
-        last = max(nonid, key=lambda x: pos[x])
-        tri_by_last[last].append(t)
-
-    def assign_edges(i: int, vmap: dict[str, str], emap: dict[str, str]):
-        if i == len(edge_order):
-            yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
-            return
-        e = edge_order[i]
-        base = index.by_endpoints.get((vmap[X.src[e]], vmap[X.tgt[e]]), [])
-        closers = tri_by_last[e]
-        for val in base:
-            if e in X.marked and val not in Y.marked:
-                continue
-            emap[e] = val
-            ok = True
-            for t in closers:
-                im = (emap[t[0]], emap[t[1]], emap[t[2]])
-                if im not in Y.triangles:
-                    ok = False
+        if not depth:
+            yield ComplexMorphism(X, Y, vmap, emap)
+            continue
+        stack = [candidates(0, vmap, emap)]
+        while stack:
+            i = len(stack) - 1
+            e, checks = plan[i][0], plan[i][5]
+            for val in stack[i]:
+                emap[e] = val
+                for t in checks:
+                    if (emap[t[0]], emap[t[1]], emap[t[2]]) not in ytris:
+                        break
+                else:
                     break
-            if ok:
-                yield from assign_edges(i + 1, vmap, emap)
-        emap.pop(e, None)
-
-    def assign_vertices(j: int, vmap: dict[str, str]):
-        if j == len(X.vertices):
-            emap = {X.identity[v]: Y.identity[vmap[v]] for v in X.vertices}
-            for iv in ids:
-                if iv in X.marked and emap[iv] not in Y.marked:
-                    return
-            yield from assign_edges(0, vmap, emap)
-            return
-        v = X.vertices[j]
-        for w in vset:
-            vmap[v] = w
-            yield from assign_vertices(j + 1, vmap)
-        vmap.pop(v, None)
-
-    yield from assign_vertices(0, {})
+            else:
+                stack.pop()
+                continue
+            if i + 1 == depth:
+                yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
+            else:
+                stack.append(candidates(i + 1, vmap, emap))
 
 
 def hom_maps(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> list[ComplexMorphism]:
@@ -271,6 +320,15 @@ def hom_maps(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> list[Com
 
 # ---------------------------------------------------------------------------
 # Exact morphism counting by factor elimination
+
+
+def _picker(positions: list[int]):
+    """The function taking a tuple to the tuple of its entries at
+    ``positions``."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda k: (k[i],)
+    return operator.itemgetter(*positions) if positions else (lambda k: ())
 
 
 def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
@@ -296,7 +354,7 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
             factors.append(((("E", e), ("V", s), ("V", t)), table))
 
     idvert = {e: v for v, e in X.identity.items()}
-    for tri in X.triangles:
+    for tri in sorted(X.triangles):
         slot_vars = []
         for x in tri:
             if x in idvert:
@@ -328,21 +386,19 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
         s1, t1 = f1
         s2, t2 = f2
         shared = [v for v in s1 if v in s2]
-        out_scope = tuple(s1 + tuple(v for v in s2 if v not in s1))
+        rest2 = [v for v in s2 if v not in s1]
+        shared1 = _picker([s1.index(v) for v in shared])
+        shared2 = _picker([s2.index(v) for v in shared])
+        pick_rest2 = _picker([s2.index(v) for v in rest2])
         idx2: dict[tuple, list[tuple[tuple, int]]] = {}
-        pos2 = {v: i for i, v in enumerate(s2)}
-        rest2 = [v for v in s2 if v not in shared]
         for k2, c2 in t2.items():
-            sk = tuple(k2[pos2[v]] for v in shared)
-            idx2.setdefault(sk, []).append((tuple(k2[pos2[v]] for v in rest2), c2))
-        pos1 = {v: i for i, v in enumerate(s1)}
+            idx2.setdefault(shared2(k2), []).append((pick_rest2(k2), c2))
         out: dict[tuple, int] = {}
         for k1, c1 in t1.items():
-            sk = tuple(k1[pos1[v]] for v in shared)
-            for rk, c2 in idx2.get(sk, ()):
+            for rk, c2 in idx2.get(shared1(k1), ()):
                 key = k1 + rk
                 out[key] = out.get(key, 0) + c1 * c2
-        return out_scope, out
+        return s1 + tuple(rest2), out
 
     def sum_out(f, var):
         scope, table = f
@@ -354,26 +410,40 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
             out[nk] = out.get(nk, 0) + c
         return new_scope, out
 
+    # Factors by creation number, and the factors each variable occurs in.
+    live = dict(enumerate(factors))
+    factors_of: dict[tuple, set[int]] = {v: set() for v in vvars + evars}
+    for fid, (scope, _) in live.items():
+        for v in scope:
+            factors_of[v].add(fid)
+
+    def scope_after(var):
+        s = set()
+        for fid in factors_of[var]:
+            s.update(live[fid][0])
+        s.discard(var)
+        return len(s)
+
     variables = set(vvars) | set(evars)
+    next_id = len(live)
     while variables:
-        def scope_after(var):
-            s = set()
-            for scope, _ in factors:
-                if var in scope:
-                    s |= set(scope)
-            s.discard(var)
-            return len(s)
         var = min(variables, key=lambda v: (scope_after(v), v))
-        bucket = [f for f in factors if var in f[0]]
-        factors = [f for f in factors if var not in f[0]]
-        merged = bucket[0]
-        for f in bucket[1:]:
-            merged = join(merged, f)
-        factors.append(sum_out(merged, var))
+        bucket = sorted(factors_of.pop(var))
+        for fid in bucket:
+            for v in live[fid][0]:
+                if v != var:
+                    factors_of[v].discard(fid)
+        merged = live.pop(bucket[0])
+        for fid in bucket[1:]:
+            merged = join(merged, live.pop(fid))
+        live[next_id] = sum_out(merged, var)
+        for v in live[next_id][0]:
+            factors_of[v].add(next_id)
+        next_id += 1
         variables.discard(var)
 
     total = 1
-    for _, table in factors:
+    for _, table in live.values():
         total *= sum(table.values())
     return total
 
@@ -708,38 +778,59 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     """Decide the lifting property of X against a shape inclusion.
 
     exists mode asks every boundary morphism to extend; unique mode asks for
-    exactly one extension.  Small problems are decided by full enumeration
-    with witnesses; large ones by comparing exact morphism counts, which is
-    equivalent whenever the missing data is forced (checked, with fallback).
+    exactly one extension.  When the missing edges of the shape are forced
+    through triangles functional in X (``_determined_missing_edges``),
+    restriction of morphisms is injective, so every boundary has 0 or 1
+    extensions: only then are the exact morphism counts computed.  Large
+    determined problems are decided by comparing them, with a lazy search
+    for an unfillable boundary as witness; small ones enumerate the
+    boundaries and ask the forward-checked extension tester about each.
+    Problems that are not determined enumerate both sides and count the
+    extensions of each boundary by grouping the codomain morphisms by their
+    restriction.
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
     index = _TargetIndex(X)
-    cod_count = count_homs(shape.codomain, X)
-    dom_count = count_homs(shape.domain, X)
+    C, D = shape.codomain, shape.domain
 
-    if max(cod_count, dom_count) > _ENUMERATION_LIMIT and _determined_missing_edges(shape, index):
-        passed = cod_count == dom_count
-        failures: tuple[dict, ...] = ()
-        detail = (f"{dom_count} boundary morphisms, {cod_count} total morphisms; "
-                  "restriction is injective, so equality decides the verdict")
-        if not passed:
-            witness = _search_unfillable(shape, X)
-            if witness is not None:
-                failures = (witness,)
-        return LiftingReport(shape.name, mode, "count-comparison", passed,
-                             dom_count, failures, detail)
+    if _determined_missing_edges(shape, index):
+        cod_count = count_homs(C, X)
+        dom_count = count_homs(D, X)
+        if max(cod_count, dom_count) > _ENUMERATION_LIMIT:
+            passed = cod_count == dom_count
+            failures: tuple[dict, ...] = ()
+            detail = (f"{dom_count} boundary morphisms, {cod_count} total morphisms; "
+                      "restriction is injective, so equality decides the verdict")
+            if not passed:
+                witness = _search_unfillable(shape, X, index)
+                if witness is None:
+                    detail += (f"; the witness search stopped after "
+                               f"{_WITNESS_SEARCH_LIMIT} boundaries")
+                else:
+                    failures = (witness,)
+            return LiftingReport(shape.name, mode, "count-comparison", passed,
+                                 dom_count, failures, detail)
+        extends = _extension_tester(shape, X, index)
 
-    extensions: dict[tuple, list[ComplexMorphism]] = {}
-    for l in hom_maps(shape.codomain, X):
-        extensions.setdefault(l.key(shape.domain), []).append(l)
+        def extensions(u: ComplexMorphism) -> int:
+            return int(extends(u))
+    else:
+        groups: dict[tuple, int] = {}
+        for l in hom_maps_iter(C, X):
+            k = l.key(D)
+            groups[k] = groups.get(k, 0) + 1
+
+        def extensions(u: ComplexMorphism) -> int:
+            return groups.get(u.key(), 0)
+
     failures_list: list[dict] = []
-    boundaries = hom_maps(shape.domain, X)
+    boundaries = hom_maps(D, X)
     for u in boundaries:
-        k = u.key()
-        n = len(extensions.get(k, ()))
-        bad = (n == 0) if mode == "exists" else (n != 1)
-        if bad and len(failures_list) < max_failures:
+        if len(failures_list) >= max_failures:
+            break
+        n = extensions(u)
+        if (n == 0) if mode == "exists" else (n != 1):
             failures_list.append({
                 "boundary": _describe_morphism(u),
                 "extensions": n,
@@ -756,58 +847,68 @@ def _describe_morphism(f: ComplexMorphism) -> dict:
     }
 
 
+_WITNESS_SEARCH_LIMIT = 200000
+
+
 def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                       node_limit: int = 200000) -> dict | None:
-    """Look for one boundary morphism with no extension, scanning lazily."""
-    extensions_exist = _extension_tester(shape, X)
-    count = 0
-    for u in hom_maps_iter(shape.domain, X):
-        count += 1
-        if count > node_limit:
+                       index: _TargetIndex) -> dict | None:
+    """Look for one boundary morphism with no extension, scanning lazily.
+    Returns None when ``_WITNESS_SEARCH_LIMIT`` boundaries all extend."""
+    extends = _extension_tester(shape, X, index)
+    for count, u in enumerate(hom_maps_iter(shape.domain, X), 1):
+        if count > _WITNESS_SEARCH_LIMIT:
             return None
-        if not extensions_exist(u):
+        if not extends(u):
             return {"boundary": _describe_morphism(u), "extensions": 0}
-    return None
+    raise RuntimeError(f"{shape.name} against {X.name}: the counts differ "
+                       "but every boundary morphism extends")
 
 
-def _extension_tester(shape: ShapeInclusion, X: TruncatedEpsilonComplex):
-    """Fast extension existence test for boundaries of a shape whose missing
-    edges are forced by triangles; falls back to search otherwise."""
+def _extension_tester(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
+                      index: _TargetIndex):
+    """Extension existence test for boundary morphisms of a shape whose
+    codomain has no vertex outside the domain.
+
+    The edges missing from the domain are assigned in declared order by
+    backtracking: each takes its candidates from the edges of X between the
+    images of its endpoints (``by_endpoints``), and is tested only against
+    the new triangles it closes, precomputed per edge.  New triangles with
+    no missing edge, and domain edges marked only in the codomain, are
+    checked once up front."""
     C, D = shape.codomain, shape.domain
     dset = set(D.edges)
     missing = [e for e in C.edges if e not in dset]
-    miss_set = set(missing)
-    new_tris = [t for t in C.triangles if t not in D.triangles]
-    ready_tris = [t for t in new_tris if not any(x in miss_set for x in t)]
-    pending_tris = [t for t in new_tris if any(x in miss_set for x in t)]
+    pos = {e: i for i, e in enumerate(missing)}
+    new_tris = sorted(t for t in C.triangles if t not in D.triangles)
+    ready_tris = [t for t in new_tris if not any(x in pos for x in t)]
+    newly_marked = [e for e in C.marked if e in dset and e not in D.marked]
+    closing: list[list[tuple[str, str, str]]] = [[] for _ in missing]
+    for t in new_tris:
+        last = max((pos[x] for x in t if x in pos), default=None)
+        if last is not None:
+            closing[last].append(t)
+    by_endpoints, xtris, xmarked = index.by_endpoints, X.triangles, X.marked
 
     def test(u: ComplexMorphism) -> bool:
         em = dict(u.edge_map)
-        if any((em[t[0]], em[t[1]], em[t[2]]) not in X.triangles for t in ready_tris):
+        if any(em[e] not in xmarked for e in newly_marked):
             return False
-        values: dict[str, list[str]] = {}
-        for e in missing:
-            sv = u.vertex_map[C.src[e]]
-            tv = u.vertex_map[C.tgt[e]]
-            values[e] = [ye for ye in X.edges
-                         if X.src[ye] == sv and X.tgt[ye] == tv
-                         and (e not in C.marked or ye in X.marked)]
+        if any((em[t[0]], em[t[1]], em[t[2]]) not in xtris for t in ready_tris):
+            return False
+        vm = u.vertex_map
 
         def fill(i: int) -> bool:
             if i == len(missing):
                 return True
             e = missing[i]
-            for val in values[e]:
+            marked = e in C.marked
+            for val in by_endpoints.get((vm[C.src[e]], vm[C.tgt[e]]), ()):
+                if marked and val not in xmarked:
+                    continue
                 em[e] = val
-                ok = True
-                for t in pending_tris:
-                    if e in t and all(x in em for x in t):
-                        if (em[t[0]], em[t[1]], em[t[2]]) not in X.triangles:
-                            ok = False
-                            break
-                if ok and fill(i + 1):
+                if all((em[t[0]], em[t[1]], em[t[2]]) in xtris for t in closing[i]) \
+                        and fill(i + 1):
                     return True
-            em.pop(e, None)
             return False
 
         return fill(0)

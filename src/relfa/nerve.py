@@ -15,12 +15,9 @@ from __future__ import annotations
 from .algebra import CheckResult, RelFA, ValidationReport, validate
 from .complexes import (
     TruncatedEpsilonComplex,
-    ShapeInclusion,
-    assoc_shape,
     check_lifting,
-    horn,
     make_complex,
-    marked_horn,
+    shape_from_name,
 )
 
 
@@ -79,19 +76,6 @@ OPTIONAL_SHAPES: tuple[tuple[str, str], ...] = (
 )
 
 
-def _shape(name: str) -> ShapeInclusion:
-    kind, rest = name.split("-", 1)
-    if kind == "ehorn":
-        n, i = rest.split("-")
-        return marked_horn(int(n), int(i))
-    if kind == "horn":
-        n, i = rest.split("-")
-        return horn(int(n), int(i))
-    if kind == "assoc":
-        return assoc_shape(rest)
-    raise ValueError(name)
-
-
 def recognize_nerve(C: TruncatedEpsilonComplex,
                     optional: bool = False) -> ValidationReport:
     """Check the lifting conditions that characterize nerves.  With
@@ -100,7 +84,7 @@ def recognize_nerve(C: TruncatedEpsilonComplex,
     checks = []
     shapes = RECOGNITION_SHAPES + (OPTIONAL_SHAPES if optional else ())
     for shape_name, mode in shapes:
-        report = check_lifting(_shape(shape_name), C, mode=mode)
+        report = check_lifting(shape_from_name(shape_name), C, mode=mode)
         witness = report.failures[0] if report.failures else None
         checks.append(CheckResult(
             name=f"{shape_name}:{mode}",

@@ -3,12 +3,22 @@ and the lifting decision procedure."""
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import relfa
+from relfa import complexes
 from relfa.algebra import to_relfa
-from relfa.catalog import boolean, chain, cyclic_group_algebra
+from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
+from relfa.cli import main as fa_main
 from relfa.complexes import (
     SHAPE_NAMES,
+    ComplexMorphism,
     binomial,
     boundary,
     box_inclusion,
@@ -18,6 +28,7 @@ from relfa.complexes import (
     count_homs,
     count_maximal_chains,
     hom_maps,
+    hom_maps_iter,
     horn,
     make_complex,
     marked_horn,
@@ -169,3 +180,181 @@ def test_subcomplex_requires_closed_face_sets():
     D = subcomplex_on_faces(C, faces, "spine")
     assert set(D.vertices) == {"0", "1", "2"}
     assert len(D.nonidentity_edges()) == 2
+
+
+# ---------------------------------------------------------------------------
+# The forward-checked search against the plain backtracking search
+
+
+def _oracle_edge_order(X):
+    ids = set(X.identity.values())
+    remaining = list(X.nonidentity_edges())
+    placed = set(ids)
+    order = []
+    tri_list = list(X.triangles)
+    while remaining:
+        best, best_score = None, -1
+        for e in remaining:
+            score = 0
+            for t in tri_list:
+                if e in t and all(x in placed or x == e for x in t):
+                    score += 1
+            if score > best_score:
+                best, best_score = e, score
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    return order
+
+
+def _oracle_hom_maps_iter(X, Y):
+    """Plain backtracking: every edge with the right endpoints is tried,
+    then tested against the triangles it closes."""
+    by_endpoints = {}
+    for e in Y.edges:
+        by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
+    edge_order = _oracle_edge_order(X)
+    ids = set(X.identity.values())
+    tri_by_last = {e: [] for e in edge_order}
+    pos = {e: i for i, e in enumerate(edge_order)}
+    for t in X.triangles:
+        nonid = [x for x in t if x in pos]
+        if nonid:
+            tri_by_last[max(nonid, key=lambda x: pos[x])].append(t)
+
+    def assign_edges(i, vmap, emap):
+        if i == len(edge_order):
+            yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
+            return
+        e = edge_order[i]
+        for val in by_endpoints.get((vmap[X.src[e]], vmap[X.tgt[e]]), []):
+            if e in X.marked and val not in Y.marked:
+                continue
+            emap[e] = val
+            if all((emap[t[0]], emap[t[1]], emap[t[2]]) in Y.triangles
+                   for t in tri_by_last[e]):
+                yield from assign_edges(i + 1, vmap, emap)
+        emap.pop(e, None)
+
+    def assign_vertices(j, vmap):
+        if j == len(X.vertices):
+            emap = {X.identity[v]: Y.identity[vmap[v]] for v in X.vertices}
+            if all(emap[iv] in Y.marked for iv in ids if iv in X.marked):
+                yield from assign_edges(0, vmap, emap)
+            return
+        v = X.vertices[j]
+        for w in Y.vertices:
+            vmap[v] = w
+            yield from assign_vertices(j + 1, vmap)
+        vmap.pop(v, None)
+
+    yield from assign_vertices(0, {})
+
+
+def _multivalued_target():
+    """One vertex, three non-identity edges declared out of name order, a
+    composition relation that is not single valued in any slot, and one
+    marked edge."""
+    edges = ("i", "z", "x", "y")
+    triangles = [(a, b, c) for a in "xyz" for b in "xyz" for c in "xyz"
+                 if (ord(a) + ord(b) + 2 * ord(c)) % 3]
+    return make_complex("multivalued", ("v",), edges, dict.fromkeys(edges, "v"),
+                        dict.fromkeys(edges, "v"), {"v": "i"}, triangles, ("x",))
+
+
+SMALL_BOXES = ("box(boundary-0,boundary-2)", "box(boundary-1,boundary-1)",
+               "box(vertex-0-in-edge,boundary-1)", "box(horn-1-0,horn-2-1)",
+               "box(horn-2-1,horn-2-1)", "box(horn-2-0,wedge-02-1)")
+ORACLE_TARGETS = (
+    ("chain(2)", nerve(to_relfa(chain(2))), SHAPE_NAMES + SMALL_BOXES),
+    ("group_algebra(Z/2)", nerve(cyclic_group_algebra(2)), SHAPE_NAMES + SMALL_BOXES),
+    ("boolean(2)", nerve(to_relfa(boolean(2))), SHAPE_NAMES + SMALL_BOXES[:2]),
+    ("multivalued", _multivalued_target(), SHAPE_NAMES + SMALL_BOXES[:2]),
+)
+
+
+def _images(morphisms):
+    return [(tuple(f.vertex_map.items()), tuple(f.edge_map.items()))
+            for f in morphisms]
+
+
+def test_multivalued_target_has_no_functional_face_table():
+    index = complexes._TargetIndex(_multivalued_target())
+    assert not any(index.slot_functional(s) for s in range(3))
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
+def test_hom_maps_iter_yields_the_oracle_sequence(target):
+    _, Y, shape_names = target
+    for name in shape_names:
+        shape = shape_from_name(name)
+        for X in (shape.domain, shape.codomain):
+            got = _images(hom_maps_iter(X, Y))
+            assert got == _images(_oracle_hom_maps_iter(X, Y)), (name, X.name)
+            assert len(got) == count_homs(X, Y), (name, X.name)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
+def test_extension_tester_matches_grouped_codomain_morphisms(target):
+    _, Y, shape_names = target
+    index = complexes._TargetIndex(Y)
+    determined = 0
+    for name in shape_names:
+        shape = shape_from_name(name)
+        if not complexes._determined_missing_edges(shape, index):
+            continue
+        determined += 1
+        grouped = {}
+        for f in hom_maps_iter(shape.codomain, Y):
+            k = f.key(shape.domain)
+            grouped[k] = grouped.get(k, 0) + 1
+        extends = complexes._extension_tester(shape, Y, index)
+        for u in hom_maps(shape.domain, Y):
+            assert int(extends(u)) == grouped.get(u.key(), 0), (name, u.key())
+    assert determined > 0
+
+
+def test_witnessless_count_comparison_says_why(monkeypatch):
+    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
+    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 1)
+    N = nerve(to_relfa(chain(2)))
+    report = check_lifting(boundary(2), N)
+    assert report.method == "count-comparison"
+    assert not report.passed and report.failures == ()
+    assert "witness search stopped after 1 boundaries" in report.detail
+    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 200000)
+    found = check_lifting(boundary(2), N)
+    assert found.failures and "witness search" not in found.detail
+
+
+def test_fa_lift_prints_why_a_failure_has_no_witness(monkeypatch, capsys, write_structure):
+    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
+    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 1)
+    path = write_structure(chain(2), "chain2.json")
+    assert fa_main(["lift", "boundary-2", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "witness search stopped after 1 boundaries" in out
+
+
+# sha256 of `fa --json lift "box(horn-2-1,horn-2-1)" <file>` run in the
+# directory holding the file, computed with the plain backtracking search.
+FROZEN_LIFT_REPORTS = {
+    "wright-triangle.json": (wright_triangle,
+                             "e5014d1fc4b1a8b89e9b7d5818b9d72566430bc16c7cc70b3332e2b2a221713d"),
+    "chain4.json": (lambda: chain(4),
+                    "0fcba56df155fc60fc2b856e4f3423f3bee26f12adbc0a8ca4759b408d6d9238"),
+}
+
+
+@pytest.mark.parametrize("filename", sorted(FROZEN_LIFT_REPORTS))
+def test_lift_json_report_bytes_are_frozen(filename, write_structure, tmp_path):
+    build, digest = FROZEN_LIFT_REPORTS[filename]
+    write_structure(build(), filename)
+    env = dict(os.environ, PYTHONPATH=str(Path(relfa.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relfa.cli", "--json", "lift",
+         "box(horn-2-1,horn-2-1)", filename],
+        capture_output=True, cwd=tmp_path, env=env, check=False)
+    assert proc.returncode == 1
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
