@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 from .algebra import (
     CheckResult,
     EffectAlgebraTable,
+    InvariantError,
     PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
@@ -37,11 +38,9 @@ from .catalog import (
     chain,
     construct_catalog,
     cyclic_group_algebra,
-    direct_product,
     group_algebra,
     horizontal_sum,
     klein_group_algebra,
-    relabel,
     wright_triangle,
     zk_interval,
 )
@@ -58,7 +57,6 @@ from .complexes import (
     braiding_square,
     check_lifting,
     count_homs,
-    count_maximal_chains,
     hom_maps,
     hom_maps_iter,
     horn,

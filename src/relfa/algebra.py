@@ -4,8 +4,10 @@ The two table classes model effect algebras and pseudo effect algebras as
 explicit partial sum tables on a named finite carrier.  A ``RelFA`` carries
 the relational picture: a ternary multiplication relation ``mu``, a unit set
 ``eta``, a ternary comultiplication relation ``delta`` and a counit set
-``epsilon``.  Validators check the defining axioms literally, one check per
-axiom, and report the first counterexample found in carrier order.
+``epsilon``.  Validators run one check per axiom.  The relational checks
+join the sparse relations on their shared elements instead of scanning
+every tuple of the carrier, and still report as witness the first
+counterexample in carrier order.
 
 Conventions, used consistently everywhere:
 
@@ -20,6 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug in relfa, never bad
+    input.  Raised explicitly, so the checks also run under ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -303,9 +310,11 @@ def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
 
 
 def _monoid_checks(elements, triples, units, prefix="") -> list[CheckResult]:
-    pairs: dict[tuple[str, str], set[str]] = {}
+    by_first: dict[str, list[tuple[str, str]]] = {}
+    by_second: dict[str, list[tuple[str, str]]] = {}
     for x, y, z in triples:
-        pairs.setdefault((x, y), set()).add(z)
+        by_first.setdefault(x, []).append((y, z))
+        by_second.setdefault(y, []).append((x, z))
 
     checks: list[CheckResult] = []
 
@@ -322,8 +331,9 @@ def _monoid_checks(elements, triples, units, prefix="") -> list[CheckResult]:
         "every a is absorbed by a unit on each side"))
 
     witness = None
+    ordered = sorted(triples)
     for r in sorted(units):
-        for x, y, z in sorted(triples):
+        for x, y, z in ordered:
             if x == r and y != z:
                 witness = (r, y, z, "left")
                 break
@@ -336,19 +346,24 @@ def _monoid_checks(elements, triples, units, prefix="") -> list[CheckResult]:
         prefix + "unit-strictness", witness is None, witness,
         "multiplying by a unit relates a only to a itself"))
 
+    # Both sides of (a, b, c) as maps to their result sets, joined on the
+    # intermediate product: left holds (a, b, x) and (x, c, d), right holds
+    # (b, c, y) and (a, y, d).  A triple missing from both passes.
+    left: dict[tuple[str, str, str], set[str]] = {}
+    right: dict[tuple[str, str, str], set[str]] = {}
+    for a, b, x in triples:
+        for c, d in by_first.get(x, ()):
+            left.setdefault((a, b, c), set()).add(d)
+    for b, c, y in triples:
+        for a, d in by_second.get(y, ()):
+            right.setdefault((a, b, c), set()).add(d)
+    idx = {e: i for i, e in enumerate(elements)}
+    failing = [t for t in left.keys() | right.keys() if left.get(t) != right.get(t)]
     witness = None
-    empty: set[str] = set()
-    for a, b, c in itertools.product(elements, elements, elements):
-        left: set[str] = set()
-        for x in pairs.get((a, b), empty):
-            left |= pairs.get((x, c), empty)
-        right: set[str] = set()
-        for y in pairs.get((b, c), empty):
-            right |= pairs.get((a, y), empty)
-        if left != right:
-            d = sorted(left.symmetric_difference(right))[0]
-            witness = (a, b, c, d)
-            break
+    if failing:
+        a, b, c = min(failing, key=lambda t: (idx[t[0]], idx[t[1]], idx[t[2]]))
+        diff = left.get((a, b, c), set()).symmetric_difference(right.get((a, b, c), set()))
+        witness = (a, b, c, sorted(diff)[0])
     checks.append(CheckResult(
         prefix + "associativity", witness is None, witness,
         "mu(mu(a,b),c) and mu(a,mu(b,c)) relate to the same elements"))
@@ -365,28 +380,32 @@ def _validate_frobenius(f: RelFA) -> ValidationReport:
     checks = _monoid_checks(f.elements, f.mu, f.eta)
     checks += _monoid_checks(f.elements, f.delta_op(), f.epsilon, prefix="co-")
 
-    mu_by_first_result: dict[tuple[str, str], set[str]] = {}
-    mu_by_second_result: dict[tuple[str, str], set[str]] = {}
+    # Left side: (a, x, c) in mu and (b, x, d) in delta, joined on x.
+    # Right side: (a, c, y) in delta and (y, b, d) in mu, joined on y.
+    mu_by_middle: dict[str, list[tuple[str, str]]] = {}
+    mu_by_first: dict[str, list[tuple[str, str]]] = {}
     for x, y, z in f.mu:
-        mu_by_first_result.setdefault((x, z), set()).add(y)
-        mu_by_second_result.setdefault((y, z), set()).add(x)
-    delta_by_second: dict[tuple[str, str], set[str]] = {}
-    delta_by_first: dict[tuple[str, str], set[str]] = {}
+        mu_by_middle.setdefault(y, []).append((x, z))
+        mu_by_first.setdefault(x, []).append((y, z))
+    delta_by_middle: dict[str, list[tuple[str, str]]] = {}
+    delta_by_last: dict[str, list[tuple[str, str]]] = {}
     for z, x, y in f.delta:
-        delta_by_second.setdefault((z, y), set()).add(x)
-        delta_by_first.setdefault((z, x), set()).add(y)
+        delta_by_middle.setdefault(x, []).append((z, y))
+        delta_by_last.setdefault(y, []).append((z, x))
 
+    lhs = {(a, b, c, d)
+           for x, acs in mu_by_middle.items()
+           for b, d in delta_by_middle.get(x, ())
+           for a, c in acs}
+    rhs = {(a, b, c, d)
+           for y, acs in delta_by_last.items()
+           for b, d in mu_by_first.get(y, ())
+           for a, c in acs}
     witness = None
-    empty: set[str] = set()
-    els = f.elements
-    for a, b, c, d in itertools.product(els, els, els, els):
-        lhs = bool(mu_by_first_result.get((a, c), empty)
-                   & delta_by_second.get((b, d), empty))
-        rhs = bool(delta_by_first.get((a, c), empty)
-                   & mu_by_second_result.get((b, d), empty))
-        if lhs != rhs:
-            witness = (a, b, c, d)
-            break
+    if lhs != rhs:
+        idx = {e: i for i, e in enumerate(f.elements)}
+        witness = min(lhs.symmetric_difference(rhs),
+                      key=lambda q: (idx[q[0]], idx[q[1]], idx[q[2]], idx[q[3]]))
     checks.append(CheckResult(
         "frobenius-identity", witness is None, witness,
         "mu(a,x)=c with delta(b)=(x,d) iff delta(a)=(c,y) with mu(y,b)=d"))
@@ -515,12 +534,16 @@ def to_relfa(t: SumTable, kind: str | None = None, name: str | None = None) -> R
         right = {a: supp[a][1] for a in t.elements}
 
     mu = frozenset((x, y, c) for (y, x), c in t.sums.items())
-    delta = set()
-    for z in t.elements:
-        for x in t.elements:
-            for y in t.elements:
-                if t.sum_of(right[x], right[y]) == right[z]:
-                    delta.add((z, x, y))
+    # delta(z) holds (x, y) when right[x] + right[y] = right[z]: go over the
+    # defined sums through the preimages of the right supplement map.
+    preimages: dict[str, list[str]] = {}
+    for a in t.elements:
+        preimages.setdefault(right[a], []).append(a)
+    delta = {(z, x, y)
+             for (p, q), s in t.sums.items()
+             for x in preimages.get(p, ())
+             for y in preimages.get(q, ())
+             for z in preimages.get(s, ())}
     return RelFA(
         name=name or f"relfa({t.name})",
         elements=t.elements,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import EffectAlgebraTable, PseudoEffectAlgebraTable, RelFA, SumTable
+from .algebra import EffectAlgebraTable, RelFA, SumTable, relabel_table
 
 
 def chain(n: int) -> EffectAlgebraTable:
@@ -71,25 +71,6 @@ def zk_interval(u: tuple[int, ...]) -> EffectAlgebraTable:
     return EffectAlgebraTable(f"zk_interval({label})", els, name(tuple(0 for _ in u)), name(u), sums)
 
 
-def direct_product(s: SumTable, t: SumTable, name: str | None = None) -> SumTable:
-    """Componentwise product of two sum tables: a pair sum is defined
-    exactly when both component sums are."""
-    els = tuple(f"{a}.{b}" for a in s.elements for b in t.elements)
-    sums = {}
-    for (a1, b1), c1 in s.sums.items():
-        for (a2, b2), c2 in t.sums.items():
-            sums[(f"{a1}.{a2}", f"{b1}.{b2}")] = f"{c1}.{c2}"
-    commutative = isinstance(s, EffectAlgebraTable) and isinstance(t, EffectAlgebraTable)
-    cls = EffectAlgebraTable if commutative else PseudoEffectAlgebraTable
-    return cls(
-        name or f"({s.name}*{t.name})",
-        els,
-        f"{s.zero}.{t.zero}",
-        f"{s.one}.{t.one}",
-        sums,
-    )
-
-
 def group_algebra(name: str, elements: tuple[str, ...], op) -> RelFA:
     """Relational algebra of a finite group: total single-valued mu, the
     identity as unit and counit, delta the flipped multiplication graph."""
@@ -129,17 +110,6 @@ def klein_group_algebra() -> RelFA:
                          lambda a, b: els[idx[a] ^ idx[b]])
 
 
-def relabel(t: SumTable, mapping: dict[str, str], name: str) -> SumTable:
-    m = mapping.__getitem__
-    return type(t)(
-        name=name,
-        elements=tuple(m(x) for x in t.elements),
-        zero=m(t.zero),
-        one=m(t.one),
-        sums={(m(a), m(b)): m(c) for (a, b), c in t.sums.items()},
-    )
-
-
 def horizontal_sum(t1: SumTable, t2: SumTable, name: str | None = None) -> EffectAlgebraTable:
     """Glue two sum tables at shared bottom and top; middles stay disjoint
     and cross sums are undefined."""
@@ -162,7 +132,7 @@ def _prefixed_copy(t: SumTable, prefix: str) -> SumTable:
     mapping = {x: (x if x in (t.zero, t.one) else prefix + x) for x in t.elements}
     mapping[t.zero] = "0"
     mapping[t.one] = "1"
-    return relabel(t, mapping, t.name)
+    return relabel_table(t, mapping)
 
 
 def wright_triangle() -> EffectAlgebraTable:

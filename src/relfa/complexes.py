@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -634,39 +633,6 @@ def box_inclusion(f: ShapeInclusion, g: ShapeInclusion) -> ShapeInclusion:
     p2 = product(f.codomain, g.domain)
     dom = union_subcomplexes(cod, [p1, p2], f"box({f.name},{g.name})_dom")
     return ShapeInclusion(f"box({f.name},{g.name})", dom, cod)
-
-
-def count_maximal_chains(C: TruncatedEpsilonComplex) -> int:
-    """Number of maximal chains from the unique source vertex to the unique
-    sink, stepping along cover edges.  For a product of simplices this counts
-    the top nondegenerate cells."""
-    nonid = C.nonidentity_edges()
-    reach: dict[str, set[str]] = {v: set() for v in C.vertices}
-    for e in nonid:
-        reach[C.src[e]].add(C.tgt[e])
-    covers: dict[str, list[str]] = {v: [] for v in C.vertices}
-    for e in nonid:
-        u, v = C.src[e], C.tgt[e]
-        if not any(w != v and v in reach[w] for w in reach[u]):
-            covers[u].append(v)
-    sources = [v for v in C.vertices if not any(C.tgt[e] == v for e in nonid)]
-    sinks = [v for v in C.vertices if not any(C.src[e] == v for e in nonid)]
-    if len(sources) != 1 or len(sinks) != 1:
-        raise ValueError("chain counting needs a unique source and sink")
-    memo: dict[str, int] = {}
-
-    def paths(v: str) -> int:
-        if v == sinks[0]:
-            return 1
-        if v not in memo:
-            memo[v] = sum(paths(w) for w in covers[v])
-        return memo[v]
-
-    return paths(sources[0])
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------

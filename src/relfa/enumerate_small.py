@@ -31,7 +31,7 @@ from .algebra import (
     validate,
 )
 from .catalog import cyclic_group_algebra, klein_group_algebra
-from .nerve import nerve, rotations
+from .nerve import _transport_delta, nerve, rotations
 
 TABLE_BOUND = 5
 RELATIONAL_BOUND = 2
@@ -228,14 +228,7 @@ def transported_delta(elements, mu, eta, epsilon) -> frozenset:
         _, beta = rotations(C)
     except ValueError:
         return frozenset()
-    tris = C.triangles
-    out = set()
-    for z in elements:
-        for x in elements:
-            for y in elements:
-                if (beta[y], beta[z], beta[x]) in tris:
-                    out.add((z, x, y))
-    return frozenset(out)
+    return _transport_delta(elements, beta, C.triangles)
 
 
 def _relfa_canonical(A: RelFA) -> tuple:

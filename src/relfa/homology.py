@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import RelFA, SumTable, to_relfa
+from .algebra import InvariantError, RelFA, SumTable, to_relfa
 from .complexes import TruncatedEpsilonComplex
 from .nerve import nerve
 
@@ -144,10 +144,12 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, M
                         pivot = (i, j)
         t += 1
 
-    assert matmul(matmul(U, M), V) == D
+    if matmul(matmul(U, M), V) != D:
+        raise InvariantError("Smith normal form: U * M * V differs from D")
     for i in range(min(rows, cols) - 1):
         a, b = D[i][i], D[i + 1][i + 1]
-        assert b == 0 or (a != 0 and b % a == 0)
+        if not (b == 0 or (a != 0 and b % a == 0)):
+            raise InvariantError(f"Smith normal form: {a} does not divide {b}")
     return D, U, V, Uinv, Vinv
 
 
@@ -169,7 +171,8 @@ def chain_matrices(X: TruncatedEpsilonComplex) -> tuple[Matrix, Matrix]:
         for face, sign in ((f0, 1), (f1, -1), (f2, 1)):
             if face in eidx:
                 d2[eidx[face]][j] += sign
-    assert all(all(v == 0 for v in row) for row in matmul(d1, d2) or [[]])
+    if any(any(row) for row in matmul(d1, d2)):
+        raise InvariantError(f"{X.name}: d1 * d2 is not zero")
     return d1, d2
 
 
@@ -228,7 +231,8 @@ def h1_of_complex(X: TruncatedEpsilonComplex) -> AbelianGroupPresentation:
     if d2 and d2[0]:
         coords = matmul(Vinv, d2)
         for i in range(r):
-            assert all(v == 0 for v in coords[i]), "triangle boundary leaves the kernel"
+            if any(coords[i]):
+                raise InvariantError(f"{X.name}: triangle boundary leaves the kernel")
         B = coords[r:]
     else:
         B = [[] for _ in range(k)]
@@ -291,7 +295,8 @@ def full_chain_h1(X: TruncatedEpsilonComplex) -> AbelianGroupPresentation:
     if d2 and d2[0]:
         coords = matmul(Vinv, d2)
         for i in range(r):
-            assert all(v == 0 for v in coords[i])
+            if any(coords[i]):
+                raise InvariantError(f"{X.name}: triangle boundary leaves the kernel")
         B = coords[r:]
     else:
         B = [[] for _ in range(k)]

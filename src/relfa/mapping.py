@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .algebra import (
     CheckResult,
     EffectAlgebraTable,
+    InvariantError,
     PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
@@ -230,7 +231,8 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
 
     vid = {h.key(): f"h{i}" for i, h in enumerate(v_homs)}
     eid = {h.key(): f"e{i}" for i, h in enumerate(e_homs)}
-    assert len(vid) == len(v_homs) and len(eid) == len(e_homs)
+    if len(vid) != len(v_homs) or len(eid) != len(e_homs):
+        raise InvariantError("mapping complex: two morphisms share a key")
 
     at0 = _with_factor(_simplex_map(0, 1, (0,)), X)
     at1 = _with_factor(_simplex_map(0, 1, (1,)), X)
@@ -270,10 +272,17 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
 
     # Level cardinalities must match the morphism counts out of the prisms,
     # including the marked level counted against the marked 1-prism.
-    assert len(C.vertices) == len(v_homs)
-    assert len(C.edges) == len(e_homs)
-    assert len(C.triangles) == len(t_homs)
-    assert len(C.marked) == len(hom_maps(product(simplex(1, marked_top=True), X), Y))
+    levels = (
+        ("vertices", len(C.vertices), len(v_homs)),
+        ("edges", len(C.edges), len(e_homs)),
+        ("triangles", len(C.triangles), len(t_homs)),
+        ("marked edges", len(C.marked),
+         len(hom_maps(product(simplex(1, marked_top=True), X), Y))),
+    )
+    for level, built, counted in levels:
+        if built != counted:
+            raise InvariantError(
+                f"{C.name}: {built} {level} built but {counted} morphisms counted")
     return MappingComplex(C, vertex_refs, edge_refs, triangle_refs, X, Y)
 
 
@@ -321,7 +330,8 @@ def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     for i, h in enumerate(homs):
         top = supp[h.image[E.one]]
         block = interval_algebra(F, top)
-        assert validate("effect-algebra", block).passed
+        if not validate("effect-algebra", block).passed:
+            raise InvariantError(f"{block.name} is not an effect algebra")
         prefix = f"h{i}."
         labels = {x: prefix + x for x in block.elements}
         rf = relabel_relfa(to_relfa(block), labels, name=f"component{i}")

@@ -145,6 +145,20 @@ def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str
     return alpha, beta
 
 
+def _transport_delta(elements, beta: dict[str, str], triangles) -> frozenset:
+    """Triples (z, x, y) with (beta[y], beta[z], beta[x]) a triangle: one
+    pass over the triangles through the preimages of beta, which need not
+    be injective."""
+    preimages: dict[str, list[str]] = {}
+    for e in elements:
+        preimages.setdefault(beta[e], []).append(e)
+    return frozenset((z, x, y)
+                     for t0, t1, t2 in triangles
+                     for y in preimages.get(t0, ())
+                     for z in preimages.get(t1, ())
+                     for x in preimages.get(t2, ()))
+
+
 def nerve_to_algebra(C: TruncatedEpsilonComplex, name: str | None = None) -> RelFA:
     """Rebuild the algebra of a recognized complex.  The multiplication
     reads off the triangles; the comultiplication is transported through the
@@ -153,19 +167,13 @@ def nerve_to_algebra(C: TruncatedEpsilonComplex, name: str | None = None) -> Rel
     mu = set()
     for d0, d1, d2 in C.triangles:
         mu.add((d0, d2, d1))
-    delta = set()
-    for z in C.edges:
-        for x in C.edges:
-            for y in C.edges:
-                if (beta[y], beta[z], beta[x]) in C.triangles:
-                    delta.add((z, x, y))
     eta = frozenset(C.identity.values())
     return RelFA(
         name=name or f"algebra({C.name})",
         elements=tuple(C.edges),
         mu=frozenset(mu),
         eta=eta,
-        delta=frozenset(delta),
+        delta=_transport_delta(C.edges, beta, C.triangles),
         epsilon=frozenset(C.marked))
 
 

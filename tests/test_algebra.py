@@ -3,14 +3,18 @@ tables to relational algebras."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from relfa.algebra import (
     VALIDATE_KINDS,
+    CheckResult,
     EffectAlgebraTable,
     PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
+    ValidationReport,
     atoms,
     derived_order,
     height_order,
@@ -22,7 +26,10 @@ from relfa.algebra import (
     upper_bounds,
     validate,
 )
-from relfa.catalog import boolean, chain
+from relfa.catalog import boolean, chain, construct_catalog
+from relfa.enumerate_small import enumerate_small, transported_delta
+from relfa.mapping import mapping_complex
+from relfa.nerve import _transport_delta, nerve, nerve_to_algebra, rotations
 
 
 def table(name, elements, zero, one, pairs, cls=EffectAlgebraTable):
@@ -196,3 +203,158 @@ def test_relfa_signature_ignores_name():
     g = RelFA("other", f.elements, f.mu, f.eta, f.delta, f.epsilon)
     assert f.signature() == g.signature()
     assert f.delta_op() == frozenset((x, y, z) for z, x, y in f.delta)
+
+
+# ---------------------------------------------------------------------------
+# Literal scans over carrier powers, kept as oracles for the validators that
+# join the relations and for the delta transports that go through preimages.
+
+
+def oracle_monoid_checks(elements, triples, units, prefix=""):
+    pairs = {}
+    for x, y, z in triples:
+        pairs.setdefault((x, y), set()).add(z)
+    checks = []
+
+    witness = None
+    for a in elements:
+        if not any((a, s, a) in triples for s in units):
+            witness = (a, "right")
+            break
+        if not any((s, a, a) in triples for s in units):
+            witness = (a, "left")
+            break
+    checks.append(CheckResult(
+        prefix + "unit-existence", witness is None, witness,
+        "every a is absorbed by a unit on each side"))
+
+    witness = None
+    for r in sorted(units):
+        for x, y, z in sorted(triples):
+            if x == r and y != z:
+                witness = (r, y, z, "left")
+                break
+            if y == r and x != z:
+                witness = (x, r, z, "right")
+                break
+        if witness:
+            break
+    checks.append(CheckResult(
+        prefix + "unit-strictness", witness is None, witness,
+        "multiplying by a unit relates a only to a itself"))
+
+    witness = None
+    for a, b, c in itertools.product(elements, repeat=3):
+        left = set()
+        for x in pairs.get((a, b), ()):
+            left |= pairs.get((x, c), set())
+        right = set()
+        for y in pairs.get((b, c), ()):
+            right |= pairs.get((a, y), set())
+        if left != right:
+            witness = (a, b, c, sorted(left ^ right)[0])
+            break
+    checks.append(CheckResult(
+        prefix + "associativity", witness is None, witness,
+        "mu(mu(a,b),c) and mu(a,mu(b,c)) relate to the same elements"))
+    return checks
+
+
+def oracle_frobenius(f):
+    checks = oracle_monoid_checks(f.elements, f.mu, f.eta)
+    checks += oracle_monoid_checks(
+        f.elements, frozenset((x, y, z) for z, x, y in f.delta), f.epsilon,
+        prefix="co-")
+    witness = None
+    for a, b, c, d in itertools.product(f.elements, repeat=4):
+        lhs = any((a, x, c) in f.mu and (b, x, d) in f.delta for x in f.elements)
+        rhs = any((a, c, y) in f.delta and (y, b, d) in f.mu for y in f.elements)
+        if lhs != rhs:
+            witness = (a, b, c, d)
+            break
+    checks.append(CheckResult(
+        "frobenius-identity", witness is None, witness,
+        "mu(a,x)=c with delta(b)=(x,d) iff delta(a)=(c,y) with mu(y,b)=d"))
+    return ValidationReport("frobenius", f.name, tuple(checks), f.notes)
+
+
+def oracle_rel_monoid(f):
+    return ValidationReport("rel-monoid", f.name,
+                            tuple(oracle_monoid_checks(f.elements, f.mu, f.eta)), f.notes)
+
+
+def oracle_transport(elements, beta, triangles):
+    return frozenset((z, x, y) for z, x, y in itertools.product(elements, repeat=3)
+                     if (beta[y], beta[z], beta[x]) in triangles)
+
+
+def assert_matches_oracles(f):
+    assert validate("frobenius", f).to_dict() == oracle_frobenius(f).to_dict(), f.name
+    assert validate("rel-monoid", f).to_dict() == oracle_rel_monoid(f).to_dict(), f.name
+
+
+def catalog_algebras():
+    return [to_relfa(s) if isinstance(s, SumTable) else s
+            for s in construct_catalog().values()]
+
+
+def test_relational_validators_match_oracles_on_catalog():
+    for f in catalog_algebras():
+        assert_matches_oracles(f)
+
+
+def test_relational_validators_match_oracles_on_candidates():
+    candidates = enumerate_small(4, "frobenius-candidates")
+    assert len(candidates) == 411
+    failing = 0
+    for f in candidates:
+        assert_matches_oracles(f)
+        failing += not validate("frobenius", f).passed
+    assert failing > 200
+
+
+@pytest.mark.parametrize("pair", [
+    (chain(1), chain(1)), (chain(1), chain(2)), (chain(2), chain(3)),
+    (boolean(2), chain(2)), (chain(1), boolean(2))])
+def test_relational_validators_match_oracles_on_mapping_complexes(pair):
+    E, F = pair
+    C = mapping_complex(nerve(to_relfa(E)), nerve(to_relfa(F))).complex
+    assert_matches_oracles(nerve_to_algebra(C))
+
+
+def test_delta_transports_match_triple_loop_on_candidates():
+    for f in enumerate_small(4, "frobenius-candidates"):
+        probe = RelFA("probe", f.elements, f.mu, f.eta, frozenset(), f.epsilon)
+        try:
+            N = nerve(probe)
+            _, beta = rotations(N)
+        except ValueError:
+            assert transported_delta(f.elements, f.mu, f.eta, f.epsilon) == frozenset()
+            continue
+        expected = oracle_transport(N.edges, beta, N.triangles)
+        assert transported_delta(f.elements, f.mu, f.eta, f.epsilon) == expected
+        assert nerve_to_algebra(N).delta == expected
+
+
+def test_transport_goes_through_every_preimage():
+    # beta need not be injective: every map of a 3-element carrier.
+    els = ("a", "b", "c")
+    triangle_sets = [frozenset(), {("a", "a", "a")}, {("a", "b", "c"), ("c", "c", "a")},
+                     set(itertools.product(els, repeat=3))]
+    for images in itertools.product(els, repeat=3):
+        beta = dict(zip(els, images))
+        for tris in triangle_sets:
+            assert _transport_delta(els, beta, tris) == oracle_transport(els, beta, tris)
+
+
+def test_to_relfa_delta_matches_triple_loop():
+    tables = [s for s in construct_catalog().values() if isinstance(s, SumTable)]
+    tables += enumerate_small(5, "effect-algebra") + enumerate_small(5, "pseudo-effect-algebra")
+    for t in tables:
+        kind = "pseudo-effect-algebra" if isinstance(t, PseudoEffectAlgebraTable) else "effect-algebra"
+        supp = supplements(t, kind)
+        right = {a: supp[a] if kind == "effect-algebra" else supp[a][1] for a in t.elements}
+        expected = frozenset(
+            (z, x, y) for z, x, y in itertools.product(t.elements, repeat=3)
+            if t.sum_of(right[x], right[y]) == right[z])
+        assert to_relfa(t).delta == expected, t.name

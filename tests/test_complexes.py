@@ -19,14 +19,12 @@ from relfa.cli import main as fa_main
 from relfa.complexes import (
     SHAPE_NAMES,
     ComplexMorphism,
-    binomial,
     boundary,
     box_inclusion,
     braiding_shape,
     braiding_square,
     check_lifting,
     count_homs,
-    count_maximal_chains,
     hom_maps,
     hom_maps_iter,
     horn,
@@ -119,8 +117,6 @@ def test_hom_counting_matches_enumeration():
     assert count_homs(simplex(1), simplex(2)) == 6
     assert count_homs(simplex(2), simplex(2)) == 10
     assert len(hom_maps(simplex(1), simplex(2))) == 6
-    assert count_maximal_chains(simplex(2)) == 1
-    assert binomial(4, 2) == 6
 
 
 def test_braiding_square_shapes():

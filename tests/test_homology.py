@@ -3,8 +3,15 @@ against the directly presented universal group."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import relfa
 from relfa.algebra import SumTable, to_relfa
 from relfa.catalog import boolean, chain, cyclic_group_algebra
 from relfa.homology import (
@@ -118,3 +125,40 @@ def test_chain_matrices_shapes():
     assert len(d1) == len(N.vertices)
     assert all(len(row) == len(edges) for row in d1)
     assert len(d2) == len(edges)
+
+
+_BROKEN_INVARIANTS = textwrap.dedent("""
+    import sys
+    from types import SimpleNamespace
+
+    import relfa.homology as homology
+    import relfa.mapping as mapping
+    from relfa import InvariantError
+    from relfa.catalog import chain
+
+    print("optimize", sys.flags.optimize)
+    homology.matmul = lambda A, B: [[1]]
+    try:
+        homology.smith_normal_form_full([[2]])
+    except InvariantError as exc:
+        print("homology:", exc)
+    mapping.validate = lambda kind, structure: SimpleNamespace(passed=False)
+    try:
+        mapping.hom_object_ea(chain(1), chain(1))
+    except InvariantError as exc:
+        print("mapping:", exc)
+""")
+
+
+def test_invariants_are_checked_under_python_O():
+    """The internal invariants raise InvariantError even when python -O
+    strips assert statements."""
+    env = dict(os.environ, PYTHONPATH=str(Path(relfa.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize 1",
+        "homology: Smith normal form: U * M * V differs from D",
+        "mapping: chain(1)[0,1] is not an effect algebra",
+    ]

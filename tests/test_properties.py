@@ -9,10 +9,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfa.algebra import relabel_relfa, to_relfa
+from relfa.algebra import relabel_relfa, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra
 from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
 from relfa.nerve import nerve
+from test_algebra import catalog_algebras, oracle_frobenius
 
 PROPERTY_ALGEBRAS = {
     "chain(2)": to_relfa(chain(2)), "chain(3)": to_relfa(chain(3)),
@@ -44,3 +45,20 @@ def test_counts_and_verdicts_survive_relabeling(name, shape_name, mode, seed):
     before, after = check_lifting(shape, N, mode), check_lifting(shape, M, mode)
     assert (after.passed, after.method, after.boundaries) == \
         (before.passed, before.method, before.boundaries)
+
+
+CATALOG_ALGEBRAS = catalog_algebras()
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(CATALOG_ALGEBRAS) - 1),
+       field=st.sampled_from(("mu", "delta")),
+       triple=st.tuples(*[st.integers(0, 13)] * 3))
+def test_frobenius_report_matches_oracle_after_one_triple_flip(index, field, triple):
+    """Adding or removing one triple of mu or delta keeps the joined
+    validator's verdict and witness equal to the literal scan's."""
+    A = CATALOG_ALGEBRAS[index]
+    t = tuple(A.elements[k % len(A.elements)] for k in triple)
+    relation = getattr(A, field)
+    B = dataclasses.replace(A, **{field: relation ^ {t}})
+    assert validate("frobenius", B).to_dict() == oracle_frobenius(B).to_dict()
