@@ -101,7 +101,6 @@ from .homology import (
     full_chain_h1,
     h1_of_complex,
     h1_universal_group,
-    smith_normal_form,
     universal_group_presentation,
 )
 from .mapping import (

@@ -106,9 +106,6 @@ class SumTable:
     def defined(self, a: str, b: str) -> bool:
         return (a, b) in self.sums
 
-    def defined_pairs(self) -> list[tuple[str, str]]:
-        return [(a, b) for a in self.elements for b in self.elements if (a, b) in self.sums]
-
 
 class EffectAlgebraTable(SumTable):
     """Sum table expected to satisfy the effect algebra axioms."""
@@ -143,12 +140,6 @@ class RelFA:
             for x in s:
                 if x not in seen:
                     raise ValueError(f"{self.name}: {label} element {x!r} not in carrier")
-
-    def mu_pairs(self) -> dict[tuple[str, str], set[str]]:
-        out: dict[tuple[str, str], set[str]] = {}
-        for x, y, z in self.mu:
-            out.setdefault((x, y), set()).add(z)
-        return out
 
     def delta_op(self) -> frozenset[tuple[str, str, str]]:
         """The flipped comultiplication, as mu-style triples."""

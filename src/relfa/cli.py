@@ -7,7 +7,8 @@ a digest of every input file; with ``--json`` the report serialization is
 byte-stable across runs.  Failing properties exit with status 1 and attach
 certificates embedding the full failing boundary assignment, so a negative
 lifting verdict can be re-run standalone with ``fa lift``.  Input problems
-exit with status 2.
+exit with status 2, and a violated internal invariant (a bug in relfa, not
+in the input) with status 3.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import RelFA, SumTable, to_relfa, validate
+from .algebra import InvariantError, RelFA, SumTable, to_relfa, validate
 from .catalog import construct_catalog
 from .complexes import (
     TruncatedEpsilonComplex,
@@ -481,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    def emit_error(message: str) -> int:
+    def emit_error(message: str, status: int = 2) -> int:
         if json_out:
             report = {
                 "command": raw,
@@ -490,15 +491,18 @@ def main(argv: list[str] | None = None) -> int:
                 "results": {},
                 "certificates": [],
                 "error": message,
-                "exit": 2,
+                "exit": status,
             }
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
-            print(f"error: {message}", file=sys.stderr)
-        return 2
+            label = "internal error" if status == 3 else "error"
+            print(f"{label}: {message}", file=sys.stderr)
+        return status
 
     try:
         results, certificates, status, inputs, lines = args.func(args, seed)
+    except InvariantError as exc:
+        return emit_error(str(exc), 3)
     except StructureError as exc:
         return emit_error(str(exc))
     except FileNotFoundError as exc:

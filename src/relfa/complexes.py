@@ -22,6 +22,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+from .algebra import InvariantError
+
 
 @dataclass(frozen=True)
 class TruncatedEpsilonComplex:
@@ -158,14 +160,6 @@ class ComplexMorphism:
             other.domain, self.codomain,
             {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
             {e: self.edge_map[f] for e, f in other.edge_map.items()},
-        )
-
-    def restrict(self, sub: TruncatedEpsilonComplex) -> "ComplexMorphism":
-        """Restriction along a literal subcomplex (shared ids)."""
-        return ComplexMorphism(
-            sub, self.codomain,
-            {v: self.vertex_map[v] for v in sub.vertices},
-            {e: self.edge_map[e] for e in sub.edges},
         )
 
 
@@ -711,6 +705,8 @@ class LiftingReport:
 
 
 _ENUMERATION_LIMIT = 20000
+# The enumeration route stops scanning boundaries after this many failures.
+_MAX_FAILURES = 3
 
 
 def _determined_missing_edges(shape: ShapeInclusion, index: _TargetIndex) -> bool:
@@ -740,7 +736,7 @@ def _determined_missing_edges(shape: ShapeInclusion, index: _TargetIndex) -> boo
 
 
 def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                  mode: str = "exists", max_failures: int = 3) -> LiftingReport:
+                  mode: str = "exists") -> LiftingReport:
     """Decide the lifting property of X against a shape inclusion.
 
     exists mode asks every boundary morphism to extend; unique mode asks for
@@ -793,7 +789,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     failures_list: list[dict] = []
     boundaries = hom_maps(D, X)
     for u in boundaries:
-        if len(failures_list) >= max_failures:
+        if len(failures_list) >= _MAX_FAILURES:
             break
         n = extensions(u)
         if (n == 0) if mode == "exists" else (n != 1):
@@ -826,8 +822,8 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
             return None
         if not extends(u):
             return {"boundary": _describe_morphism(u), "extensions": 0}
-    raise RuntimeError(f"{shape.name} against {X.name}: the counts differ "
-                       "but every boundary morphism extends")
+    raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
+                         "but every boundary morphism extends")
 
 
 def _extension_tester(shape: ShapeInclusion, X: TruncatedEpsilonComplex,

@@ -1,10 +1,13 @@
 """Integer homology of truncated complexes and the universal group.
 
-The chain complex is normalized: degree one is spanned by non-identity
-edges, degree two by non-degenerate triangles.  First homology is computed
-from exact Smith normal forms; for an effect algebra the same group arises
-from the generators-and-relations presentation [a] - [a+b] + [b], and both
-routes are exposed so they can be compared.
+One rule gives first homology.  For boundary matrices d1 d2 = 0 over n
+edges, ker d1 is a direct summand of Z^n, since Z^n / ker d1 embeds in the
+free group on the vertices; so H1 = Z^(n - rank d1 - rank d2) plus the
+invariant factors of d2 greater than 1 (Munkres 1984, section 11), all read
+off exact Smith normal forms.  The chain complex is normalized (non-identity
+edges, non-degenerate triangles); the full chain complex goes through the
+same rule as a cross-check of the normalization, and so does the universal
+group of an effect algebra presented by relations [a] - [a+b] + [b].
 """
 
 from __future__ import annotations
@@ -39,55 +42,40 @@ def matmul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form D = U M V with U, V unimodular, D diagonal with
     successive divisibility.  Pivots take the least absolute nonzero entry,
-    ties resolved in row-major order."""
-    D, U, V, _, _ = smith_normal_form_full(M)
-    return D, U, V
-
-
-def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
-    """As smith_normal_form, also returning the inverses of U and V,
-    maintained alongside by applying the inverse row and column moves."""
+    ties resolved in row-major order.  U and V certify the result: the
+    product U M V and the divisibility are checked before returning."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
     D = [list(r) for r in M]
-    U, Uinv = identity_matrix(rows), identity_matrix(rows)
-    V, Vinv = identity_matrix(cols), identity_matrix(cols)
+    U, V = identity_matrix(rows), identity_matrix(cols)
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in D:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def add_row(dst, src, c):
         """row dst += c * row src"""
         D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
         U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-        for r in Uinv:
-            r[src] -= c * r[dst]
 
     def add_col(dst, src, c):
         for r in D:
             r[dst] += c * r[src]
         for r in V:
             r[dst] += c * r[src]
-        Vinv[src] = [a - c * b for a, b in zip(Vinv[src], Vinv[dst])]
 
     def negate_row(i):
         D[i] = [-a for a in D[i]]
         U[i] = [-a for a in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
 
     t = 0
     limit = min(rows, cols)
@@ -150,24 +138,22 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix, M
         a, b = D[i][i], D[i + 1][i + 1]
         if not (b == 0 or (a != 0 and b % a == 0)):
             raise InvariantError(f"Smith normal form: {a} does not divide {b}")
-    return D, U, V, Uinv, Vinv
+    return D, U, V
 
 
-def chain_matrices(X: TruncatedEpsilonComplex) -> tuple[Matrix, Matrix]:
-    """Boundary matrices of the normalized chain complex.  Rows of the
-    first are vertices, columns non-identity edges; rows of the second are
-    non-identity edges, columns non-degenerate triangles.  Identity edge
-    faces contribute zero."""
+def _boundary_matrices(X: TruncatedEpsilonComplex, edges, triangles
+                       ) -> tuple[Matrix, Matrix]:
+    """Boundary matrices over the given edges and triangles.  Rows of d1
+    are vertices, columns edges; rows of d2 are edges, columns triangles.
+    A triangle face outside `edges` contributes zero."""
     verts = {v: i for i, v in enumerate(X.vertices)}
-    edges = X.nonidentity_edges()
     eidx = {e: i for i, e in enumerate(edges)}
     d1 = [[0] * len(edges) for _ in X.vertices]
     for j, e in enumerate(edges):
         d1[verts[X.tgt[e]]][j] += 1
         d1[verts[X.src[e]]][j] -= 1
-    tris = X.nondegenerate_triangles()
-    d2 = [[0] * len(tris) for _ in edges]
-    for j, (f0, f1, f2) in enumerate(tris):
+    d2 = [[0] * len(triangles) for _ in edges]
+    for j, (f0, f1, f2) in enumerate(triangles):
         for face, sign in ((f0, 1), (f1, -1), (f2, 1)):
             if face in eidx:
                 d2[eidx[face]][j] += sign
@@ -176,12 +162,18 @@ def chain_matrices(X: TruncatedEpsilonComplex) -> tuple[Matrix, Matrix]:
     return d1, d2
 
 
+def chain_matrices(X: TruncatedEpsilonComplex) -> tuple[Matrix, Matrix]:
+    """Boundary matrices of the normalized chain complex: non-identity
+    edges and non-degenerate triangles; identity edge faces contribute
+    zero."""
+    return _boundary_matrices(X, X.nonidentity_edges(),
+                              X.nondegenerate_triangles())
+
+
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
     rank: int
     torsion: tuple[int, ...]
-    generators: tuple[str, ...]
-    relations: tuple[tuple[int, ...], ...]
 
     def format(self) -> str:
         parts = []
@@ -200,44 +192,24 @@ class AbelianGroupPresentation:
                 "group": self.format()}
 
 
-def _presentation_from_matrix(B: Matrix, k: int, generators: tuple[str, ...],
-                              relations: Matrix) -> AbelianGroupPresentation:
-    """Quotient of Z^k by the column span of B (B has k rows)."""
-    if k == 0:
-        return AbelianGroupPresentation(0, (), generators,
-                                        tuple(tuple(r) for r in relations))
-    if not B or not B[0]:
-        return AbelianGroupPresentation(k, (), generators,
-                                        tuple(tuple(r) for r in relations))
-    D, _, _ = smith_normal_form(B)
-    factors = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i] != 0]
-    rank = k - len(factors)
-    torsion = tuple(d for d in factors if d > 1)
-    return AbelianGroupPresentation(rank, torsion, generators,
-                                    tuple(tuple(r) for r in relations))
+def _h1(d1: Matrix, d2: Matrix) -> AbelianGroupPresentation:
+    """ker d1 / im d2 for d1 d2 = 0, where n, the number of rows of d2, is
+    the number of edges: rank n - rank d1 - rank d2, torsion the invariant
+    factors of d2 greater than 1."""
+
+    def nonzero_diagonal(M: Matrix) -> list[int]:
+        D = smith_normal_form_full(M)[0]
+        return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))
+                if D[i][i]]
+
+    factors = nonzero_diagonal(d2)
+    rank = len(d2) - len(nonzero_diagonal(d1)) - len(factors)
+    return AbelianGroupPresentation(rank, tuple(d for d in factors if d > 1))
 
 
 def h1_of_complex(X: TruncatedEpsilonComplex) -> AbelianGroupPresentation:
-    """First homology: kernel of the edge boundary modulo the image of the
-    triangle boundary, via two Smith reductions."""
-    d1, d2 = chain_matrices(X)
-    edges = X.nonidentity_edges()
-    n = len(edges)
-    if n == 0:
-        return AbelianGroupPresentation(0, (), (), ())
-    D1, _, _, _, Vinv = smith_normal_form_full(d1)
-    r = sum(1 for i in range(min(len(D1), n)) if D1[i][i] != 0)
-    k = n - r
-    if d2 and d2[0]:
-        coords = matmul(Vinv, d2)
-        for i in range(r):
-            if any(coords[i]):
-                raise InvariantError(f"{X.name}: triangle boundary leaves the kernel")
-        B = coords[r:]
-    else:
-        B = [[] for _ in range(k)]
-    return _presentation_from_matrix(
-        B, k, edges, tuple(tuple(row) for row in d2))
+    """First homology of the normalized chain complex."""
+    return _h1(*chain_matrices(X))
 
 
 def h1_universal_group(obj) -> AbelianGroupPresentation:
@@ -256,48 +228,16 @@ def h1_universal_group(obj) -> AbelianGroupPresentation:
 def universal_group_presentation(E: SumTable) -> AbelianGroupPresentation:
     """The universal group presented directly: one generator per element,
     one relation [a] - [a+b] + [b] per defined sum."""
-    gens = tuple(E.elements)
-    idx = {a: i for i, a in enumerate(gens)}
-    cols = []
-    for (a, b), c in sorted(E.sums.items()):
-        col = [0] * len(gens)
-        col[idx[a]] += 1
-        col[idx[c]] -= 1
-        col[idx[b]] += 1
-        cols.append(col)
-    B = [[col[i] for col in cols] for i in range(len(gens))]
-    return _presentation_from_matrix(B, len(gens), gens,
-                                     tuple(tuple(r) for r in B))
+    idx = {a: i for i, a in enumerate(E.elements)}
+    relations = [[0] * len(E.sums) for _ in E.elements]
+    for j, ((a, b), c) in enumerate(E.sums.items()):
+        relations[idx[a]][j] += 1
+        relations[idx[c]][j] -= 1
+        relations[idx[b]][j] += 1
+    return _h1([], relations)
 
 
 def full_chain_h1(X: TruncatedEpsilonComplex) -> AbelianGroupPresentation:
     """H1 computed without normalization, keeping identity edges and
     degenerate triangles.  Used to confirm the normalized computation."""
-    edges = tuple(X.edges)
-    verts = {v: i for i, v in enumerate(X.vertices)}
-    eidx = {e: i for i, e in enumerate(edges)}
-    d1 = [[0] * len(edges) for _ in X.vertices]
-    for j, e in enumerate(edges):
-        d1[verts[X.tgt[e]]][j] += 1
-        d1[verts[X.src[e]]][j] -= 1
-    tris = sorted(X.triangles)
-    d2 = [[0] * len(tris) for _ in edges]
-    for j, (f0, f1, f2) in enumerate(tris):
-        d2[eidx[f0]][j] += 1
-        d2[eidx[f1]][j] -= 1
-        d2[eidx[f2]][j] += 1
-    n = len(edges)
-    if n == 0:
-        return AbelianGroupPresentation(0, (), (), ())
-    D1, _, _, _, Vinv = smith_normal_form_full(d1)
-    r = sum(1 for i in range(min(len(D1), n)) if D1[i][i] != 0)
-    k = n - r
-    if d2 and d2[0]:
-        coords = matmul(Vinv, d2)
-        for i in range(r):
-            if any(coords[i]):
-                raise InvariantError(f"{X.name}: triangle boundary leaves the kernel")
-        B = coords[r:]
-    else:
-        B = [[] for _ in range(k)]
-    return _presentation_from_matrix(B, k, edges, tuple(tuple(r) for r in d2))
+    return _h1(*_boundary_matrices(X, X.edges, sorted(X.triangles)))

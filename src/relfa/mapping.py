@@ -71,9 +71,6 @@ class PMMorphism:
                 raise ValueError(
                     f"{self.source.name}->{self.target.name}: sum ({x},{y}) not preserved")
 
-    def preserves_top(self) -> bool:
-        return self.image[self.source.one] == self.target.one
-
     def compose(self, other: "PMMorphism") -> "PMMorphism":
         """self after other."""
         if other.target is not self.source and other.target.name != self.source.name:

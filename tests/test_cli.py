@@ -85,6 +85,21 @@ def test_missing_file_exits_2():
     assert "error" in report
 
 
+def test_internal_error_exits_3(monkeypatch, capsys, chain2_file):
+    """A violated invariant is a bug in relfa, not bad input: exit 3."""
+    from relfa import InvariantError, cli
+
+    def broken(obj):
+        raise InvariantError("d1 * d2 is not zero")
+
+    monkeypatch.setattr(cli, "h1_universal_group", broken)
+    assert cli.main(["homology", chain2_file]) == 3
+    assert capsys.readouterr().err == "internal error: d1 * d2 is not zero\n"
+    assert cli.main(["--json", "homology", chain2_file]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["exit"], report["error"]) == (3, "d1 * d2 is not zero")
+
+
 def test_classify_reports_flags(boolean2_file):
     proc, report = run_json("classify", boolean2_file)
     assert proc.returncode == 0

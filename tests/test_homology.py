@@ -14,6 +14,7 @@ import pytest
 import relfa
 from relfa.algebra import SumTable, to_relfa
 from relfa.catalog import boolean, chain, cyclic_group_algebra
+from relfa.complexes import make_complex
 from relfa.homology import (
     AbelianGroupPresentation,
     chain_matrices,
@@ -22,7 +23,6 @@ from relfa.homology import (
     h1_universal_group,
     identity_matrix,
     matmul,
-    smith_normal_form,
     smith_normal_form_full,
     universal_group_presentation,
 )
@@ -35,33 +35,25 @@ def test_matrix_helpers():
 
 
 def test_smith_normal_form_diagonalizes_with_unimodular_factors():
-    M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    D, U, V = smith_normal_form(M)
-    assert matmul(matmul(U, M), V) == D
-    diag = [D[i][i] for i in range(len(D))]
-    assert diag == [2, 2, 156]
-    for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0
-    off = [D[i][j] for i in range(len(D)) for j in range(len(D[0])) if i != j]
-    assert all(v == 0 for v in off)
-
-
-def test_smith_normal_form_full_tracks_inverses():
-    M = [[4, 6], [2, 8]]
-    D, U, V, Uinv, Vinv = smith_normal_form_full(M)
-    n = len(M)
-    assert matmul(U, Uinv) == identity_matrix(n)
-    assert matmul(V, Vinv) == identity_matrix(n)
-    assert matmul(matmul(U, M), V) == D
+    for M, expected in (([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
+                        ([[4, 6], [2, 8]], [2, 10])):
+        D, U, V = smith_normal_form_full(M)
+        assert matmul(matmul(U, M), V) == D
+        diag = [D[i][i] for i in range(len(D))]
+        assert diag == expected
+        for i in range(len(diag) - 1):
+            assert diag[i + 1] % diag[i] == 0
+        off = [D[i][j] for i in range(len(D)) for j in range(len(D[0])) if i != j]
+        assert all(v == 0 for v in off)
 
 
 def test_presentation_formatting():
-    assert AbelianGroupPresentation(0, (), (), ()).format() == "0"
-    assert AbelianGroupPresentation(1, (), (), ()).format() == "Z"
-    assert AbelianGroupPresentation(3, (), (), ()).format() == "Z^3"
-    assert AbelianGroupPresentation(1, (2,), (), ()).format() == "Z + Z/2"
-    assert AbelianGroupPresentation(0, (4,), (), ()).format() == "Z/4"
-    assert AbelianGroupPresentation(2, (2,), (), ()).invariants() == (2, (2,))
+    assert AbelianGroupPresentation(0, ()).format() == "0"
+    assert AbelianGroupPresentation(1, ()).format() == "Z"
+    assert AbelianGroupPresentation(3, ()).format() == "Z^3"
+    assert AbelianGroupPresentation(1, (2,)).format() == "Z + Z/2"
+    assert AbelianGroupPresentation(0, (4,)).format() == "Z/4"
+    assert AbelianGroupPresentation(2, (2,)).invariants() == (2, (2,))
 
 
 def test_h1_of_chains_is_infinite_cyclic():
@@ -82,15 +74,26 @@ def test_h1_of_group_algebras_is_the_group():
 
 
 def test_h1_frozen_values_on_catalog_entries(catalog):
+    """Both nerve routes, and the direct presentation of every sum table,
+    on every catalog entry."""
     expected = {
-        "zk_interval(2,1)": "Z^2",
-        "wright-triangle": "Z^4",
+        "chain(1)": "Z", "chain(2)": "Z", "chain(3)": "Z", "chain(4)": "Z",
+        "chain(5)": "Z", "boolean(1)": "Z", "boolean(2)": "Z^2",
+        "boolean(3)": "Z^3", "zk_interval(2,1)": "Z^2",
+        "zk_interval(1,1,1)": "Z^3", "group_algebra(Z/2)": "Z/2",
+        "group_algebra(Z/3)": "Z/3", "group_algebra(Z/4)": "Z/4",
+        "group_algebra(Z/5)": "Z/5", "wright-triangle": "Z^4",
         "horizontal_sum(chain(2),chain(2))": "Z + Z/2",
         "horizontal_sum(boolean(2),chain(3))": "Z^2",
     }
+    assert sorted(catalog) == sorted(expected)
     for name, group in expected.items():
         obj = catalog[name]
-        assert h1_universal_group(obj).format() == group, name
+        N = nerve(to_relfa(obj) if isinstance(obj, SumTable) else obj)
+        assert h1_of_complex(N).format() == group, name
+        assert full_chain_h1(N).format() == group, name
+        if isinstance(obj, SumTable):
+            assert universal_group_presentation(obj).format() == group, name
 
 
 def test_direct_presentation_matches_nerve_homology(catalog):
@@ -116,6 +119,25 @@ def test_full_chain_route_agrees():
     for t in (chain(2), boolean(2)):
         N = nerve(to_relfa(t))
         assert full_chain_h1(N).invariants() == h1_of_complex(N).invariants()
+
+
+def _torsion_complex():
+    """Loops a at v and c at w, an edge b from v to w, and one triangle
+    (a, iv, a) whose boundary is 2a: rank d1 = 1, rank d2 = 1."""
+    src = {"a": "v", "b": "v", "c": "w", "iv": "v", "iw": "w"}
+    tgt = {"a": "v", "b": "w", "c": "w", "iv": "v", "iw": "w"}
+    return make_complex("torsion", ("v", "w"), ("a", "b", "c", "iv", "iw"),
+                        src, tgt, {"v": "iv", "w": "iw"}, [("a", "iv", "a")], ())
+
+
+def test_h1_with_edge_boundary_rank_and_torsion():
+    X = _torsion_complex()
+    d1, d2 = chain_matrices(X)
+    assert d2 == [[2], [0], [0]]
+    D1 = smith_normal_form_full(d1)[0]
+    assert [D1[0][0], D1[1][1]] == [1, 0]
+    assert h1_of_complex(X).format() == "Z + Z/2"
+    assert full_chain_h1(X).format() == "Z + Z/2"
 
 
 def test_chain_matrices_shapes():

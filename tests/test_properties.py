@@ -9,9 +9,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfa.algebra import relabel_relfa, to_relfa, validate
-from relfa.catalog import boolean, chain, cyclic_group_algebra
+from relfa.algebra import SumTable, relabel_relfa, relabel_table, to_relfa, validate
+from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra
 from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
+from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
 from relfa.nerve import nerve
 from test_algebra import catalog_algebras, oracle_frobenius
 
@@ -62,3 +63,36 @@ def test_frobenius_report_matches_oracle_after_one_triple_flip(index, field, tri
     relation = getattr(A, field)
     B = dataclasses.replace(A, **{field: relation ^ {t}})
     assert validate("frobenius", B).to_dict() == oracle_frobenius(B).to_dict()
+
+
+CATALOG = construct_catalog()
+
+
+def _h1_invariants(obj) -> tuple:
+    N = nerve(to_relfa(obj) if isinstance(obj, SumTable) else obj)
+    direct = (universal_group_presentation(obj).invariants()
+              if isinstance(obj, SumTable) else None)
+    return h1_of_complex(N).invariants(), full_chain_h1(N).invariants(), direct
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1))
+def test_h1_invariants_survive_relabeling(name, seed):
+    """Fresh element names and a shuffled declaration order of the elements
+    (and of the defined sums) change neither nerve route nor the direct
+    presentation of the universal group."""
+    rng = random.Random(seed)
+    A = CATALOG[name]
+    fresh = rng.sample(range(100), len(A.elements))
+    mapping = {a: f"r{k}" for a, k in zip(A.elements, fresh)}
+    if isinstance(A, SumTable):
+        B = relabel_table(A, mapping)
+        sums = list(B.sums.items())
+        rng.shuffle(sums)
+        B = dataclasses.replace(B, sums=dict(sums))
+    else:
+        B = relabel_relfa(A, mapping)
+    shuffled = list(B.elements)
+    rng.shuffle(shuffled)
+    B = dataclasses.replace(B, elements=tuple(shuffled))
+    assert _h1_invariants(B) == _h1_invariants(A)
