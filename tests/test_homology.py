@@ -35,16 +35,36 @@ def test_matrix_helpers():
 
 
 def test_smith_normal_form_diagonalizes_with_unimodular_factors():
-    for M, expected in (([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], [2, 2, 156]),
-                        ([[4, 6], [2, 8]], [2, 10])):
-        D, U, V = smith_normal_form_full(M)
-        assert matmul(matmul(U, M), V) == D
-        diag = [D[i][i] for i in range(len(D))]
-        assert diag == expected
-        for i in range(len(diag) - 1):
-            assert diag[i + 1] % diag[i] == 0
-        off = [D[i][j] for i in range(len(D)) for j in range(len(D[0])) if i != j]
-        assert all(v == 0 for v in off)
+    M = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    D, U, V = smith_normal_form_full(M)
+    assert matmul(matmul(U, M), V) == D
+    diag = [D[i][i] for i in range(len(D))]
+    assert diag == [2, 2, 156]
+    for i in range(len(diag) - 1):
+        assert diag[i + 1] % diag[i] == 0
+    off = [D[i][j] for i in range(len(D)) for j in range(len(D[0])) if i != j]
+    assert all(v == 0 for v in off)
+
+
+def _integer_inverse_2x2(A):
+    """The inverse of a 2x2 integer matrix of determinant +-1 (adjugate
+    times the determinant)."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    assert det in (1, -1)
+    return [[det * d, -det * b], [-det * c, det * a]]
+
+
+def test_smith_normal_form_full_tracks_inverses():
+    M = [[4, 6], [2, 8]]
+    D, U, V = smith_normal_form_full(M)
+    n = len(M)
+    Uinv, Vinv = _integer_inverse_2x2(U), _integer_inverse_2x2(V)
+    assert matmul(U, Uinv) == identity_matrix(n)
+    assert matmul(V, Vinv) == identity_matrix(n)
+    assert matmul(matmul(U, M), V) == D
+    assert [D[0][0], D[1][1]] == [2, 10] and D[0][1] == D[1][0] == 0
+    assert matmul(matmul(Uinv, D), Vinv) == M
 
 
 def test_presentation_formatting():
