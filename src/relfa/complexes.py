@@ -8,8 +8,9 @@ implicit: an n-simplex is an edge assignment on the full n-simplex shape all
 of whose triangles are present.  Degenerate triangles are added
 automatically, so constructors only list the interesting ones.
 
-The module also provides morphism enumeration between complexes, products,
-the standard shape inclusions (horns, marked horns, boundaries, the
+The module also provides one morphism search, which extends a morphism out
+of a subcomplex and enumerates morphisms as extensions of the empty one,
+products, the standard shape inclusions (horns, marked horns, boundaries, the
 associativity and braiding shapes, pushout products), lifting verdicts in
 exists and unique modes, and an exact morphism counting engine used to decide
 large lifting problems by fiber counting.
@@ -43,6 +44,12 @@ class TruncatedEpsilonComplex:
     def _nonidentity_edges(self) -> tuple[str, ...]:
         ids = set(self.identity.values())
         return tuple(e for e in self.edges if e not in ids)
+
+    def signature(self) -> tuple:
+        """Hashable identity of the complex: everything but its name."""
+        return (self.vertices, self.edges, tuple(self.src.items()),
+                tuple(self.tgt.items()), tuple(self.identity.items()),
+                self.triangles, self.marked)
 
     def is_identity(self, e: str) -> bool:
         return self.identity.get(self.src[e]) == e and self.src[e] == self.tgt[e]
@@ -153,8 +160,10 @@ class ComplexMorphism:
                 raise ValueError(f"marked edge {m!r} maps to unmarked edge")
 
     def compose(self, other: "ComplexMorphism") -> "ComplexMorphism":
-        """self after other."""
-        if other.codomain is not self.domain and other.codomain.name != self.domain.name:
+        """self after other; the codomain of other must be the domain of
+        self, as an object or as an equal structure."""
+        if other.codomain is not self.domain and \
+                other.codomain.signature() != self.domain.signature():
             raise ValueError("composition mismatch")
         return ComplexMorphism(
             other.domain, self.codomain,
@@ -189,13 +198,13 @@ class _TargetIndex:
         return all(len(v) <= 1 for v in table.values())
 
 
-def _edge_order(X: TruncatedEpsilonComplex) -> list[str]:
-    """Static assignment order for non-identity edges, greedily preferring
-    edges that close triangles with earlier edges (ties go to the edge
-    declared first)."""
-    remaining = list(X.nonidentity_edges())
-    ids = set(X.identity.values())
-    open_edges = {t: set(t) - ids for t in X.triangles}
+def _edge_order(C: TruncatedEpsilonComplex, known: frozenset) -> list[str]:
+    """Static assignment order for the non-identity edges of C outside
+    ``known``, greedily preferring edges that close triangles with earlier
+    edges, identities or known edges (ties go to the edge declared first)."""
+    known = known | set(C.identity.values())
+    remaining = [e for e in C.nonidentity_edges() if e not in known]
+    open_edges = {t: set(t) - known for t in C.triangles}
     tris_of: dict[str, list[tuple[str, str, str]]] = {e: [] for e in remaining}
     score = dict.fromkeys(remaining, 0)
     for t, rest in open_edges.items():
@@ -222,11 +231,11 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     closes.
 
     An edge closes the triangles whose other edges come earlier in ``order``
-    or are identities.  The first of them (in sorted order) in which the
-    edge fills exactly one slot is the lookup ``(slot, other, other)``: the
-    images of the two other faces select the candidates from the target's
-    ``d{slot}_of`` table.  An edge with no such triangle takes its
-    candidates from ``by_endpoints``."""
+    or are outside it (identities and known edges).  The first of them (in
+    sorted order) in which the edge fills exactly one slot is the lookup
+    ``(slot, other, other)``: the images of the two other faces select the
+    candidates from the target's ``d{slot}_of`` table.  An edge with no such
+    triangle takes its candidates from ``by_endpoints``."""
     pos = {e: i for i, e in enumerate(order)}
     closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
     for t in sorted(X.triangles):
@@ -243,65 +252,93 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     return plan
 
 
-def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
-    """Yield every morphism X -> Y, in a deterministic search order.
+def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
+              index: _TargetIndex):
+    """The one morphism search.  Returns the generator function
+    ``extensions(vmap, emap)`` yielding every extension along the subcomplex
+    D of C of the morphism D -> Y with those vertex and edge images, where Y
+    is the target of ``index``.
 
-    Vertices are assigned in every combination, then the non-identity edges
-    one at a time in ``_edge_order`` with forward checking: an edge that
-    completes a triangle takes its candidates from the target's face table
-    for the images of the triangle's other two faces, not from every edge
-    with the right endpoints, and is then tested against the other
-    triangles it closes.  Candidates are tried in the target's declared edge
-    order, so the sequence is that of a plain backtracking search over
+    Edges of D marked only in C, and triangles of C outside D with every
+    edge in D, are checked once up front.  Vertices of C outside D are then
+    assigned in every combination, and the other non-identity edges one at
+    a time in ``_edge_order`` with forward checking: an edge that completes
+    a triangle takes its candidates from the target's face table for the
+    images of the triangle's other two faces, and is then tested against the
+    other triangles it closes.  Candidates come in the target's declared
+    edge order, so the sequence is that of a plain backtracking search over
     ``by_endpoints``.  The search keeps an explicit stack of candidate
-    iterators rather than nesting generators."""
-    index = _TargetIndex(Y)
-    plan = _search_plan(X, _edge_order(X))
+    iterators.  Each extension is yielded as the pair ``(vmap, emap)`` of
+    dicts the search goes on updating: copy them to keep them."""
+    Y = index.Y
+    known = frozenset(D.edges)
+    plan = _search_plan(C, _edge_order(C, known))
+    depth = len(plan)
+    ready = sorted(t for t in C.triangles
+                   if t not in D.triangles and all(x in known for x in t))
+    newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
+    dvertices = set(D.vertices)
+    new_vertices = [(v, C.identity[v]) for v in C.vertices if v not in dvertices]
+    marked_ids = [iv for _, iv in new_vertices if iv in C.marked]
     tables = (index.d0_of, index.d1_of, index.d2_of)
     by_endpoints = index.by_endpoints
-    ysrc, ytgt, ytris, ymarked = Y.src, Y.tgt, Y.triangles, Y.marked
-    marked_ids = [X.identity[v] for v in X.vertices if X.identity[v] in X.marked]
+    ysrc, ytgt, ytris, ymarked, yidentity = Y.src, Y.tgt, Y.triangles, Y.marked, Y.identity
 
-    def candidates(i: int, vmap: dict[str, str], emap: dict[str, str]):
-        _, s, t, marked, lookup, _ = plan[i]
-        vs, vt = vmap[s], vmap[t]
-        if lookup is None:
-            vals = by_endpoints.get((vs, vt), ())
-        else:
-            slot, a, b = lookup
-            vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
-                    if ysrc[y] == vs and ytgt[y] == vt]
-        if marked:
-            vals = [y for y in vals if y in ymarked]
-        return iter(vals)
-
-    depth = len(plan)
-    for images in itertools.product(Y.vertices, repeat=len(X.vertices)):
-        vmap = dict(zip(X.vertices, images))
-        emap = {X.identity[v]: Y.identity[w] for v, w in vmap.items()}
-        if any(emap[iv] not in ymarked for iv in marked_ids):
-            continue
-        if not depth:
-            yield ComplexMorphism(X, Y, vmap, emap)
-            continue
-        stack = [candidates(0, vmap, emap)]
-        while stack:
-            i = len(stack) - 1
-            e, checks = plan[i][0], plan[i][5]
-            for val in stack[i]:
-                emap[e] = val
-                for t in checks:
-                    if (emap[t[0]], emap[t[1]], emap[t[2]]) not in ytris:
-                        break
+    def extensions(vmap: dict[str, str], emap: dict[str, str]):
+        if any(emap[e] not in ymarked for e in newly_marked) or \
+                any((emap[a], emap[b], emap[c]) not in ytris for a, b, c in ready):
+            return
+        vmap, emap = dict(vmap), dict(emap)
+        for images in itertools.product(Y.vertices, repeat=len(new_vertices)):
+            for (v, iv), w in zip(new_vertices, images):
+                vmap[v] = w
+                emap[iv] = yidentity[w]
+            if any(emap[iv] not in ymarked for iv in marked_ids):
+                continue
+            stack: list = []
+            while True:
+                if len(stack) < depth:
+                    _, s, t, marked, lookup, _ = plan[len(stack)]
+                    vs, vt = vmap[s], vmap[t]
+                    if lookup is None:
+                        vals = by_endpoints.get((vs, vt), ())
+                    else:
+                        slot, a, b = lookup
+                        vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
+                                if ysrc[y] == vs and ytgt[y] == vt]
+                    if marked:
+                        vals = [y for y in vals if y in ymarked]
+                    stack.append(iter(vals))
+                else:
+                    yield vmap, emap
+                while stack:
+                    e, _, _, _, _, checks = plan[len(stack) - 1]
+                    for val in stack[-1]:
+                        emap[e] = val
+                        for tri in checks:
+                            if (emap[tri[0]], emap[tri[1]], emap[tri[2]]) not in ytris:
+                                break
+                        else:
+                            break
+                    else:
+                        stack.pop()
+                        continue
+                    break
                 else:
                     break
-            else:
-                stack.pop()
-                continue
-            if i + 1 == depth:
-                yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
-            else:
-                stack.append(candidates(i + 1, vmap, emap))
+
+    return extensions
+
+
+_EMPTY = make_complex("empty", (), (), {}, {}, {}, (), ())
+
+
+def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
+    """Yield every morphism X -> Y, in a deterministic search order: the
+    extensions of the empty morphism along the empty subcomplex of X, found
+    by the one morphism search ``_extender``."""
+    for vmap, emap in _extender(X, _EMPTY, _TargetIndex(Y))({}, {}):
+        yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
 
 
 def hom_maps(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> list[ComplexMorphism]:
@@ -743,13 +780,12 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     exactly one extension.  When the missing edges of the shape are forced
     through triangles functional in X (``_determined_missing_edges``),
     restriction of morphisms is injective, so every boundary has 0 or 1
-    extensions: only then are the exact morphism counts computed.  Large
-    determined problems are decided by comparing them, with a lazy search
-    for an unfillable boundary as witness; small ones enumerate the
-    boundaries and ask the forward-checked extension tester about each.
-    Problems that are not determined enumerate both sides and count the
-    extensions of each boundary by grouping the codomain morphisms by their
-    restriction.
+    extensions: only then are the exact morphism counts computed, and large
+    problems are decided by comparing them, with a lazy search for an
+    unfillable boundary as witness.  Every other problem enumerates the
+    boundaries and counts the extensions of each with the one morphism
+    search ``_extender``; in exists mode the count stops at the first
+    extension, since a failure there always has 0.
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
@@ -773,26 +809,20 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                     failures = (witness,)
             return LiftingReport(shape.name, mode, "count-comparison", passed,
                                  dom_count, failures, detail)
-        extends = _extension_tester(shape, X, index)
 
-        def extensions(u: ComplexMorphism) -> int:
-            return int(extends(u))
-    else:
-        groups: dict[tuple, int] = {}
-        for l in hom_maps_iter(C, X):
-            k = l.key(D)
-            groups[k] = groups.get(k, 0) + 1
-
-        def extensions(u: ComplexMorphism) -> int:
-            return groups.get(u.key(), 0)
-
+    extensions = _extender(C, D, index)
+    exists = mode == "exists"
     failures_list: list[dict] = []
     boundaries = hom_maps(D, X)
     for u in boundaries:
         if len(failures_list) >= _MAX_FAILURES:
             break
-        n = extensions(u)
-        if (n == 0) if mode == "exists" else (n != 1):
+        n = 0
+        for _ in extensions(u.vertex_map, u.edge_map):
+            n += 1
+            if exists:
+                break
+        if (n == 0) if exists else (n != 1):
             failures_list.append({
                 "boundary": _describe_morphism(u),
                 "extensions": n,
@@ -816,63 +846,11 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                        index: _TargetIndex) -> dict | None:
     """Look for one boundary morphism with no extension, scanning lazily.
     Returns None when ``_WITNESS_SEARCH_LIMIT`` boundaries all extend."""
-    extends = _extension_tester(shape, X, index)
+    extensions = _extender(shape.codomain, shape.domain, index)
     for count, u in enumerate(hom_maps_iter(shape.domain, X), 1):
         if count > _WITNESS_SEARCH_LIMIT:
             return None
-        if not extends(u):
+        if next(extensions(u.vertex_map, u.edge_map), None) is None:
             return {"boundary": _describe_morphism(u), "extensions": 0}
     raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
                          "but every boundary morphism extends")
-
-
-def _extension_tester(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                      index: _TargetIndex):
-    """Extension existence test for boundary morphisms of a shape whose
-    codomain has no vertex outside the domain.
-
-    The edges missing from the domain are assigned in declared order by
-    backtracking: each takes its candidates from the edges of X between the
-    images of its endpoints (``by_endpoints``), and is tested only against
-    the new triangles it closes, precomputed per edge.  New triangles with
-    no missing edge, and domain edges marked only in the codomain, are
-    checked once up front."""
-    C, D = shape.codomain, shape.domain
-    dset = set(D.edges)
-    missing = [e for e in C.edges if e not in dset]
-    pos = {e: i for i, e in enumerate(missing)}
-    new_tris = sorted(t for t in C.triangles if t not in D.triangles)
-    ready_tris = [t for t in new_tris if not any(x in pos for x in t)]
-    newly_marked = [e for e in C.marked if e in dset and e not in D.marked]
-    closing: list[list[tuple[str, str, str]]] = [[] for _ in missing]
-    for t in new_tris:
-        last = max((pos[x] for x in t if x in pos), default=None)
-        if last is not None:
-            closing[last].append(t)
-    by_endpoints, xtris, xmarked = index.by_endpoints, X.triangles, X.marked
-
-    def test(u: ComplexMorphism) -> bool:
-        em = dict(u.edge_map)
-        if any(em[e] not in xmarked for e in newly_marked):
-            return False
-        if any((em[t[0]], em[t[1]], em[t[2]]) not in xtris for t in ready_tris):
-            return False
-        vm = u.vertex_map
-
-        def fill(i: int) -> bool:
-            if i == len(missing):
-                return True
-            e = missing[i]
-            marked = e in C.marked
-            for val in by_endpoints.get((vm[C.src[e]], vm[C.tgt[e]]), ()):
-                if marked and val not in xmarked:
-                    continue
-                em[e] = val
-                if all((em[t[0]], em[t[1]], em[t[2]]) in xtris for t in closing[i]) \
-                        and fill(i + 1):
-                    return True
-            return False
-
-        return fill(0)
-
-    return test

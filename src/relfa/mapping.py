@@ -72,8 +72,11 @@ class PMMorphism:
                     f"{self.source.name}->{self.target.name}: sum ({x},{y}) not preserved")
 
     def compose(self, other: "PMMorphism") -> "PMMorphism":
-        """self after other."""
-        if other.target is not self.source and other.target.name != self.source.name:
+        """self after other; the target of other must be the source of
+        self, as an object or as an equal table."""
+        s, t = other.target, self.source
+        if s is not t and \
+                (s.elements, s.zero, s.one, s.sums) != (t.elements, t.zero, t.one, t.sums):
             raise ValueError("composition mismatch")
         return PMMorphism(other.source, self.target,
                           {a: self.image[b] for a, b in other.image.items()})
@@ -167,10 +170,10 @@ def _simplex_map(m: int, n: int, images: tuple[int, ...]) -> ComplexMorphism:
     return ComplexMorphism(dom, cod, vmap, emap)
 
 
-def _with_factor(phi: ComplexMorphism, X: TruncatedEpsilonComplex) -> ComplexMorphism:
-    """phi x id_X on prism products."""
-    dom = product(phi.domain, X)
-    cod = product(phi.codomain, X)
+def _with_factor(phi: ComplexMorphism, X: TruncatedEpsilonComplex,
+                 dom: TruncatedEpsilonComplex, cod: TruncatedEpsilonComplex) -> ComplexMorphism:
+    """phi x id_X between the prism products dom = phi.domain x X and
+    cod = phi.codomain x X."""
     vmap = {f"{u}|{x}": f"{phi.vertex_map[u]}|{x}"
             for u in phi.domain.vertices for x in X.vertices}
     emap = {f"{a}|{e}": f"{phi.edge_map[a]}|{e}"
@@ -221,20 +224,20 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
     Level n is the morphism set Hom(simplex(n) x X, Y); faces and identities
     come from composing with the prism maps, and an edge is marked exactly
     when its representing map sends marked prism edges to marked edges."""
-    p1 = product(simplex(1), X)
-    v_homs = hom_maps(product(simplex(0), X), Y)
+    p0, p1, p2 = (product(simplex(n), X) for n in range(3))
+    v_homs = hom_maps(p0, Y)
     e_homs = hom_maps(p1, Y)
-    t_homs = hom_maps(product(simplex(2), X), Y)
+    t_homs = hom_maps(p2, Y)
 
     vid = {h.key(): f"h{i}" for i, h in enumerate(v_homs)}
     eid = {h.key(): f"e{i}" for i, h in enumerate(e_homs)}
     if len(vid) != len(v_homs) or len(eid) != len(e_homs):
         raise InvariantError("mapping complex: two morphisms share a key")
 
-    at0 = _with_factor(_simplex_map(0, 1, (0,)), X)
-    at1 = _with_factor(_simplex_map(0, 1, (1,)), X)
-    collapse = _with_factor(_simplex_map(1, 0, (0, 0)), X)
-    prism_faces = [_with_factor(_simplex_map(1, 2, g), X)
+    at0 = _with_factor(_simplex_map(0, 1, (0,)), X, p0, p1)
+    at1 = _with_factor(_simplex_map(0, 1, (1,)), X, p0, p1)
+    collapse = _with_factor(_simplex_map(1, 0, (0, 0)), X, p1, p0)
+    prism_faces = [_with_factor(_simplex_map(1, 2, g), X, p1, p2)
                    for g in ((1, 2), (0, 2), (0, 1))]
 
     src, tgt = {}, {}
@@ -452,14 +455,19 @@ def _images(f: ComplexMorphism) -> tuple:
             tuple(sorted(f.edge_map.items())))
 
 
-def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism) -> CheckResult:
+def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
+                            homs: dict) -> CheckResult:
     """Exactly one lift for every commutative square from the shape
-    inclusion to p."""
+    inclusion to p.  ``homs`` maps the signature of a shape codomain to its
+    morphisms into the total and the base complex of p, so that shapes with
+    one codomain enumerate them once."""
     A, B = shape.domain, shape.codomain
     total, base = p.domain, p.codomain
+    key = B.signature()
+    if key not in homs:
+        homs[key] = hom_maps(B, total), hom_maps(B, base)
+    vs, ws = homs[key]
     us = hom_maps(A, total)
-    ws = hom_maps(B, base)
-    vs = hom_maps(B, total)
 
     lifts: dict[tuple, int] = {}
     for v in vs:
@@ -523,7 +531,8 @@ def eval_fibration_check(E: SumTable, F: SumTable) -> ValidationReport:
     ME = mapping_complex(NE, NF)
     M1 = mapping_complex(N1, NF)
     p = restriction_map(ME, M1, unit_inclusion_map(one, E, NE=NE, N1=N1))
-    checks = tuple(_relative_lifting_check(shape, p) for shape in FIBRATION_SHAPES)
+    homs: dict = {}
+    checks = tuple(_relative_lifting_check(shape, p, homs) for shape in FIBRATION_SHAPES)
     notes = (
         f"total complex: {len(ME.complex.vertices)} vertices, {len(ME.complex.edges)} edges",
         f"base complex: {len(M1.complex.vertices)} vertices, {len(M1.complex.edges)} edges",

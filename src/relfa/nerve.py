@@ -15,6 +15,7 @@ from __future__ import annotations
 from .algebra import CheckResult, RelFA, ValidationReport, validate
 from .complexes import (
     TruncatedEpsilonComplex,
+    _TargetIndex,
     check_lifting,
     make_complex,
     shape_from_name,
@@ -91,7 +92,7 @@ def recognize_nerve(C: TruncatedEpsilonComplex,
             passed=report.passed,
             witness=witness,
             detail=f"{report.boundaries} boundary morphisms checked"))
-    required = [c for c in checks if (c.name.split(":")[0], c.name.split(":")[1]) in RECOGNITION_SHAPES]
+    required = checks[:len(RECOGNITION_SHAPES)]
     notes = () if all(c.passed for c in required) else ("not a nerve",)
     return ValidationReport(kind="nerve-recognition", name=C.name,
                             checks=tuple(checks), notes=notes)
@@ -126,16 +127,12 @@ def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str
     """
     mo = marked_out_edges(C)
     mi = marked_in_edges(C)
-    d2_candidates: dict[tuple[str, str], list[str]] = {}
-    d0_candidates: dict[tuple[str, str], list[str]] = {}
-    for d0, d1, d2 in C.triangles:
-        d2_candidates.setdefault((d0, d1), []).append(d2)
-        d0_candidates.setdefault((d1, d2), []).append(d0)
+    index = _TargetIndex(C)
     alpha: dict[str, str] = {}
     beta: dict[str, str] = {}
     for a in C.edges:
-        ls = sorted(set(d2_candidates.get((a, mi[C.tgt[a]]), [])))
-        ms = sorted(set(d0_candidates.get((mo[C.src[a]], a), [])))
+        ls = index.d2_of.get((a, mi[C.tgt[a]]), [])
+        ms = index.d0_of.get((mo[C.src[a]], a), [])
         if len(ls) != 1:
             raise ValueError(f"{C.name}: edge {a!r} has {len(ls)} left rotations")
         if len(ms) != 1:

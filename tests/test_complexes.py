@@ -4,6 +4,7 @@ and the lifting decision procedure."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +14,14 @@ import pytest
 
 import relfa
 from relfa import complexes
-from relfa.algebra import to_relfa
-from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
+from relfa.algebra import RelFA, to_relfa
+from relfa.catalog import (
+    boolean,
+    chain,
+    construct_catalog,
+    cyclic_group_algebra,
+    wright_triangle,
+)
 from relfa.cli import main as fa_main
 from relfa.complexes import (
     SHAPE_NAMES,
@@ -178,6 +185,19 @@ def test_subcomplex_requires_closed_face_sets():
     assert len(D.nonidentity_edges()) == 2
 
 
+def test_compose_needs_the_codomain_as_object_or_equal_structure():
+    vertex = ComplexMorphism(simplex(0), simplex(1), {"0": "0"}, {"00": "00"})
+
+    def identity(C):
+        return ComplexMorphism(C, C, {v: v for v in C.vertices}, {e: e for e in C.edges})
+
+    composite = identity(simplex(1)).compose(vertex)
+    assert composite.key() == vertex.key()
+    marked = simplex(1, marked_top=True, name=simplex(1).name)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        identity(marked).compose(vertex)
+
+
 # ---------------------------------------------------------------------------
 # The forward-checked search against the plain backtracking search
 
@@ -291,23 +311,56 @@ def test_hom_maps_iter_yields_the_oracle_sequence(target):
 
 
 @pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
-def test_extension_tester_matches_grouped_codomain_morphisms(target):
+def test_extender_yields_the_codomain_morphisms_over_each_boundary(target):
+    """Per boundary, the extensions the morphism search yields are exactly
+    the codomain morphisms restricting to it, on every shape, determined or
+    not, including shapes with vertices outside the domain."""
     _, Y, shape_names = target
     index = complexes._TargetIndex(Y)
-    determined = 0
+    kinds = set()
     for name in shape_names:
         shape = shape_from_name(name)
-        if not complexes._determined_missing_edges(shape, index):
-            continue
-        determined += 1
+        C, D = shape.codomain, shape.domain
+        kinds.add((complexes._determined_missing_edges(shape, index),
+                   len(C.vertices) > len(D.vertices)))
         grouped = {}
-        for f in hom_maps_iter(shape.codomain, Y):
-            k = f.key(shape.domain)
-            grouped[k] = grouped.get(k, 0) + 1
-        extends = complexes._extension_tester(shape, Y, index)
-        for u in hom_maps(shape.domain, Y):
-            assert int(extends(u)) == grouped.get(u.key(), 0), (name, u.key())
-    assert determined > 0
+        for f in hom_maps_iter(C, Y):
+            grouped.setdefault(f.key(D), []).append(f.key())
+        extensions = complexes._extender(C, D, index)
+        for u in hom_maps(D, Y):
+            got = [ComplexMorphism(C, Y, dict(vm), dict(em)).key()
+                   for vm, em in extensions(u.vertex_map, u.edge_map)]
+            assert sorted(got) == sorted(grouped.pop(u.key(), [])), (name, u.key())
+        assert not grouped, name
+    assert {(True, False), (False, False), (False, True)} <= kinds
+
+
+# sha256 over the JSON of 996 lifting reports, one line each (keys sorted):
+# every shape of SHAPE_NAMES against the nerves of the 17 catalog entries in
+# name order, in exists then unique mode, then 13 pushout-product squares
+# against 6 nerves in exists mode.  Computed when check_lifting still had a
+# separate extension tester and grouped the codomain morphisms by
+# restriction on problems that are not determined.
+LIFTING_REPORTS_SHA256 = "63ab0b836290024549699c529c0377fe0d438c7544034a56e23d63c3bb0ac0a9"
+REPORT_SQUARES = tuple(f"box(horn-2-{i},horn-2-{j})" for i in range(3) for j in range(3)) \
+    + tuple(f"box(horn-2-{i},wedge-02-1)" for i in range(3)) + ("box(boundary-1,boundary-1)",)
+REPORT_SQUARE_TARGETS = ("chain(1)", "boolean(1)", "chain(2)", "group_algebra(Z/2)",
+                         "boolean(2)", "group_algebra(Z/3)")
+
+
+def test_lifting_reports_are_frozen():
+    nerves = {name: nerve(obj if isinstance(obj, RelFA) else to_relfa(obj))
+              for name, obj in construct_catalog().items()}
+    problems = [(s, nerves[t], mode) for t in sorted(nerves) for s in SHAPE_NAMES
+                for mode in ("exists", "unique")]
+    problems += [(s, nerves[t], "exists") for t in REPORT_SQUARE_TARGETS
+                 for s in REPORT_SQUARES]
+    digest = hashlib.sha256()
+    for shape_name, X, mode in problems:
+        report = check_lifting(shape_from_name(shape_name), X, mode)
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert len(problems) == 996
+    assert digest.hexdigest() == LIFTING_REPORTS_SHA256
 
 
 def test_witnessless_count_comparison_says_why(monkeypatch):

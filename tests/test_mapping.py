@@ -3,6 +3,8 @@ hom object, and the evaluation fibration check."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from relfa.algebra import to_relfa, validate
@@ -46,6 +48,12 @@ def test_morphism_composition():
     with pytest.raises(ValueError):
         h = homs12[0]
         h.compose(h)
+    # A table that only shares the name of chain(2) is not its source.
+    impostor = dataclasses.replace(boolean(2), name=chain(2).name)
+    other = next(h for h in pm_morphisms(impostor, impostor)
+                 if all(h(a) == a for a in impostor.elements))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        other.compose(homs12[0])
 
 
 def test_conjugation_by_bottom_is_identity():

@@ -14,6 +14,7 @@ from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebr
 from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
 from relfa.nerve import nerve
+from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_frobenius
 
 PROPERTY_ALGEBRAS = {
@@ -75,14 +76,10 @@ def _h1_invariants(obj) -> tuple:
     return h1_of_complex(N).invariants(), full_chain_h1(N).invariants(), direct
 
 
-@settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1))
-def test_h1_invariants_survive_relabeling(name, seed):
-    """Fresh element names and a shuffled declaration order of the elements
-    (and of the defined sums) change neither nerve route nor the direct
-    presentation of the universal group."""
+def _relabelled(A, seed: int):
+    """A catalog entry under fresh element names, with its elements (and
+    its defined sums) declared in a shuffled order."""
     rng = random.Random(seed)
-    A = CATALOG[name]
     fresh = rng.sample(range(100), len(A.elements))
     mapping = {a: f"r{k}" for a, k in zip(A.elements, fresh)}
     if isinstance(A, SumTable):
@@ -94,5 +91,29 @@ def test_h1_invariants_survive_relabeling(name, seed):
         B = relabel_relfa(A, mapping)
     shuffled = list(B.elements)
     rng.shuffle(shuffled)
-    B = dataclasses.replace(B, elements=tuple(shuffled))
-    assert _h1_invariants(B) == _h1_invariants(A)
+    return dataclasses.replace(B, elements=tuple(shuffled))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1))
+def test_h1_invariants_survive_relabeling(name, seed):
+    """Fresh element names and a shuffled declaration order of the elements
+    (and of the defined sums) change neither nerve route nor the direct
+    presentation of the universal group."""
+    A = CATALOG[name]
+    assert _h1_invariants(_relabelled(A, seed)) == _h1_invariants(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)),
+       form=st.sampled_from(("declared", "relational", "nerve")),
+       seed=st.integers(0, 2**32 - 1))
+def test_structio_round_trip_is_the_identity(name, form, seed):
+    """Serialize, parse and serialize again gives the same text, for a
+    relabelled catalog entry as declared (a sum table or a relational
+    algebra), as a relational algebra, and as a nerve."""
+    B = _relabelled(CATALOG[name], seed)
+    relational = to_relfa(B) if isinstance(B, SumTable) else B
+    obj = {"declared": B, "relational": relational, "nerve": nerve(relational)}[form]
+    text = serialize_structure(obj)
+    assert serialize_structure(parse_structure(text)) == text
