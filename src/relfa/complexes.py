@@ -13,11 +13,12 @@ of a subcomplex and enumerates morphisms as extensions of the empty one,
 products, the standard shape inclusions (horns, marked horns, boundaries, the
 associativity and braiding shapes, pushout products), lifting verdicts in
 exists and unique modes, and an exact morphism counting engine used to decide
-large lifting problems by fiber counting.
+determined lifting problems by fiber counting.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -349,132 +350,205 @@ def hom_maps(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> list[Com
 
 
 # ---------------------------------------------------------------------------
-# Exact morphism counting by factor elimination
+# Exact morphism counting by bucket elimination
 
 
 def _picker(positions: list[int]):
     """The function taking a tuple to the tuple of its entries at
-    ``positions``."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda k: (k[i],)
-    return operator.itemgetter(*positions) if positions else (lambda k: ())
+    ``positions``: a slice when they are consecutive."""
+    if not positions:
+        return operator.itemgetter(slice(0, 0))
+    if positions == list(range(positions[0], positions[-1] + 1)):
+        return operator.itemgetter(slice(positions[0], positions[-1] + 1))
+    return operator.itemgetter(*positions)
 
 
-def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
-    """Number of morphisms X -> Y, computed by variable elimination over the
-    triangle constraint graph.  Agrees with len(hom_maps(X, Y)) and stays
-    feasible when enumeration would not."""
-    vvars = [("V", v) for v in X.vertices]
-    evars = [("E", e) for e in X.nonidentity_edges()]
-    factors: list[tuple[tuple, dict[tuple, int]]] = []
+# The number of compiled plans kept, one per domain signature.
+_COUNT_PLANS = 256
 
-    for _, v in vvars:
-        factors.append(((("V", v),), {(w,): 1 for w in Y.vertices}))
 
-    for _, e in evars:
-        s, t = X.src[e], X.tgt[e]
-        allowed = [ye for ye in Y.edges if e not in X.marked or ye in Y.marked]
-        if s == t:
-            table = {(ye, Y.src[ye]): 1 for ye in allowed
-                     if Y.src[ye] == Y.tgt[ye]}
-            factors.append(((("E", e), ("V", s)), table))
+@functools.lru_cache(maxsize=_COUNT_PLANS)
+def _count_plan(signature: tuple) -> tuple:
+    """Compile the count of the morphisms out of the complex with this
+    ``signature()``: the factors, the elimination order and every join
+    depend on the domain alone.
+
+    Returns ``(kinds, inputs, steps)``: the kinds of input table the plan
+    reads, the kind of each input factor (the factors the steps compute
+    follow them), and one step ``(first, joins, keep)`` per variable.  A
+    bucket of one factor sums the variable out of factor ``first``,
+    keeping the entries at ``keep``.  Otherwise ``first`` is joined in turn
+    with each factor of ``joins``, given as ``(factor, shared_left,
+    shared_right, rest, head)`` (see ``_join``), and the ``head`` of the
+    last join leaves the variable out."""
+    vertices, edges, src, tgt, identity, triangles, marked = signature
+    src, tgt, identity = dict(src), dict(tgt), dict(identity)
+    idvert = {e: v for v, e in identity.items()}
+    evars = [("E", e) for e in edges if e not in idvert]
+    on_edges = {("V", src[e]) for _, e in evars} | {("V", tgt[e]) for _, e in evars}
+
+    kinds: dict[tuple, int] = {}
+    scopes: list[tuple] = []
+    inputs: list[int] = []
+
+    def add(scope, kind):
+        scopes.append(scope)
+        inputs.append(kinds.setdefault(kind, len(kinds)))
+
+    for v in vertices:
+        if ("V", v) not in on_edges or identity[v] in marked:
+            add((("V", v),), ("vertex", identity[v] in marked))
+    for var in evars:
+        e = var[1]
+        if src[e] == tgt[e]:
+            add((var, ("V", src[e])), ("loop", e in marked))
         else:
-            table = {(ye, Y.src[ye], Y.tgt[ye]): 1 for ye in allowed}
-            factors.append(((("E", e), ("V", s), ("V", t)), table))
-
-    idvert = {e: v for v, e in X.identity.items()}
-    for tri in sorted(X.triangles):
-        slot_vars = []
-        for x in tri:
-            if x in idvert:
-                slot_vars.append(("V", idvert[x]))
-            else:
-                slot_vars.append(("E", x))
-        scope = tuple(dict.fromkeys(slot_vars))
-        if not scope:
+            add((var, ("V", src[e]), ("V", tgt[e])), ("edge", e in marked))
+    for tri in sorted(triangles):
+        d0, d1, d2 = tri
+        if (d0 == d1 and d2 == identity[src[d0]]) or (d1 == d2 and d0 == identity[tgt[d1]]):
             continue
-        table: dict[tuple, int] = {}
-        for ytri in Y.triangles:
-            need: dict[tuple, str] = {}
-            ok = True
-            for var, x, yval in zip(slot_vars, tri, ytri):
-                if var[0] == "V":
-                    yv = Y.src[yval]
-                    if Y.identity.get(yv) != yval:
-                        ok = False
-                        break
-                    yval = yv
-                if need.setdefault(var, yval) != yval:
-                    ok = False
-                    break
-            if ok:
-                table[tuple(need[v] for v in scope)] = 1
-        factors.append((scope, table))
+        slot_vars = [("V", idvert[x]) if x in idvert else ("E", x) for x in tri]
+        scope = tuple(dict.fromkeys(slot_vars))
+        add(scope, ("triangle", tuple(v[0] for v in scope),
+                    tuple(scope.index(v) for v in slot_vars)))
 
-    def join(f1, f2):
-        s1, t1 = f1
-        s2, t2 = f2
-        shared = [v for v in s1 if v in s2]
-        rest2 = [v for v in s2 if v not in s1]
-        shared1 = _picker([s1.index(v) for v in shared])
-        shared2 = _picker([s2.index(v) for v in shared])
-        pick_rest2 = _picker([s2.index(v) for v in rest2])
-        idx2: dict[tuple, list[tuple[tuple, int]]] = {}
-        for k2, c2 in t2.items():
-            idx2.setdefault(shared2(k2), []).append((pick_rest2(k2), c2))
-        out: dict[tuple, int] = {}
-        for k1, c1 in t1.items():
-            for rk, c2 in idx2.get(shared1(k1), ()):
-                key = k1 + rk
-                out[key] = out.get(key, 0) + c1 * c2
-        return s1 + tuple(rest2), out
-
-    def sum_out(f, var):
-        scope, table = f
-        i = scope.index(var)
-        new_scope = scope[:i] + scope[i + 1:]
-        out: dict[tuple, int] = {}
-        for k, c in table.items():
-            nk = k[:i] + k[i + 1:]
-            out[nk] = out.get(nk, 0) + c
-        return new_scope, out
-
-    # Factors by creation number, and the factors each variable occurs in.
-    live = dict(enumerate(factors))
-    factors_of: dict[tuple, set[int]] = {v: set() for v in vvars + evars}
-    for fid, (scope, _) in live.items():
+    factors_of: dict[tuple, set[int]] = {var: set() for var in
+                                         [("V", v) for v in vertices] + evars}
+    for fid, scope in enumerate(scopes):
         for v in scope:
             factors_of[v].add(fid)
 
     def scope_after(var):
         s = set()
         for fid in factors_of[var]:
-            s.update(live[fid][0])
+            s.update(scopes[fid])
         s.discard(var)
         return len(s)
 
-    variables = set(vvars) | set(evars)
-    next_id = len(live)
-    while variables:
-        var = min(variables, key=lambda v: (scope_after(v), v))
+    steps = []
+    while factors_of:
+        var = min(factors_of, key=lambda v: (scope_after(v), v))
         bucket = sorted(factors_of.pop(var))
         for fid in bucket:
-            for v in live[fid][0]:
+            for v in scopes[fid]:
                 if v != var:
                     factors_of[v].discard(fid)
-        merged = live.pop(bucket[0])
-        for fid in bucket[1:]:
-            merged = join(merged, live.pop(fid))
-        live[next_id] = sum_out(merged, var)
-        for v in live[next_id][0]:
-            factors_of[v].add(next_id)
-        next_id += 1
-        variables.discard(var)
+        first, acc, joins = bucket[0], scopes[bucket[0]], []
+        for n, fid in enumerate(bucket[1:], 2):
+            right = scopes[fid]
+            shared = [v for v in acc if v in right]
+            rest = tuple(v for v in right if v not in acc)
+            head = [i for i, v in enumerate(acc) if v != var or n < len(bucket)]
+            joins.append((fid, operator.itemgetter(*[acc.index(v) for v in shared]),
+                          operator.itemgetter(*[right.index(v) for v in shared]),
+                          _picker([right.index(v) for v in rest]), _picker(head)))
+            acc = tuple(acc[i] for i in head) + rest
+        if joins:
+            steps.append((first, tuple(joins), None))
+        else:
+            keep = [i for i, v in enumerate(acc) if v != var]
+            acc = tuple(acc[i] for i in keep)
+            steps.append((first, (), _picker(keep)))
+        for v in acc:
+            factors_of[v].add(len(scopes))
+        scopes.append(acc)
+    return tuple(kinds), tuple(inputs), tuple(steps)
 
+
+def _input_table(kind: tuple, Y: TruncatedEpsilonComplex) -> dict[tuple, int]:
+    """The 0/1 table of one kind of input factor over the target Y."""
+    if kind[0] == "vertex":
+        return {(w,): 1 for w in Y.vertices if not kind[1] or Y.identity[w] in Y.marked}
+    if kind[0] != "triangle":
+        allowed = [ye for ye in Y.edges if not kind[1] or ye in Y.marked]
+        if kind[0] == "loop":
+            return {(ye, Y.src[ye]): 1 for ye in allowed if Y.src[ye] == Y.tgt[ye]}
+        return {(ye, Y.src[ye], Y.tgt[ye]): 1 for ye in allowed}
+    _, scope_kinds, slots = kind
+    table: dict[tuple, int] = {}
+    for ytri in Y.triangles:
+        vals: list = [None] * len(scope_kinds)
+        for slot, yval in zip(slots, ytri):
+            if scope_kinds[slot] == "V":
+                yv = Y.src[yval]
+                if Y.identity.get(yv) != yval:
+                    break
+                yval = yv
+            if vals[slot] is None:
+                vals[slot] = yval
+            elif vals[slot] != yval:
+                break
+        else:
+            table[tuple(vals)] = 1
+    return table
+
+
+def _join(left: dict, right: dict, shared_left, shared_right, rest, head) -> dict:
+    """The join of two factor tables: entries that agree on the shared
+    variables give the key ``head(left key) + rest(right key)`` and the
+    product of their counts, and the counts of equal keys add up."""
+    index: collections.defaultdict = collections.defaultdict(list)
+    for k2, c2 in right.items():
+        index[shared_right(k2)].append((rest(k2), c2))
+    out: dict[tuple, int] = {}
+    get = out.get
+    for k1, c1 in left.items():
+        matches = index.get(shared_left(k1))
+        if matches:
+            h = head(k1)
+            for tail, c2 in matches:
+                key = h + tail
+                out[key] = get(key, 0) + c1 * c2
+    return out
+
+
+def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
+    """Number of morphisms X -> Y by bucket elimination (Dechter 1999) over
+    the triangle constraint graph.  Agrees with len(hom_maps(X, Y)) and
+    stays feasible when enumeration would not.
+
+    The plan depends on X alone and is compiled once per ``signature()``;
+    ``_count_plan`` keeps the last ``_COUNT_PLANS``.  Its variables are the
+    vertices and non-identity edges of X.  Its factors are one per
+    non-identity edge (image edge and endpoints, marked if the edge is),
+    one per non-degenerate triangle, and one per vertex that is on no
+    non-identity edge or whose identity is marked.  Degenerate triangles
+    need no factor: ``make_complex`` gives every complex the degenerate
+    triangles of all its edges, and its endpoint check admits no triangle
+    (y, y, id_w) or (id_w, y, y) with any other w, so they hold exactly
+    when the edge factors do.  The elimination order repeatedly takes the
+    variable whose factors span the fewest other variables (ties to the
+    least).  It is the order a factor for every vertex and triangle would
+    give, since the variables of each factor left out lie within a kept
+    one's.  The plan also holds each bucket and the picker positions of
+    each join.
+
+    A call fills in the input tables from Y, one per kind of factor, so
+    that triangles with the same pattern of repeated and identity slots
+    share one, and runs the steps.  The last join of each bucket sums the
+    variable out as it goes, so the product table of a bucket is never
+    built."""
+    kinds, inputs, steps = _count_plan(X.signature())
+    tables = [_input_table(kind, Y) for kind in kinds]
+    slots: list = [tables[k] for k in inputs]
+    for first, joins, keep in steps:
+        acc = slots[first]
+        slots[first] = None
+        if not joins:
+            out: dict[tuple, int] = {}
+            for k, c in acc.items():
+                key = keep(k)
+                out[key] = out.get(key, 0) + c
+            acc = out
+        for fid, shared_left, shared_right, rest, head in joins:
+            acc = _join(acc, slots[fid], shared_left, shared_right, rest, head)
+            slots[fid] = None
+        slots.append(acc)
     total = 1
-    for _, table in live.values():
-        total *= sum(table.values())
+    for table in slots:
+        if table is not None:
+            total *= sum(table.values())
     return total
 
 
@@ -777,15 +851,25 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     """Decide the lifting property of X against a shape inclusion.
 
     exists mode asks every boundary morphism to extend; unique mode asks for
-    exactly one extension.  When the missing edges of the shape are forced
-    through triangles functional in X (``_determined_missing_edges``),
-    restriction of morphisms is injective, so every boundary has 0 or 1
-    extensions: only then are the exact morphism counts computed, and large
-    problems are decided by comparing them, with a lazy search for an
-    unfillable boundary as witness.  Every other problem enumerates the
-    boundaries and counts the extensions of each with the one morphism
-    search ``_extender``; in exists mode the count stops at the first
-    extension, since a failure there always has 0.
+    exactly one extension.  The report's ``method`` names its form, not the
+    engine that decided it.  Both forms give the number of boundary
+    morphisms as ``boundaries``.  An ``enumeration`` report lists every
+    failing boundary, up to ``_MAX_FAILURES`` and in key order, with its
+    number of extensions, and has an empty detail.  A
+    ``count-comparison`` report gives both counts in its detail and at most
+    one failing boundary, found by a lazy search.
+
+    When the missing edges of the shape are forced through triangles
+    functional in X (``_determined_missing_edges``), restriction of
+    morphisms is injective, so every boundary has 0 or 1 extensions: only
+    then are the exact morphism counts computed.  Equal counts then mean
+    that every boundary extends exactly once, so the counts decide a pass,
+    in enumeration form while the larger count is at most
+    ``_ENUMERATION_LIMIT``.  Above that limit the counts decide either way
+    (count-comparison form).  Every other problem, a failing determined
+    one included, enumerates the boundaries and counts the extensions of
+    each with the one morphism search ``_extender``; in exists mode the
+    count stops at the first extension, since a failure there always has 0.
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
@@ -809,6 +893,8 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                     failures = (witness,)
             return LiftingReport(shape.name, mode, "count-comparison", passed,
                                  dom_count, failures, detail)
+        if cod_count == dom_count:
+            return LiftingReport(shape.name, mode, "enumeration", True, dom_count, ())
 
     extensions = _extender(C, D, index)
     exists = mode == "exists"

@@ -467,7 +467,6 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
     if key not in homs:
         homs[key] = hom_maps(B, total), hom_maps(B, base)
     vs, ws = homs[key]
-    us = hom_maps(A, total)
 
     lifts: dict[tuple, int] = {}
     for v in vs:
@@ -477,19 +476,22 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
     for w in ws:
         ws_by_restriction.setdefault(w.key(of=A), []).append(w)
 
+    # The boundary morphisms are scanned as the search yields them; the
+    # witness is the failing square first in key order.
     squares = 0
-    failures: list[tuple] = []
-    for u in us:
-        pu_key = p.compose(u).key()
-        for w in ws_by_restriction.get(pu_key, ()):
+    first: tuple | None = None
+    for u in hom_maps_iter(A, total):
+        u_key = u.key()
+        for w in ws_by_restriction.get(p.compose(u).key(), ()):
             squares += 1
-            n = lifts.get((u.key(), w.key()), 0)
-            if n != 1 and len(failures) < 3:
-                failures.append((n, _images(u), _images(w)))
+            square = (u_key, w.key())
+            n = lifts.get(square, 0)
+            if n != 1 and (first is None or square < first[0]):
+                first = (square, (n, _images(u), _images(w)))
     return CheckResult(
         name=f"{shape.name}:unique-relative-lift",
-        passed=not failures,
-        witness=failures[0] if failures else None,
+        passed=first is None,
+        witness=None if first is None else first[1],
         detail=f"{squares} squares, {len(vs)} candidate fillers")
 
 

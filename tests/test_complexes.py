@@ -348,19 +348,91 @@ REPORT_SQUARE_TARGETS = ("chain(1)", "boolean(1)", "chain(2)", "group_algebra(Z/
                          "boolean(2)", "group_algebra(Z/3)")
 
 
-def test_lifting_reports_are_frozen():
+def _report_problems():
+    """The 996 lifting problems of the frozen reports, in digest order."""
     nerves = {name: nerve(obj if isinstance(obj, RelFA) else to_relfa(obj))
               for name, obj in construct_catalog().items()}
     problems = [(s, nerves[t], mode) for t in sorted(nerves) for s in SHAPE_NAMES
                 for mode in ("exists", "unique")]
     problems += [(s, nerves[t], "exists") for t in REPORT_SQUARE_TARGETS
                  for s in REPORT_SQUARES]
+    return problems
+
+
+def test_lifting_reports_are_frozen():
+    problems = _report_problems()
     digest = hashlib.sha256()
     for shape_name, X, mode in problems:
         report = check_lifting(shape_from_name(shape_name), X, mode)
         digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
     assert len(problems) == 996
     assert digest.hexdigest() == LIFTING_REPORTS_SHA256
+
+
+def _enumerated_report(shape, X, mode):
+    """The enumeration-form report of a lifting problem, built by counting
+    every extension of every boundary morphism."""
+    extensions = complexes._extender(shape.codomain, shape.domain,
+                                     complexes._TargetIndex(X))
+    boundaries = hom_maps(shape.domain, X)
+    failures = []
+    for u in boundaries:
+        n = sum(1 for _ in extensions(u.vertex_map, u.edge_map))
+        if (n == 0) if mode == "exists" else (n != 1):
+            failures.append({
+                "boundary": {"vertices": {v: u.vertex_map[v] for v in u.domain.vertices},
+                             "edges": {e: u.edge_map[e]
+                                       for e in u.domain.nonidentity_edges()}},
+                "extensions": n})
+    return complexes.LiftingReport(shape.name, mode, "enumeration", not failures,
+                                   len(boundaries), tuple(failures[:3]))
+
+
+def test_determined_reports_match_full_enumeration():
+    """Every determined problem of the frozen report set that check_lifting
+    answers in enumeration form, passing ones (decided by the counts)
+    included, gets the report that enumerating every boundary gives."""
+    verdicts = set()
+    for shape_name, X, mode in _report_problems():
+        shape = shape_from_name(shape_name)
+        if not complexes._determined_missing_edges(shape, complexes._TargetIndex(X)):
+            continue
+        report = check_lifting(shape, X, mode)
+        if report.method == "enumeration":
+            assert report.to_dict() == _enumerated_report(shape, X, mode).to_dict(), \
+                (shape_name, X.name, mode)
+            verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+def test_count_homs_matches_enumeration_between_small_complexes():
+    """Domains that are not shapes: the nerve of Z/2, whose identity edge is
+    marked (its unit is a counit), so it maps only to vertices with a
+    marked identity; and complexes whose triangles repeat a non-identity
+    edge, such as one loop x with the triangle (x, x, x)."""
+    Z2 = nerve(cyclic_group_algebra(2))
+    assert Z2.identity[Z2.vertices[0]] in Z2.marked
+    loop = make_complex("idempotent", ("v",), ("i", "x"), {"i": "v", "x": "v"},
+                        {"i": "v", "x": "v"}, {"v": "i"}, [("x", "x", "x")], ())
+    small = (Z2, loop, _multivalued_target(), nerve(to_relfa(chain(1))),
+             nerve(to_relfa(chain(2))), nerve(cyclic_group_algebra(3)))
+    for X in small:
+        for Y in small:
+            assert count_homs(X, Y) == len(hom_maps(X, Y)), (X.name, Y.name)
+    assert count_homs(Z2, nerve(to_relfa(chain(1)))) == 0
+    assert count_homs(loop, _multivalued_target()) == 3
+
+
+def test_count_plan_is_shared_by_equal_signatures():
+    """The count plan depends on the structure of the domain, not on its
+    name."""
+    X = shape_from_name("box(horn-2-1,horn-1-0)").codomain
+    twin = make_complex("twin", X.vertices, X.edges, X.src, X.tgt, X.identity,
+                        X.triangles, X.marked)
+    assert twin.name != X.name and twin.signature() == X.signature()
+    assert complexes._count_plan(twin.signature()) is complexes._count_plan(X.signature())
+    for Y in (nerve(to_relfa(chain(2))), nerve(cyclic_group_algebra(3))):
+        assert count_homs(twin, Y) == count_homs(X, Y) == len(hom_maps(X, Y))
 
 
 def test_witnessless_count_comparison_says_why(monkeypatch):

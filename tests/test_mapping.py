@@ -4,14 +4,17 @@ hom object, and the evaluation fibration check."""
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from relfa.algebra import to_relfa, validate
 from relfa.catalog import boolean, chain
+from relfa.complexes import hom_maps
 from relfa.mapping import (
     FIBRATION_SHAPES,
     PMMorphism,
+    _relative_lifting_check,
     conjugate,
     enriched_compose,
     eval_fibration_check,
@@ -139,3 +142,39 @@ def test_eval_fibration_check_passes_and_reports():
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == [f"{s.name}:unique-relative-lift" for s in FIBRATION_SHAPES]
+
+
+def _oracle_relative_lift_witness(shape, p):
+    """The failing square first in key order, found by scanning the sorted
+    boundary morphisms and, for each, the sorted base morphisms."""
+    A, B = shape.domain, shape.codomain
+    lifts = Counter((v.key(of=A), p.compose(v).key()) for v in hom_maps(B, p.domain))
+    ws = hom_maps(B, p.codomain)
+    for u in hom_maps(A, p.domain):
+        for w in ws:
+            if w.key(of=A) == p.compose(u).key():
+                n = lifts[(u.key(), w.key())]
+                if n != 1:
+                    return (n, _sorted_images(u), _sorted_images(w))
+    return None
+
+
+def _sorted_images(f):
+    return tuple(sorted(f.vertex_map.items())), tuple(sorted(f.edge_map.items()))
+
+
+@pytest.mark.parametrize("pair", [(chain(1), boolean(2)), (boolean(2), chain(3))],
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_relative_lift_witness_is_the_first_failing_square(pair):
+    """On morphisms of nerves that are not fibrations, the lazy scan of the
+    boundary morphisms gives the witness the sorted scan gives."""
+    total, base = (nerve(to_relfa(algebra)) for algebra in pair)
+    failing = 0
+    for p in hom_maps(total, base)[:4]:
+        homs: dict = {}
+        for shape in FIBRATION_SHAPES:
+            check = _relative_lifting_check(shape, p, homs)
+            assert check.witness == _oracle_relative_lift_witness(shape, p), shape.name
+            assert check.passed == (check.witness is None)
+            failing += not check.passed
+    assert failing

@@ -104,6 +104,22 @@ def test_h1_invariants_survive_relabeling(name, seed):
     assert _h1_invariants(_relabelled(A, seed)) == _h1_invariants(A)
 
 
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1))
+def test_counts_survive_relabeling_the_target(name, seed):
+    """The compiled morphism count out of every property shape's domain and
+    codomain does not change when the target's elements get fresh names
+    and a shuffled declaration order."""
+    def target(A):
+        return nerve(to_relfa(A) if isinstance(A, SumTable) else A)
+
+    N, M = target(CATALOG[name]), target(_relabelled(CATALOG[name], seed))
+    for shape_name in PROPERTY_SHAPES:
+        shape = shape_from_name(shape_name)
+        for X in (shape.domain, shape.codomain):
+            assert count_homs(X, M) == count_homs(X, N), (shape_name, X.name)
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(CATALOG)),
        form=st.sampled_from(("declared", "relational", "nerve")),
