@@ -21,7 +21,7 @@ Conventions, used consistently everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class InvariantError(RuntimeError):
@@ -79,8 +79,11 @@ class SumTable:
 
     ``sums`` maps ordered pairs to their sum; a missing key means the sum is
     undefined.  Element order in ``elements`` is the declared order and fixes
-    every iteration order downstream.
+    every iteration order downstream.  The class's ``kind`` is the
+    validation kind its tables are read as.
     """
+
+    kind = "effect-algebra"
 
     name: str
     elements: tuple[str, ...]
@@ -114,11 +117,15 @@ class EffectAlgebraTable(SumTable):
 class PseudoEffectAlgebraTable(SumTable):
     """Sum table expected to satisfy the pseudo effect algebra axioms."""
 
+    kind = "pseudo-effect-algebra"
+
 
 @dataclass(frozen=True)
 class RelFA:
     """Relational algebra: carrier, mu/eta multiplication data, delta/epsilon
     comultiplication data."""
+
+    kind = "frobenius"
 
     name: str
     elements: tuple[str, ...]
@@ -404,32 +411,28 @@ def _validate_frobenius(f: RelFA) -> ValidationReport:
     return ValidationReport("frobenius", f.name, tuple(checks), f.notes)
 
 
-VALIDATE_KINDS = ("effect-algebra", "pseudo-effect-algebra", "rel-monoid", "frobenius")
+_VALIDATORS = {
+    "effect-algebra": (SumTable, "a sum table", _validate_effect_algebra),
+    "pseudo-effect-algebra": (SumTable, "a sum table", _validate_pseudo_effect_algebra),
+    "rel-monoid": (RelFA, "a relational algebra", _validate_rel_monoid),
+    "frobenius": (RelFA, "a relational algebra", _validate_frobenius),
+}
+VALIDATE_KINDS = tuple(_VALIDATORS)
 
 
 def validate(kind: str, structure) -> ValidationReport:
     """Validate a structure against the axioms selected by ``kind``.
 
-    ``effect-algebra`` and ``pseudo-effect-algebra`` expect a sum table;
-    ``rel-monoid`` and ``frobenius`` expect a ``RelFA``.
+    ``effect-algebra`` and ``pseudo-effect-algebra`` expect a sum table of
+    any class; ``rel-monoid`` and ``frobenius`` expect a ``RelFA``.  A
+    structure's default kind is its class's ``kind``.
     """
-    if kind == "effect-algebra":
-        if not isinstance(structure, SumTable):
-            raise ValueError("effect-algebra validation expects a sum table")
-        return _validate_effect_algebra(structure)
-    if kind == "pseudo-effect-algebra":
-        if not isinstance(structure, SumTable):
-            raise ValueError("pseudo-effect-algebra validation expects a sum table")
-        return _validate_pseudo_effect_algebra(structure)
-    if kind == "rel-monoid":
-        if not isinstance(structure, RelFA):
-            raise ValueError("rel-monoid validation expects a relational algebra")
-        return _validate_rel_monoid(structure)
-    if kind == "frobenius":
-        if not isinstance(structure, RelFA):
-            raise ValueError("frobenius validation expects a relational algebra")
-        return _validate_frobenius(structure)
-    raise ValueError(f"unknown validation kind {kind!r}; expected one of {', '.join(VALIDATE_KINDS)}")
+    if kind not in VALIDATE_KINDS:
+        raise ValueError(f"unknown validation kind {kind!r}; expected one of {', '.join(VALIDATE_KINDS)}")
+    cls, expected, check = _VALIDATORS[kind]
+    if not isinstance(structure, cls):
+        raise ValueError(f"{kind} validation expects {expected}")
+    return check(structure)
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +487,6 @@ def supplements(t: SumTable, kind: str):
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def atoms(t: SumTable) -> list[str]:
-    """Minimal nonzero elements in the derived order, in carrier order."""
-    order = derived_order(t)
-    out = []
-    for a in t.elements:
-        if a == t.zero:
-            continue
-        if not any((b, a) in order and b != a and b != t.zero for b in t.elements):
-            out.append(a)
-    return out
-
-
 def height_order(t: SumTable) -> list[str]:
     """Carrier sorted by number of elements strictly below, ties by carrier
     order.  Puts 0 first, then atoms, and the top last."""
@@ -509,20 +500,17 @@ def height_order(t: SumTable) -> list[str]:
 # Sum tables as relational algebras
 
 
-def to_relfa(t: SumTable, kind: str | None = None, name: str | None = None) -> RelFA:
+def to_relfa(t: SumTable, name: str | None = None) -> RelFA:
     """Translate a sum table into a relational algebra.
 
+    The table is read as its class's ``kind``: only a
+    ``PseudoEffectAlgebraTable`` is read as a pseudo effect algebra.
     mu(x, y) contains y + x (composition order); eta = {0}; epsilon = {1};
     delta(z) contains (x, y) iff z~ = x~ + y~ where a~ is the right
     supplement (for effect algebras the unique supplement a').
     """
-    if kind is None:
-        kind = "pseudo-effect-algebra" if isinstance(t, PseudoEffectAlgebraTable) else "effect-algebra"
-    supp = supplements(t, kind)
-    if kind == "effect-algebra":
-        right = {a: supp[a] for a in t.elements}
-    else:
-        right = {a: supp[a][1] for a in t.elements}
+    supp = supplements(t, t.kind)
+    right = supp if t.kind == "effect-algebra" else {a: s[1] for a, s in supp.items()}
 
     mu = frozenset((x, y, c) for (y, x), c in t.sums.items())
     # delta(z) holds (x, y) when right[x] + right[y] = right[z]: go over the

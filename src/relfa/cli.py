@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .algebra import InvariantError, RelFA, SumTable, to_relfa, validate
+from .algebra import VALIDATE_KINDS, InvariantError, RelFA, SumTable, to_relfa, validate
 from .catalog import construct_catalog
 from .complexes import (
     TruncatedEpsilonComplex,
@@ -96,6 +96,14 @@ def _check_lines(checks) -> list[str]:
     return out
 
 
+def _failure_certificates(rep, cert_type: str, **fields) -> list[dict]:
+    """The certificate of a failing check-by-check report; none if it passed."""
+    if rep.passed:
+        return []
+    return [{"type": cert_type, **fields, "structure": rep.name,
+             "failed_checks": [c.to_dict() for c in rep.failing()]}]
+
+
 def _safe_filename(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._()-]", "_", name)
 
@@ -112,27 +120,13 @@ def cmd_validate(args, seed):
                                  "--kind applies to algebra files only")
         rep = recognize_nerve(obj)
     else:
-        kind = args.kind
-        if kind is None:
-            kind = {
-                "EffectAlgebraTable": "effect-algebra",
-                "PseudoEffectAlgebraTable": "pseudo-effect-algebra",
-                "SumTable": "effect-algebra",
-                "RelFA": "frobenius",
-            }[type(obj).__name__]
+        kind = args.kind or obj.kind
         if kind in ("rel-monoid", "frobenius") and isinstance(obj, SumTable):
             obj = to_relfa(obj)
         rep = validate(kind, obj)
     results = rep.to_dict()
     status = 0 if rep.passed else 1
-    certificates = []
-    if not rep.passed:
-        certificates.append({
-            "type": "validation",
-            "kind": rep.kind,
-            "structure": rep.name,
-            "failed_checks": [c.to_dict() for c in rep.failing()],
-        })
+    certificates = _failure_certificates(rep, "validation", kind=rep.kind)
     lines = [f"{rep.kind} {rep.name}: {'PASS' if rep.passed else 'FAIL'}"]
     lines += _check_lines(rep.checks)
     return results, certificates, status, [digest], lines
@@ -191,13 +185,7 @@ def cmd_nerve(args, seed):
         results["written"] = args.out
         lines.append(f"written to {args.out}")
     status = 0 if rep.passed else 1
-    certificates = []
-    if not rep.passed:
-        certificates.append({
-            "type": "nerve-recognition",
-            "structure": N.name,
-            "failed_checks": [c.to_dict() for c in rep.failing()],
-        })
+    certificates = _failure_certificates(rep, "nerve-recognition")
     return results, certificates, status, [digest], lines
 
 
@@ -275,13 +263,7 @@ def cmd_kan(args, seed):
     rep = eval_fibration_check(E, F)
     results = rep.to_dict()
     status = 0 if rep.passed else 1
-    certificates = []
-    if not rep.passed:
-        certificates.append({
-            "type": "fibration",
-            "structure": rep.name,
-            "failed_checks": [c.to_dict() for c in rep.failing()],
-        })
+    certificates = _failure_certificates(rep, "fibration")
     lines = [f"{rep.name}: {'PASS' if rep.passed else 'FAIL'}"]
     lines += _check_lines(rep.checks)
     lines += [f"  note: {n}" for n in rep.notes]
@@ -392,9 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the axioms of a structure file")
     p.add_argument("file")
-    p.add_argument("--kind", choices=("effect-algebra",
-                                      "pseudo-effect-algebra",
-                                      "rel-monoid", "frobenius"))
+    p.add_argument("--kind", choices=VALIDATE_KINDS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="classification flags of an algebra")

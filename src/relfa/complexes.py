@@ -66,11 +66,6 @@ class TruncatedEpsilonComplex:
     def nondegenerate_triangles(self) -> list[tuple[str, str, str]]:
         return sorted(t for t in self.triangles if not self.is_degenerate_triangle(t))
 
-    def variables(self) -> tuple[str, ...]:
-        """Vertices then non-identity edges, in declared order.  The free
-        data of a morphism out of this complex."""
-        return self.vertices + self.nonidentity_edges()
-
     def counts(self) -> dict[str, int]:
         return {
             "vertices": len(self.vertices),

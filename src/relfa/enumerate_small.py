@@ -44,6 +44,10 @@ KINDS = (
     "frobenius-candidates",
 )
 
+# Each table kind's class and the name prefix of its representatives.
+_TABLES = {cls.kind: (cls, prefix) for cls, prefix in
+           ((EffectAlgebraTable, "ea"), (PseudoEffectAlgebraTable, "pea"))}
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 _OPEN = object()
 
@@ -131,7 +135,7 @@ def _canonical_table(T: dict, n: int) -> tuple:
     return best
 
 
-def _table_from_form(n: int, form: tuple, commutative: bool, index: int) -> SumTable:
+def _table_from_form(n: int, form: tuple, kind: str, index: int) -> SumTable:
     names = _carrier(n)
     sums = {}
     for r in range(n):
@@ -139,14 +143,14 @@ def _table_from_form(n: int, form: tuple, commutative: bool, index: int) -> SumT
             v = form[r * n + c]
             if v < n:
                 sums[(names[r], names[c])] = names[v]
-    if commutative:
-        return EffectAlgebraTable(f"ea{n}_{index}", names, names[0], names[-1], sums)
-    return PseudoEffectAlgebraTable(f"pea{n}_{index}", names, names[0], names[-1], sums)
+    cls, prefix = _TABLES[kind]
+    return cls(f"{prefix}{n}_{index}", names, names[0], names[-1], sums)
 
 
 @lru_cache(maxsize=None)
-def _table_forms(n: int, commutative: bool) -> tuple[tuple, ...]:
-    kind = "effect-algebra" if commutative else "pseudo-effect-algebra"
+def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
+    cls = _TABLES[kind][0]
+    commutative = kind == "effect-algebra"
     mids = range(1, n - 1)
     if commutative:
         cells = [(i, j) for i in mids for j in mids if i <= j]
@@ -161,7 +165,6 @@ def _table_forms(n: int, commutative: bool) -> tuple[tuple, ...]:
             for (a, b), v in T.items()
             if v is not None
         }
-        cls = EffectAlgebraTable if commutative else PseudoEffectAlgebraTable
         candidate = cls("candidate", names, names[0], names[-1], sums)
         if validate(kind, candidate).passed:
             found.setdefault(_canonical_table(T, n), None)
@@ -384,20 +387,13 @@ def enumerate_small(size: int, kind: str) -> list:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    if kind == "effect-algebra":
+    if kind in _TABLES:
         if size > TABLE_BOUND:
             raise ValueError(
-                f"effect-algebra enumeration is exhaustive only up to size "
+                f"{kind} enumeration is exhaustive only up to size "
                 f"{TABLE_BOUND}; got {size}")
-        forms = _table_forms(size, True)
-        return [_table_from_form(size, f, True, k) for k, f in enumerate(forms)]
-    if kind == "pseudo-effect-algebra":
-        if size > TABLE_BOUND:
-            raise ValueError(
-                f"pseudo-effect-algebra enumeration is exhaustive only up to "
-                f"size {TABLE_BOUND}; got {size}")
-        forms = _table_forms(size, False)
-        return [_table_from_form(size, f, False, k) for k, f in enumerate(forms)]
+        forms = _table_forms(size, kind)
+        return [_table_from_form(size, f, kind, k) for k, f in enumerate(forms)]
     if kind == "frobenius":
         if size > RELATIONAL_BOUND:
             raise ValueError(

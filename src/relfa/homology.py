@@ -77,9 +77,8 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         D[i] = [-a for a in D[i]]
         U[i] = [-a for a in U[i]]
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    def least_entry(t):
+        """The pivot position in the block from (t, t), or None if it is zero."""
         pivot = None
         best = None
         for i in range(t, rows):
@@ -88,6 +87,12 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 if a != 0 and (best is None or abs(a) < best):
                     best = abs(a)
                     pivot = (i, j)
+        return pivot
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        pivot = least_entry(t)
         if pivot is None:
             break
         while True:
@@ -122,14 +127,7 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                         break
                 if good:
                     break
-            pivot = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    a = D[i][j]
-                    if a != 0 and (best is None or abs(a) < best):
-                        best = abs(a)
-                        pivot = (i, j)
+            pivot = least_entry(t)
         t += 1
 
     if matmul(matmul(U, M), V) != D:

@@ -15,7 +15,6 @@ from .algebra import (
     CheckResult,
     EffectAlgebraTable,
     InvariantError,
-    PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
     ValidationReport,
@@ -135,11 +134,9 @@ def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:
 
     Requires b below the left supplement of f(1); the result is checked to
     preserve bottom and defined sums."""
-    kind = ("pseudo-effect-algebra" if isinstance(F, PseudoEffectAlgebraTable)
-            else "effect-algebra")
-    supp = supplements(F, kind)
+    supp = supplements(F, F.kind)
     f1 = f.image[f.source.one]
-    left = supp[f1][0] if kind == "pseudo-effect-algebra" else supp[f1]
+    left = supp[f1][0] if F.kind == "pseudo-effect-algebra" else supp[f1]
     order = derived_order(F)
     if (b, left) not in order:
         raise ValueError(f"{b!r} is not below the left supplement of f(1)={f1!r}")

@@ -86,27 +86,37 @@ def epsilon_boxslash(F: RelFA, boxslash: frozenset[tuple[str, str]] | None = Non
 
 
 def is_commutative(F: RelFA) -> tuple[bool, tuple | None]:
-    for (x, y, z) in F.mu:
-        if (y, x, z) not in F.mu:
-            return False, (x, y, z)
-    return True, None
+    """Every triple's mirror is in mu.  The witness is the first triple of
+    ``sorted(F.mu)`` without one, so it does not depend on the hash seed."""
+    if all((y, x, z) in F.mu for x, y, z in F.mu):
+        return True, None
+    return False, next((x, y, z) for x, y, z in sorted(F.mu) if (y, x, z) not in F.mu)
+
+
+def _cancellation_clash(triples) -> tuple | None:
+    """The first clash, in the order of ``triples``, with partiality, and
+    failing that with cancellation on either side."""
+    by_xy: dict[tuple[str, str], str] = {}
+    for (x, y, z) in triples:
+        if by_xy.setdefault((x, y), z) != z:
+            return (x, y, z, by_xy[(x, y)])
+    left: dict[tuple[str, str], str] = {}
+    right: dict[tuple[str, str], str] = {}
+    for (x, y, z) in triples:
+        if left.setdefault((x, z), y) != y:
+            return (x, z, y, left[(x, z)])
+        if right.setdefault((y, z), x) != x:
+            return (y, z, x, right[(y, z)])
+    return None
 
 
 def is_cancellative(F: RelFA) -> tuple[bool, tuple | None]:
     """Partial (at most one composite per pair) plus cancellation on both
-    sides."""
-    by_xy: dict[tuple[str, str], str] = {}
-    for (x, y, z) in F.mu:
-        if by_xy.setdefault((x, y), z) != z:
-            return False, (x, y, z, by_xy[(x, y)])
-    left: dict[tuple[str, str], str] = {}
-    right: dict[tuple[str, str], str] = {}
-    for (x, y, z) in F.mu:
-        if left.setdefault((x, z), y) != y:
-            return False, (x, z, y, left[(x, z)])
-        if right.setdefault((y, z), x) != x:
-            return False, (y, z, x, right[(y, z)])
-    return True, None
+    sides.  A passing algebra is scanned once in set order; a failing one
+    again in sorted order, so the witness does not depend on the hash seed."""
+    if _cancellation_clash(F.mu) is None:
+        return True, None
+    return False, _cancellation_clash(sorted(F.mu))
 
 
 def inverse_analysis(F: RelFA, a: str) -> dict:

@@ -1,8 +1,10 @@
 """Reading and writing structures as self-describing JSON documents.
 
 One document per structure.  The ``kind`` field selects the schema:
-``effect_algebra`` and ``pseudo_effect_algebra`` carry a sum table,
-``relfa`` the four relational pieces, ``complex`` the full incidence data.
+``effect_algebra`` and ``pseudo_effect_algebra`` carry a sum table of the
+class ``_TABLE_CLASSES`` pairs with the kind (a plain ``SumTable`` has no
+document kind), ``relfa`` the four relational pieces, ``complex`` the full
+incidence data.
 Parsing reports the offending location on every failure; serialization is
 deterministic, so parse followed by serialize is the identity on files this
 module wrote."""
@@ -19,7 +21,11 @@ from .algebra import (
 )
 from .complexes import TruncatedEpsilonComplex, make_complex
 
-KINDS = ("effect_algebra", "pseudo_effect_algebra", "relfa", "complex")
+_TABLE_CLASSES = {
+    "effect_algebra": EffectAlgebraTable,
+    "pseudo_effect_algebra": PseudoEffectAlgebraTable,
+}
+KINDS = (*_TABLE_CLASSES, "relfa", "complex")
 
 
 class StructureError(ValueError):
@@ -83,7 +89,7 @@ def parse_structure(text: str, source: str = "input"):
             raise StructureError(f"{source}.{elements_key}[{i}]", f"duplicate name {x!r}")
         seen.add(x)
 
-    if kind in ("effect_algebra", "pseudo_effect_algebra"):
+    if kind in _TABLE_CLASSES:
         zero = _need(doc, "zero", str, source)
         one = _need(doc, "one", str, source)
         universe = set(names)
@@ -100,9 +106,8 @@ def parse_structure(text: str, source: str = "input"):
                     f"sum of ({a!r}, {b!r}) given twice with different results "
                     f"{sums[(a, b)]!r} and {c!r}")
             sums[(a, b)] = c
-        cls = EffectAlgebraTable if kind == "effect_algebra" else PseudoEffectAlgebraTable
         try:
-            return cls(name=name, elements=tuple(names), zero=zero, one=one, sums=sums)
+            return _TABLE_CLASSES[kind](name=name, elements=tuple(names), zero=zero, one=one, sums=sums)
         except ValueError as exc:
             raise StructureError(source, str(exc))
 
@@ -163,9 +168,7 @@ def load_structure(path: str):
 
 def structure_to_doc(obj) -> dict:
     if isinstance(obj, SumTable):
-        kind = ("effect_algebra" if isinstance(obj, EffectAlgebraTable)
-                else "pseudo_effect_algebra" if isinstance(obj, PseudoEffectAlgebraTable)
-                else None)
+        kind = next((k for k, cls in _TABLE_CLASSES.items() if isinstance(obj, cls)), None)
         if kind is None:
             raise TypeError("plain SumTable has no serialized kind; use a subclass")
         return {

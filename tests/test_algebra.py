@@ -15,7 +15,6 @@ from relfa.algebra import (
     RelFA,
     SumTable,
     ValidationReport,
-    atoms,
     derived_order,
     height_order,
     join,
@@ -127,9 +126,7 @@ def test_supplements_effect_and_pseudo():
 
 
 def test_atoms_and_height_order():
-    b = boolean(2)
-    assert atoms(b) == ["a", "b"]
-    h = height_order(b)
+    h = height_order(boolean(2))
     assert h[0] == "0" and h[-1] == "1"
     assert set(h[1:3]) == {"a", "b"}
 

@@ -4,6 +4,7 @@ codes, report shape, certificates, emitted files, and determinism."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,15 @@ import pytest
 
 from relfa import __version__
 from relfa.catalog import boolean, chain
+from relfa.enumerate_small import enumerate_small
 from relfa.structio import load_structure, save_structure
 
 CLI = [sys.executable, "-m", "relfa.cli"]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          cwd=cwd, check=False)
+                          cwd=cwd, env=env, check=False)
 
 
 def run_json(*args, cwd=None):
@@ -233,6 +235,18 @@ def test_json_reports_are_byte_identical(chain2_file):
     outputs = {run_cli("--json", "classify", chain2_file).stdout
                for _ in range(3)}
     assert len(outputs) == 1
+
+
+def test_classify_json_does_not_depend_on_the_hash_seed(write_structure):
+    candidate = enumerate_small(2, "frobenius-candidates")[5]
+    path = write_structure(candidate, "candidate.json")
+    outputs = {run_cli("--json", "classify", path,
+                       env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+               for seed in ("0", "1")}
+    assert len(outputs) == 1
+    (stdout,) = outputs
+    assert json.loads(stdout)["results"]["witnesses"]["cancellative"] == \
+        ["0", "0", "1", "0"]
 
 
 def test_help_and_missing_command():

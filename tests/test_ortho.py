@@ -7,6 +7,7 @@ import pytest
 
 from relfa.algebra import PseudoEffectAlgebraTable, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
+from relfa.enumerate_small import enumerate_small
 from relfa.ortho import (
     boxslash_order_oracle,
     boxslash_relation,
@@ -64,6 +65,47 @@ def test_commutativity_and_cancellativity_witnesses():
     flag, witness = is_commutative(twisted)
     assert not flag
     assert witness is not None
+
+
+def _sorted_scan_witnesses(F):
+    """The commutativity and cancellativity witnesses of a scan of
+    sorted(F.mu): a missing mirror; else a pair with two composites, else a
+    clash of left or right cancellation."""
+    mu = sorted(F.mu)
+    commutative = None
+    for x, y, z in mu:
+        if (y, x, z) not in F.mu:
+            commutative = (x, y, z)
+            break
+    cancellative = None
+    composite = {}
+    for x, y, z in mu:
+        if (x, y) in composite and composite[(x, y)] != z:
+            cancellative = (x, y, z, composite[(x, y)])
+            break
+        composite.setdefault((x, y), z)
+    if cancellative is None:
+        left, right = {}, {}
+        for x, y, z in mu:
+            if (x, z) in left and left[(x, z)] != y:
+                cancellative = (x, z, y, left[(x, z)])
+                break
+            left.setdefault((x, z), y)
+            if (y, z) in right and right[(y, z)] != x:
+                cancellative = (y, z, x, right[(y, z)])
+                break
+            right.setdefault((y, z), x)
+    return commutative, cancellative
+
+
+def test_witnesses_are_the_first_of_a_sorted_scan():
+    failing = 0
+    for F in enumerate_small(4, "frobenius-candidates"):
+        commutative, cancellative = _sorted_scan_witnesses(F)
+        assert is_commutative(F) == (commutative is None, commutative), F.name
+        assert is_cancellative(F) == (cancellative is None, cancellative), F.name
+        failing += cancellative is not None
+    assert failing > 200
 
 
 def test_classification_of_three_chain():
