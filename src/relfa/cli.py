@@ -7,8 +7,8 @@ a digest of every input file; with ``--json`` the report serialization is
 byte-stable across runs.  Failing properties exit with status 1 and attach
 certificates embedding the full failing boundary assignment, so a negative
 lifting verdict can be re-run standalone with ``fa lift``.  Input problems
-exit with status 2, and a violated internal invariant (a bug in relfa, not
-in the input) with status 3.
+exit with status 2, and a bug in relfa (a violated internal invariant, or
+any exception but ValueError and OSError) with status 3.
 """
 
 from __future__ import annotations
@@ -134,9 +134,16 @@ def cmd_validate(args, seed):
 
 def cmd_classify(args, seed):
     obj, digest = _load(args.file, seed)
-    flags = classify(_as_relational(obj))
+    algebra = _as_relational(obj)
+    flags = classify(algebra)
     results = flags.to_dict()
     bad_crosses = sorted(k for k, v in flags.cross_checks.items() if not v)
+    if bad_crosses:
+        frobenius = validate("frobenius", algebra)
+        if not frobenius.passed:
+            raise StructureError(args.file, "not a Frobenius algebra, so the cross-checks "
+                                 "do not apply; fails "
+                                 + ", ".join(c.name for c in frobenius.failing()))
     status = 1 if bad_crosses else 0
     certificates = []
     if bad_crosses:
@@ -483,12 +490,14 @@ def main(argv: list[str] | None = None) -> int:
         results, certificates, status, inputs, lines = args.func(args, seed)
     except InvariantError as exc:
         return emit_error(str(exc), 3)
-    except StructureError as exc:
-        return emit_error(str(exc))
     except FileNotFoundError as exc:
         return emit_error(f"{exc.filename}: file not found")
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return emit_error(str(exc))
+    except Exception as exc:
+        import traceback  # imported here, so that only a bug pays for it
+        traceback.print_exc()
+        return emit_error(f"{type(exc).__name__}: {exc}", 3)
 
     report = {
         "command": raw,

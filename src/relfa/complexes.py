@@ -52,9 +52,6 @@ class TruncatedEpsilonComplex:
                 tuple(self.tgt.items()), tuple(self.identity.items()),
                 self.triangles, self.marked)
 
-    def is_identity(self, e: str) -> bool:
-        return self.identity.get(self.src[e]) == e and self.src[e] == self.tgt[e]
-
     def is_degenerate_triangle(self, t: tuple[str, str, str]) -> bool:
         d0, d1, d2 = t
         if d0 == d1 and d2 == self.identity[self.src[d0]]:
@@ -645,10 +642,7 @@ def marked_horn(n: int, i: int) -> ShapeInclusion:
 
 def boundary(n: int) -> ShapeInclusion:
     cod = simplex(n)
-    if n == 0:
-        dom = make_complex("boundary0_dom", (), (), {}, {}, {}, (), ())
-    else:
-        dom = subcomplex_on_faces(cod, _faces_of(n, set()), f"boundary{n}_dom")
+    dom = subcomplex_on_faces(cod, _faces_of(n, set()), f"boundary{n}_dom")
     return ShapeInclusion(f"boundary-{n}", dom, cod)
 
 

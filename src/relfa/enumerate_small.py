@@ -197,25 +197,6 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
     return tuple(sorted(found))
 
 
-def tables_isomorphic(s: SumTable, t: SumTable) -> bool:
-    """True when some bijection matching bottoms and tops transports every
-    sum of one table exactly onto the other."""
-    if len(s.elements) != len(t.elements):
-        return False
-    if len(s.sums) != len(t.sums):
-        return False
-    s_mid = [e for e in s.elements if e not in (s.zero, s.one)]
-    t_mid = [e for e in t.elements if e not in (t.zero, t.one)]
-    if len(s_mid) != len(t_mid):
-        return False
-    for image in permutations(t_mid):
-        f = {s.zero: t.zero, s.one: t.one}
-        f.update(zip(s_mid, image))
-        if all(t.sums.get((f[a], f[b])) == f[c] for (a, b), c in s.sums.items()):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Relational structures
 

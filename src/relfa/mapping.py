@@ -39,7 +39,8 @@ from .complexes import (
     product,
     simplex,
 )
-from .nerve import nerve
+from .nerve import nerve, nerve_to_algebra, recognize_nerve
+from .ortho import is_cancellative
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +319,12 @@ def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     """The disjoint union, over all sum-preserving maps h: E -> F, of the
     relational algebra of the interval [0, h(1)'] in F.  Elements are named
     h{i}.{x}; the returned components record which map and interval each
-    block came from."""
+    block came from.  Raises ValueError unless E and F are effect algebras."""
+    for t in (E, F):
+        rep = validate("effect-algebra", t)
+        if not rep.passed:
+            raise ValueError(f"{t.name} is not an effect algebra: fails "
+                             + ", ".join(c.name for c in rep.failing()))
     homs = pm_morphisms(E, F)
     supp = supplements(F, "effect-algebra")
     elements: list[str] = []
@@ -397,41 +403,19 @@ def _candidate_isomorphism(hob: HomObject, E: SumTable, F: SumTable,
     return f
 
 
-def _level_counts(C: TruncatedEpsilonComplex) -> tuple[int, int, int, int]:
-    return (len(C.vertices), len(C.edges), len(C.triangles), len(C.marked))
-
-
-def find_isomorphism(A: TruncatedEpsilonComplex,
-                     B: TruncatedEpsilonComplex) -> ComplexMorphism | None:
-    """First isomorphism of edge-marked complexes A -> B, if any.
-
-    A bijective morphism between complexes with equal level counts is
-    automatically invertible: injectivity plus equal triangle and marked
-    counts forces the structure to be reflected."""
-    if _level_counts(A) != _level_counts(B):
-        return None
-    nv, ne = len(A.vertices), len(A.edges)
-    for f in hom_maps_iter(A, B):
-        if len(set(f.vertex_map.values())) == nv and \
-                len(set(f.edge_map.values())) == ne:
-            return f
-    return None
-
-
 def verify_mapping_theorem(E: SumTable, F: SumTable) -> bool:
-    """Whether the mapping complex of the two nerves is isomorphic to the
-    nerve of the disjoint union of interval algebras over all
-    sum-preserving maps E -> F."""
+    """Whether the explicit labeling ``_candidate_isomorphism`` is an
+    isomorphism from the nerve of the hom object onto the mapping complex of
+    the two nerves; no other isomorphism is searched for.  A bijection
+    between complexes with equal level counts is one, since equal triangle
+    and marked counts force the structure to be reflected."""
     hob = hom_object_ea(E, F)
     NG = nerve(hob.algebra)
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
-    if _level_counts(NG) != _level_counts(M.complex):
+    if NG.counts() != M.complex.counts():
         return False
-    iso = _candidate_isomorphism(hob, E, F, NE, NF, M)
-    if iso is None:
-        iso = find_isomorphism(NG, M.complex)
-    return iso is not None
+    return _candidate_isomorphism(hob, E, F, NE, NF, M) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -559,28 +543,22 @@ def enriched_compose(E: SumTable, F: SumTable, G: SumTable) -> ComplexMorphism:
     MEF = mapping_complex(Ne, Nf)
     MEG = mapping_complex(Ne, Ng)
     dom = product(MFG.complex, MEF.complex)
-    vindex = MEG.vertex_index()
-    eindex = MEG.edge_index()
-
     vmap: dict[str, str] = {}
-    for gv, gr in MFG.vertex_refs.items():
-        for hv, hr in MEF.vertex_refs.items():
-            vm = {f"0|{x}": gr.vertex_map[f"0|{hr.vertex_map[f'0|{x}']}"]
-                  for x in Ne.vertices}
-            em = {f"00|{e}": gr.edge_map[f"00|{hr.edge_map[f'00|{e}']}"]
-                  for e in Ne.edges}
-            comp = ComplexMorphism(hr.domain, Ng, vm, em)
-            vmap[f"{gv}|{hv}"] = vindex[comp.key()]
-
     emap: dict[str, str] = {}
-    for ge, gr in MFG.edge_refs.items():
-        for he, hr in MEF.edge_refs.items():
-            vm = {f"{i}|{x}": gr.vertex_map[f"{i}|{hr.vertex_map[f'{i}|{x}']}"]
-                  for i in ("0", "1") for x in Ne.vertices}
-            em = {f"{ij}|{e}": gr.edge_map[f"{ij}|{hr.edge_map[f'{ij}|{e}']}"]
-                  for ij in ("00", "01", "11") for e in Ne.edges}
-            comp = ComplexMorphism(hr.domain, Ng, vm, em)
-            emap[f"{ge}|{he}"] = eindex[comp.key()]
+    levels = (
+        (MFG.vertex_refs, MEF.vertex_refs, MEG.vertex_index(), vmap,
+         ("0",), ("00",)),
+        (MFG.edge_refs, MEF.edge_refs, MEG.edge_index(), emap,
+         ("0", "1"), ("00", "01", "11")),
+    )
+    for outer_refs, inner_refs, index, cells, vlabels, elabels in levels:
+        for g, gr in outer_refs.items():
+            for h, hr in inner_refs.items():
+                vm = {f"{i}|{x}": gr.vertex_map[f"{i}|{hr.vertex_map[f'{i}|{x}']}"]
+                      for i in vlabels for x in Ne.vertices}
+                em = {f"{ij}|{e}": gr.edge_map[f"{ij}|{hr.edge_map[f'{ij}|{e}']}"]
+                      for ij in elabels for e in Ne.edges}
+                cells[f"{g}|{h}"] = index[ComplexMorphism(hr.domain, Ng, vm, em).key()]
 
     out = ComplexMorphism(dom, MEG.complex, vmap, emap)
     out.check()
@@ -598,9 +576,6 @@ def hom_complex_invariants(E: SumTable, F: SumTable) -> dict:
     whole complex is again a nerve of a cancellative algebra, and the
     vertices whose identity loop is marked are exactly the top-preserving
     maps."""
-    from .nerve import nerve_to_algebra, recognize_nerve
-    from .ortho import is_cancellative
-
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
     C = M.complex

@@ -69,22 +69,15 @@ RECOGNITION_SHAPES: tuple[tuple[str, str], ...] = (
     ("assoc-02", "exists"),
 )
 
-OPTIONAL_SHAPES: tuple[tuple[str, str], ...] = (
-    ("horn-2-1", "exists"),
-    ("horn-3-1", "exists"),
-    ("horn-3-2", "exists"),
-    ("assoc-13", "exists"),
-)
 
-
-def recognize_nerve(C: TruncatedEpsilonComplex,
-                    optional: bool = False) -> ValidationReport:
-    """Check the lifting conditions that characterize nerves.  With
-    ``optional`` the inner horn and second associativity conditions are
-    reported as well; they are not required for recognition."""
+def recognize_nerve(C: TruncatedEpsilonComplex) -> ValidationReport:
+    """Check the lifting conditions that characterize nerves, one check per
+    entry of ``RECOGNITION_SHAPES`` in that order; the report carries the
+    note "not a nerve" when one fails.  The inner horns and the second
+    associativity shape are not conditions: the nerve of a partial sum
+    table fails horn-2-1.  Run ``check_lifting`` on them directly."""
     checks = []
-    shapes = RECOGNITION_SHAPES + (OPTIONAL_SHAPES if optional else ())
-    for shape_name, mode in shapes:
+    for shape_name, mode in RECOGNITION_SHAPES:
         report = check_lifting(shape_from_name(shape_name), C, mode=mode)
         witness = report.failures[0] if report.failures else None
         checks.append(CheckResult(
@@ -92,8 +85,7 @@ def recognize_nerve(C: TruncatedEpsilonComplex,
             passed=report.passed,
             witness=witness,
             detail=f"{report.boundaries} boundary morphisms checked"))
-    required = checks[:len(RECOGNITION_SHAPES)]
-    notes = () if all(c.passed for c in required) else ("not a nerve",)
+    notes = () if all(c.passed for c in checks) else ("not a nerve",)
     return ValidationReport(kind="nerve-recognition", name=C.name,
                             checks=tuple(checks), notes=notes)
 

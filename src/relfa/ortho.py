@@ -28,42 +28,26 @@ def perp_relation(F: RelFA) -> frozenset[tuple[str, str]]:
 def boxslash_relation(F: RelFA) -> frozenset[tuple[str, str]]:
     """The relation a ⊡ b, by exhaustive check of the defining condition:
     for all p, q, d with d in mu(q, a) and d in mu(b, p) there is l with
-    p in mu(l, a) and q in mu(b, l)."""
-    mu = F.mu
-    right_decomp: dict[str, list[tuple[str, str]]] = {a: [] for a in F.elements}
-    left_decomp: dict[str, list[tuple[str, str]]] = {b: [] for b in F.elements}
-    for (x, y, z) in mu:
-        right_decomp[y].append((x, z))
-        left_decomp[x].append((y, z))
+    p in mu(l, a) and q in mu(b, l).  One pass over the pairs of triples
+    sharing a result d collects the violating (a, b); the relation is the
+    complement."""
+    by_result: dict[str, list[tuple[str, str]]] = {}
     mid_by_yz: dict[tuple[str, str], set[str]] = {}
     mid_by_xz: dict[tuple[str, str], set[str]] = {}
-    for (x, y, z) in mu:
+    for (x, y, z) in F.mu:
+        by_result.setdefault(z, []).append((x, y))
         mid_by_yz.setdefault((y, z), set()).add(x)
         mid_by_xz.setdefault((x, z), set()).add(y)
-    out = set()
-    for a in F.elements:
-        d_from_a: dict[str, list[str]] = {}
-        for (q, d) in right_decomp[a]:
-            d_from_a.setdefault(d, []).append(q)
-        for b in F.elements:
-            d_from_b: dict[str, list[str]] = {}
-            for (p, d) in left_decomp[b]:
-                d_from_b.setdefault(d, []).append(p)
-            ok = True
-            for d, qs in d_from_a.items():
-                for p in d_from_b.get(d, ()):
-                    for q in qs:
-                        ls = mid_by_yz.get((a, p), set()) & mid_by_xz.get((b, q), set())
-                        if not ls:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add((a, b))
-    return frozenset(out)
+    empty: set[str] = set()
+    violating = set()
+    for pairs in by_result.values():
+        for (q, a) in pairs:
+            for (b, p) in pairs:
+                if (a, b) not in violating and \
+                        mid_by_yz.get((a, p), empty).isdisjoint(mid_by_xz.get((b, q), empty)):
+                    violating.add((a, b))
+    return frozenset((a, b) for a in F.elements for b in F.elements
+                     if (a, b) not in violating)
 
 
 def boxslash_order_oracle(E: SumTable) -> frozenset[tuple[str, str]]:
@@ -125,15 +109,8 @@ def inverse_analysis(F: RelFA, a: str) -> dict:
     orthogonality to some counit, and the two ⊡ saturation conditions.
     The first three are equivalent in any algebra; all five when the
     algebra is cancellative.  Both claims are verified on the spot."""
-    mu = F.mu
-    right_inverse = None
-    for c in F.elements:
-        if right_inverse is not None:
-            break
-        for r in F.eta:
-            if (a, c, r) in mu:
-                right_inverse = c
-                break
+    right_inverse = next(
+        (c for c in F.elements if any((a, c, r) in F.mu for r in F.eta)), None)
     src, tgt = element_endpoints(F)
     perp = perp_relation(F)
     perp_all_at_target = all((b, a) in perp for b in F.elements if src[b] == tgt[a])
@@ -310,25 +287,3 @@ def coherence_check(E: SumTable) -> tuple[bool, tuple | None]:
                     return False, (a, b, c)
     return True, None
 
-
-def rotate_edge(F: RelFA, a: str, inverse: bool = False) -> str:
-    """The rotation of an edge: the unique l completing a to a marked
-    composite, solving mu(a, l) at a counit with matching target.  With
-    ``inverse`` the other side is solved: the unique m with mu(m, a) at the
-    counit with matching source.  In an effect algebra both give the
-    orthosupplement; in a group algebra, the group inverse."""
-    src, tgt = element_endpoints(F)
-    if inverse:
-        es = [e for e in F.epsilon if src[e] == src[a]]
-        if len(es) != 1:
-            raise ValueError(f"{F.name}: {len(es)} counit edges out of {src[a]!r}")
-        partners = sorted({m for m in F.elements if (m, a, es[0]) in F.mu})
-    else:
-        es = [e for e in F.epsilon if tgt[e] == tgt[a]]
-        if len(es) != 1:
-            raise ValueError(f"{F.name}: {len(es)} counit edges into {tgt[a]!r}")
-        partners = sorted({l for l in F.elements if (a, l, es[0]) in F.mu})
-    if len(partners) != 1:
-        raise ValueError(
-            f"{F.name}: edge {a!r} has {len(partners)} rotations; expected one")
-    return partners[0]

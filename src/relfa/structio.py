@@ -53,13 +53,21 @@ def _string_list(doc: dict, key: str, where: str) -> list[str]:
     return val
 
 
-def _triples(doc: dict, key: str, where: str) -> list[tuple[str, str, str]]:
+def _triples(doc: dict, key: str, where: str,
+             universe: set[str] | None = None) -> list[tuple[str, str, str]]:
+    """The rows of a list of string triples; with ``universe``, every string
+    must name a member of it.  Shapes are checked before members."""
     val = _need(doc, key, list, where)
     out = []
     for i, row in enumerate(val):
         if not (isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)):
             raise StructureError(f"{where}.{key}[{i}]", "expected a triple of strings")
         out.append((row[0], row[1], row[2]))
+    if universe is not None:
+        for i, row in enumerate(out):
+            for x in row:
+                if x not in universe:
+                    raise StructureError(f"{where}.{key}[{i}]", f"unknown identifier {x!r}")
     return out
 
 
@@ -83,23 +91,19 @@ def parse_structure(text: str, source: str = "input"):
     name = _need(doc, "name", str, source)
     elements_key = "vertices" if kind == "complex" else "elements"
     names = _string_list(doc, elements_key, source)
-    seen = set()
+    universe: set[str] = set()
     for i, x in enumerate(names):
-        if x in seen:
+        if x in universe:
             raise StructureError(f"{source}.{elements_key}[{i}]", f"duplicate name {x!r}")
-        seen.add(x)
+        universe.add(x)
 
     if kind in _TABLE_CLASSES:
         zero = _need(doc, "zero", str, source)
         one = _need(doc, "one", str, source)
-        universe = set(names)
         _check_members([zero], universe, "zero", source)
         _check_members([one], universe, "one", source)
         sums: dict[tuple[str, str], str] = {}
-        for i, (a, b, c) in enumerate(_triples(doc, "sums", source)):
-            for x in (a, b, c):
-                if x not in universe:
-                    raise StructureError(f"{source}.sums[{i}]", f"unknown identifier {x!r}")
+        for i, (a, b, c) in enumerate(_triples(doc, "sums", source, universe)):
             if (a, b) in sums and sums[(a, b)] != c:
                 raise StructureError(
                     f"{source}.sums[{i}]",
@@ -112,17 +116,8 @@ def parse_structure(text: str, source: str = "input"):
             raise StructureError(source, str(exc))
 
     if kind == "relfa":
-        universe = set(names)
-        mu = _triples(doc, "mu", source)
-        for i, t in enumerate(mu):
-            for x in t:
-                if x not in universe:
-                    raise StructureError(f"{source}.mu[{i}]", f"unknown identifier {x!r}")
-        delta = _triples(doc, "delta", source)
-        for i, t in enumerate(delta):
-            for x in t:
-                if x not in universe:
-                    raise StructureError(f"{source}.delta[{i}]", f"unknown identifier {x!r}")
+        mu = _triples(doc, "mu", source, universe)
+        delta = _triples(doc, "delta", source, universe)
         eta = _string_list(doc, "eta", source)
         _check_members(eta, universe, "eta", source)
         epsilon = _string_list(doc, "epsilon", source)

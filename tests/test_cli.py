@@ -102,6 +102,21 @@ def test_internal_error_exits_3(monkeypatch, capsys, chain2_file):
     assert (report["exit"], report["error"]) == (3, "d1 * d2 is not zero")
 
 
+def test_unexpected_exception_exits_3(monkeypatch, capsys, chain2_file):
+    """A KeyError inside a command is a bug in relfa, not bad input: exit 3."""
+    from relfa import cli
+
+    def broken(obj):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "h1_universal_group", broken)
+    assert cli.main(["homology", chain2_file]) == 3
+    assert capsys.readouterr().err.endswith("internal error: KeyError: 'x'\n")
+    assert cli.main(["--json", "homology", chain2_file]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["exit"], report["error"]) == (3, "KeyError: 'x'")
+
+
 def test_classify_reports_flags(boolean2_file):
     proc, report = run_json("classify", boolean2_file)
     assert proc.returncode == 0
@@ -139,6 +154,29 @@ def test_hom_lists_components(write_structure):
     assert len(results["components"]) == 2
     assert results["elements"] == 3
     assert results["mapping_complex_matches"] is True
+
+
+def test_hom_rejects_tables_that_are_not_effect_algebras(write_structure):
+    c1 = write_structure(chain(1), "c1.json")
+    pea = write_structure(enumerate_small(5, "pseudo-effect-algebra")[4], "pea.json")
+    for source, target in ((c1, pea), (pea, c1)):
+        proc = run_cli("hom", source, target)
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            "error: pea5_4 is not an effect algebra: fails commutativity\n"
+
+
+def test_classify_rejects_inputs_that_are_not_frobenius(write_structure):
+    # A failed cross-check on a non-Frobenius input is bad input, not two
+    # routes that disagree.
+    candidates = {F.name: F for F in enumerate_small(3, "frobenius-candidates")}
+    for name in ("frob2_0~eps:x1", "relfa(ea3_0)~eps:a"):
+        path = write_structure(candidates[name])
+        proc = run_cli("classify", path)
+        assert proc.returncode == 2, name
+        assert proc.stderr == (f"error: {path}: not a Frobenius algebra, so the "
+                               "cross-checks do not apply; fails co-unit-existence\n")
+    assert run_cli("classify", write_structure(chain(2))).returncode == 0
 
 
 def test_kan_passes_on_small_pair(write_structure):

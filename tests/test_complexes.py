@@ -65,7 +65,7 @@ def test_make_complex_adds_degenerate_triangles():
     for v in C.vertices:
         i = C.identity[v]
         assert (i, i, i) in C.triangles
-    e = next(e for e in C.edges if not C.is_identity(e))
+    e = C.nonidentity_edges()[0]
     assert (e, e, C.identity[C.src[e]]) in C.triangles
     assert (C.identity[C.tgt[e]], e, e) in C.triangles
 

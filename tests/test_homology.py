@@ -184,7 +184,9 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
         homology.smith_normal_form_full([[2]])
     except InvariantError as exc:
         print("homology:", exc)
-    mapping.validate = lambda kind, structure: SimpleNamespace(passed=False)
+    # Only the interval blocks fail, so the input check lets chain(1) through.
+    mapping.validate = lambda kind, structure: SimpleNamespace(
+        passed=structure.name == "chain(1)")
     try:
         mapping.hom_object_ea(chain(1), chain(1))
     except InvariantError as exc:

@@ -11,6 +11,7 @@ import pytest
 from relfa.algebra import to_relfa, validate
 from relfa.catalog import boolean, chain
 from relfa.complexes import hom_maps
+from relfa.enumerate_small import enumerate_small
 from relfa.mapping import (
     FIBRATION_SHAPES,
     PMMorphism,
@@ -102,6 +103,14 @@ def test_mapping_theorem_on_small_pairs():
     assert verify_mapping_theorem(chain(1), chain(1))
     assert verify_mapping_theorem(chain(1), chain(2))
     assert verify_mapping_theorem(chain(2), chain(1))
+
+
+def test_hom_object_rejects_tables_that_are_not_effect_algebras():
+    pea = enumerate_small(5, "pseudo-effect-algebra")[4]
+    for E, F in ((chain(1), pea), (pea, chain(1))):
+        for route in (hom_object_ea, verify_mapping_theorem):
+            with pytest.raises(ValueError, match="pea5_4 is not an effect algebra"):
+                route(E, F)
 
 
 def test_hom_complex_invariants_frozen():

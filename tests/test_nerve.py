@@ -7,9 +7,8 @@ import pytest
 
 from relfa.algebra import RelFA, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra
-from relfa.complexes import make_complex
+from relfa.complexes import check_lifting, make_complex, shape_from_name
 from relfa.nerve import (
-    OPTIONAL_SHAPES,
     RECOGNITION_SHAPES,
     cross_validate,
     element_endpoints,
@@ -29,9 +28,6 @@ def test_recognition_shape_lists_are_frozen():
         ("ehorn-2-0", "unique"), ("ehorn-2-2", "unique"),
         ("ehorn-3-0", "unique"), ("ehorn-3-3", "unique"),
         ("assoc-02", "exists"))
-    assert OPTIONAL_SHAPES == (
-        ("horn-2-1", "exists"), ("horn-3-1", "exists"),
-        ("horn-3-2", "exists"), ("assoc-13", "exists"))
 
 
 def test_nerve_of_three_chain_is_frozen():
@@ -75,21 +71,18 @@ def test_recognition_passes_on_nerves(catalog):
 
 
 def test_recognition_optional_checks_are_reported_separately():
-    # The optional inner-horn conditions are informational: a partial sum
-    # table fails them without stopping recognition.
+    # The inner horns and the second associativity shape are not recognition
+    # conditions: a partial sum table fails horn-2-1 and is still a nerve.
+    optional = ("horn-2-1", "horn-3-1", "horn-3-2", "assoc-13")
     N = nerve(to_relfa(boolean(2)))
-    report = recognize_nerve(N, optional=True)
-    names = [c.name for c in report.checks]
-    assert "horn-2-1:exists" in names
-    assert "assoc-13:exists" in names
-    required = {f"{s}:{m}" for s, m in RECOGNITION_SHAPES}
-    assert all(c.passed for c in report.checks if c.name in required)
-    inner = next(c for c in report.checks if c.name == "horn-2-1:exists")
-    assert not inner.passed
+    report = recognize_nerve(N)
+    assert report.passed
     assert report.notes == ()
-    group_report = recognize_nerve(nerve(cyclic_group_algebra(3)),
-                                   optional=True)
-    assert group_report.passed
+    assert not check_lifting(shape_from_name("horn-2-1"), N, mode="exists").passed
+    G = nerve(cyclic_group_algebra(3))
+    assert recognize_nerve(G).passed
+    for name in optional:
+        assert check_lifting(shape_from_name(name), G, mode="exists").passed, name
 
 
 def test_recognition_fails_without_markings():

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from relfa.algebra import PseudoEffectAlgebraTable, to_relfa, validate
+from relfa.algebra import PseudoEffectAlgebraTable, RelFA, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
 from relfa.enumerate_small import enumerate_small
+from relfa.nerve import nerve, rotations
 from relfa.ortho import (
     boxslash_order_oracle,
     boxslash_relation,
@@ -18,7 +19,6 @@ from relfa.ortho import (
     is_cancellative,
     is_commutative,
     perp_relation,
-    rotate_edge,
 )
 
 
@@ -35,6 +35,27 @@ def cyclic_pea():
 def test_boxslash_matches_the_order_oracle():
     for t in (chain(3), boolean(2), wright_triangle()):
         assert boxslash_relation(to_relfa(t)) == boxslash_order_oracle(t)
+
+
+def _boxslash_by_definition(F):
+    """a ⊡ b read off the quantified definition: for all p, q, d with d in
+    mu(q, a) and d in mu(b, p) there is l with p in mu(l, a) and q in
+    mu(b, l)."""
+    els, mu = F.elements, F.mu
+    return frozenset(
+        (a, b) for a in els for b in els
+        if all(any((l, a, p) in mu and (b, l, q) in mu for l in els)
+               for p in els for q in els for d in els
+               if (q, a, d) in mu and (b, p, d) in mu))
+
+
+def test_boxslash_matches_its_definition_beyond_effect_algebras(catalog):
+    algebras = list(enumerate_small(4, "frobenius-candidates"))
+    algebras += [obj if isinstance(obj, RelFA) else to_relfa(obj)
+                 for obj in catalog.values() if len(obj.elements) <= 6]
+    for F in algebras:
+        assert boxslash_relation(F) == _boxslash_by_definition(F), F.name
+    assert len(algebras) > 411
 
 
 def test_boxslash_on_boolean_square_lists_joinable_pairs():
@@ -173,9 +194,9 @@ def test_inverse_analysis_on_a_group_element():
     assert result["perp_all_at_target"] is True
 
 
-def test_rotate_edge_is_the_supplement():
-    f = to_relfa(chain(2))
-    assert rotate_edge(f, "1") == "1"
-    assert rotate_edge(f, "0") == "2"
-    assert rotate_edge(f, "2") == "0"
-    assert rotate_edge(f, rotate_edge(f, "1", inverse=True)) == "1"
+def test_rotations_are_the_supplement():
+    alpha, beta = rotations(nerve(to_relfa(chain(2))))
+    assert alpha["1"] == "1"
+    assert alpha["0"] == "2"
+    assert alpha["2"] == "0"
+    assert alpha[beta["1"]] == "1"
