@@ -365,14 +365,15 @@ def _count_plan(signature: tuple) -> tuple:
     ``signature()``: the factors, the elimination order and every join
     depend on the domain alone.
 
-    Returns ``(kinds, inputs, steps)``: the kinds of input table the plan
-    reads, the kind of each input factor (the factors the steps compute
-    follow them), and one step ``(first, joins, keep)`` per variable.  A
-    bucket of one factor sums the variable out of factor ``first``,
-    keeping the entries at ``keep``.  Otherwise ``first`` is joined in turn
-    with each factor of ``joins``, given as ``(factor, shared_left,
-    shared_right, rest, head)`` (see ``_join``), and the ``head`` of the
-    last join leaves the variable out."""
+    Returns ``(kinds, inputs, steps, holders)``: the kinds of input table
+    the plan reads, the kind of each input factor (the factors the steps
+    compute follow them), one step ``(first, joins, keep)`` per variable,
+    and for each variable the ``(factor, position)`` of every input factor
+    that holds it.  A bucket of one factor sums the variable out of factor
+    ``first``, keeping the entries at ``keep``.  Otherwise ``first`` is
+    joined in turn with each factor of ``joins``, given as ``(factor,
+    shared_left, shared_right, rest, head)`` (see ``_join``), and the
+    ``head`` of the last join leaves the variable out."""
     vertices, edges, src, tgt, identity, triangles, marked = signature
     src, tgt, identity = dict(src), dict(tgt), dict(identity)
     idvert = {e: v for v, e in identity.items()}
@@ -407,9 +408,11 @@ def _count_plan(signature: tuple) -> tuple:
 
     factors_of: dict[tuple, set[int]] = {var: set() for var in
                                          [("V", v) for v in vertices] + evars}
+    holders: dict[tuple, list] = {var: [] for var in factors_of}
     for fid, scope in enumerate(scopes):
-        for v in scope:
+        for pos, v in enumerate(scope):
             factors_of[v].add(fid)
+            holders[v].append((fid, pos))
 
     def scope_after(var):
         s = set()
@@ -445,7 +448,7 @@ def _count_plan(signature: tuple) -> tuple:
         for v in acc:
             factors_of[v].add(len(scopes))
         scopes.append(acc)
-    return tuple(kinds), tuple(inputs), tuple(steps)
+    return tuple(kinds), tuple(inputs), tuple(steps), holders
 
 
 def _input_table(kind: tuple, Y: TruncatedEpsilonComplex) -> dict[tuple, int]:
@@ -521,9 +524,21 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     share one, and runs the steps.  The last join of each bucket sums the
     variable out as it goes, so the product table of a bucket is never
     built."""
-    kinds, inputs, steps = _count_plan(X.signature())
-    tables = [_input_table(kind, Y) for kind in kinds]
+    plan = _count_plan(X.signature())
+    return _run_count_plan(plan, [_input_table(kind, Y) for kind in plan[0]], {})
+
+
+def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:
+    """Run a compiled count plan over its input tables, one per kind as
+    ``_input_table`` fills them in, counting the morphisms that agree with
+    ``pins``: a dict from variables, ``("V", vertex)`` or ``("E", edge)``,
+    to their images.  Every input factor that holds a pinned variable keeps
+    only the entries with that image."""
+    _, inputs, steps, holders = plan
     slots: list = [tables[k] for k in inputs]
+    for var, image in pins.items():
+        for fid, pos in holders[var]:
+            slots[fid] = {k: c for k, c in slots[fid].items() if k[pos] == image}
     for first, joins, keep in steps:
         acc = slots[first]
         slots[first] = None
@@ -846,7 +861,9 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     failing boundary, up to ``_MAX_FAILURES`` and in key order, with its
     number of extensions, and has an empty detail.  A
     ``count-comparison`` report gives both counts in its detail and at most
-    one failing boundary, found by a lazy search.
+    one failing boundary: the first in ``hom_maps_iter`` order, found by
+    descending on pinned counts (``_search_unfillable``), the same witness
+    a plain scan finds.
 
     When the missing edges of the shape are forced through triangles
     functional in X (``_determined_missing_edges``), restriction of
@@ -874,7 +891,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
             detail = (f"{dom_count} boundary morphisms, {cod_count} total morphisms; "
                       "restriction is injective, so equality decides the verdict")
             if not passed:
-                witness = _search_unfillable(shape, X, index)
+                witness = _search_unfillable(shape, X, index, dom_count, cod_count)
                 if witness is None:
                     detail += (f"; the witness search stopped after "
                                f"{_WITNESS_SEARCH_LIMIT} boundaries")
@@ -915,17 +932,77 @@ def _describe_morphism(f: ComplexMorphism) -> dict:
 
 
 _WITNESS_SEARCH_LIMIT = 200000
+# The witness search counts its way down while more boundary morphisms than
+# this extend the assignment it has reached, then scans them.
+_SCAN_BELOW = 1000
+
+
+def _spanned(D: TruncatedEpsilonComplex, variables: list) -> TruncatedEpsilonComplex:
+    """The subcomplex of D spanned by some of its count variables: their
+    vertices with identities, their edges, and every triangle and marking
+    of D on those edges."""
+    vertices = [v for kind, v in variables if kind == "V"]
+    edges = {D.identity[v] for v in vertices} | {e for kind, e in variables if kind == "E"}
+    return make_complex(
+        f"{D.name}[:{len(variables)}]", vertices, [e for e in D.edges if e in edges],
+        D.src, D.tgt, {v: D.identity[v] for v in vertices},
+        [t for t in D.triangles if edges.issuperset(t)], D.marked & edges)
 
 
 def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                       index: _TargetIndex) -> dict | None:
-    """Look for one boundary morphism with no extension, scanning lazily.
-    Returns None when ``_WITNESS_SEARCH_LIMIT`` boundaries all extend."""
-    extensions = _extender(shape.codomain, shape.domain, index)
-    for count, u in enumerate(hom_maps_iter(shape.domain, X), 1):
+                       index: _TargetIndex, dom_count: int, cod_count: int) -> dict | None:
+    """The first boundary morphism in ``hom_maps_iter`` order with no
+    extension, on a determined problem whose ``dom_count`` boundary
+    morphisms outnumber its ``cod_count`` morphisms.
+
+    Restriction is injective, so of the boundary morphisms that agree with
+    an assignment p of some domain variables, count(D|p) - count(C|p) have
+    no extension (pinned counts, ``_run_count_plan``).  The search assigns
+    the variables in the order of ``hom_maps_iter(D, X)``: D's vertices,
+    then its non-identity edges in ``_edge_order``.  The images a variable
+    can take are those the one morphism search tries, extending the
+    assignment along the subcomplexes the variables span (``_spanned``).
+    The search takes the first image whose difference is positive, so the
+    witness is the one a plain scan finds.  The last image gets the counts
+    the others leave, uncounted, so a variable with one image costs
+    nothing.  Once at most ``_SCAN_BELOW`` boundary morphisms agree with
+    the assignment, they are scanned in order.  Returns None when
+    ``_WITNESS_SEARCH_LIMIT`` boundaries all extend."""
+    C, D = shape.codomain, shape.domain
+    variables = [("V", v) for v in D.vertices] + \
+        [("E", e) for e in _edge_order(D, frozenset())]
+    plans = (_count_plan(D.signature()), _count_plan(C.signature()))
+    tables = [[_input_table(kind, X) for kind in plan[0]] for plan in plans]
+    vmap: dict[str, str] = {}
+    emap: dict[str, str] = {}
+    pins: dict[tuple, str] = {}
+    prefix = _EMPTY
+    while dom_count > _SCAN_BELOW and len(pins) < len(variables):
+        kind, name = var = variables[len(pins)]
+        grown = _spanned(D, variables[:len(pins) + 1])
+        images = [((vm if kind == "V" else em)[name], dict(vm), dict(em))
+                  for vm, em in _extender(grown, prefix, index)(vmap, emap)]
+        for n, (image, vm, em) in enumerate(images, 1):
+            pins[var] = image
+            if n < len(images):
+                dom = _run_count_plan(plans[0], tables[0], pins)
+                cod = _run_count_plan(plans[1], tables[1], pins) if dom else 0
+            else:
+                dom, cod = dom_count, cod_count
+            if dom > cod:
+                break
+            dom_count -= dom
+            cod_count -= cod
+        else:
+            raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
+                                 f"but no image of {name} leaves an unfillable boundary")
+        dom_count, cod_count, vmap, emap, prefix = dom, cod, vm, em, grown
+    extensions = _extender(C, D, index)
+    for count, (vm, em) in enumerate(_extender(D, prefix, index)(vmap, emap), 1):
         if count > _WITNESS_SEARCH_LIMIT:
             return None
-        if next(extensions(u.vertex_map, u.edge_map), None) is None:
+        if next(extensions(vm, em), None) is None:
+            u = ComplexMorphism(D, X, vm, em)
             return {"boundary": _describe_morphism(u), "extensions": 0}
     raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
                          "but every boundary morphism extends")

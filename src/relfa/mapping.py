@@ -315,16 +315,22 @@ class HomObject:
     components: tuple[HomObjectComponent, ...] = field(repr=False)
 
 
+def _require(kind: str, noun: str, *tables: SumTable) -> None:
+    """Raise ValueError, naming the failing checks, unless every table
+    validates as ``kind``."""
+    for t in tables:
+        rep = validate(kind, t)
+        if not rep.passed:
+            raise ValueError(f"{t.name} is not {noun}: fails "
+                             + ", ".join(c.name for c in rep.failing()))
+
+
 def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     """The disjoint union, over all sum-preserving maps h: E -> F, of the
     relational algebra of the interval [0, h(1)'] in F.  Elements are named
     h{i}.{x}; the returned components record which map and interval each
     block came from.  Raises ValueError unless E and F are effect algebras."""
-    for t in (E, F):
-        rep = validate("effect-algebra", t)
-        if not rep.passed:
-            raise ValueError(f"{t.name} is not an effect algebra: fails "
-                             + ", ".join(c.name for c in rep.failing()))
+    _require("effect-algebra", "an effect algebra", E, F)
     homs = pm_morphisms(E, F)
     supp = supplements(F, "effect-algebra")
     elements: list[str] = []
@@ -507,7 +513,9 @@ def eval_fibration_check(E: SumTable, F: SumTable) -> ValidationReport:
     """Verify that restricting along the initial algebra inclusion makes the
     mapping complex a minimal fibration: unique relative lifts for every
     horn up to dimension 3, for the sphere inclusions in dimensions 2 and 3,
-    and for the marked-edge inclusion."""
+    and for the marked-edge inclusion.  Raises ValueError unless E and F
+    are pseudo effect algebras."""
+    _require("pseudo-effect-algebra", "a pseudo effect algebra", E, F)
     one = chain(1)
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     N1 = nerve(to_relfa(one))

@@ -187,6 +187,17 @@ def test_kan_passes_on_small_pair(write_structure):
     assert report["results"]["passed"] is True
 
 
+def test_kan_rejects_tables_that_are_not_pseudo_effect_algebras(write_structure, not_a_pea):
+    c1 = write_structure(chain(1), "c1.json")
+    bad = write_structure(not_a_pea, "bad.json")
+    proc = run_cli("kan", bad, c1)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: not-a-pea is not a pseudo effect algebra: "
+                           "fails associativity, zero-one-law\n")
+    pea = write_structure(enumerate_small(5, "pseudo-effect-algebra")[4], "pea.json")
+    assert run_cli("kan", pea, c1).returncode == 0
+
+
 def test_lift_failure_has_a_rerunnable_certificate(chain2_file):
     proc, report = run_json("lift", "boundary-2", chain2_file)
     assert proc.returncode == 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ from relfa.complexes import (
     subcomplex_on_faces,
     wedge_shape,
 )
+from relfa.mapping import mapping_complex
 from relfa.nerve import nerve
 
 
@@ -435,6 +437,71 @@ def test_count_plan_is_shared_by_equal_signatures():
         assert count_homs(twin, Y) == count_homs(X, Y) == len(hom_maps(X, Y))
 
 
+def _image(f, var):
+    kind, name = var
+    return (f.vertex_map if kind == "V" else f.edge_map)[name]
+
+
+def _pinned_count(X, Y, pins):
+    plan = complexes._count_plan(X.signature())
+    tables = [complexes._input_table(kind, Y) for kind in plan[0]]
+    return complexes._run_count_plan(plan, tables, pins)
+
+
+def _check_pinned_counts(X, Y, rng, pinned_marked):
+    """Pinned counts of X -> Y against the morphisms that agree with the
+    pins: 0 to 3 random variables pinned to the images of a random
+    morphism and to random cells of Y, and each marked variable (a marked
+    edge, or a vertex with a marked identity) alone at every cell of Y."""
+    homs = hom_maps(X, Y)
+    variables = [("V", v) for v in X.vertices] + [("E", e) for e in X.nonidentity_edges()]
+    cells = {"V": Y.vertices, "E": Y.edges}
+    pin_sets = []
+    for size in range(min(3, len(variables)) + 1):
+        chosen = rng.sample(variables, size)
+        if homs:
+            f = rng.choice(homs)
+            pin_sets.append({var: _image(f, var) for var in chosen})
+        pin_sets.append({var: rng.choice(cells[var[0]]) for var in chosen})
+    for var in variables:
+        kind, name = var
+        if (X.identity[name] if kind == "V" else name) in X.marked:
+            pin_sets += [{var: cell} for cell in cells[kind]]
+            pinned_marked.add(kind)
+    for pins in pin_sets:
+        expected = sum(all(_image(f, var) == image for var, image in pins.items())
+                       for f in homs)
+        assert _pinned_count(X, Y, pins) == expected, (X.name, Y.name, pins)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
+def test_pinned_counts_match_enumeration_on_shapes(target):
+    _, Y, shape_names = target
+    rng = random.Random(Y.name)
+    pinned_marked = set()
+    for name in shape_names:
+        shape = shape_from_name(name)
+        for X in (shape.domain, shape.codomain):
+            _check_pinned_counts(X, Y, rng, pinned_marked)
+    assert pinned_marked == {"E"}
+
+
+def test_pinned_counts_match_enumeration_between_small_complexes():
+    """The domains of test_count_homs_matches_enumeration_between_small_complexes,
+    among them nerve(Z/2), whose vertex has a marked identity."""
+    Z2 = nerve(cyclic_group_algebra(2))
+    loop = make_complex("idempotent", ("v",), ("i", "x"), {"i": "v", "x": "v"},
+                        {"i": "v", "x": "v"}, {"v": "i"}, [("x", "x", "x")], ())
+    small = (Z2, loop, _multivalued_target(), nerve(to_relfa(chain(1))),
+             nerve(to_relfa(chain(2))), nerve(cyclic_group_algebra(3)))
+    rng = random.Random(0)
+    pinned_marked = set()
+    for X in small:
+        for Y in small:
+            _check_pinned_counts(X, Y, rng, pinned_marked)
+    assert pinned_marked == {"V", "E"}
+
+
 def test_witnessless_count_comparison_says_why(monkeypatch):
     monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
     monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 1)
@@ -456,6 +523,44 @@ def test_fa_lift_prints_why_a_failure_has_no_witness(monkeypatch, capsys, write_
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "witness search stopped after 1 boundaries" in out
+
+
+def _first_unfillable(shape, X):
+    """The first boundary morphism of hom_maps_iter(D, X) that no morphism
+    out of the codomain restricts to."""
+    C, D = shape.codomain, shape.domain
+    restrictions = {f.key(D) for f in hom_maps_iter(C, X)}
+    u = next(u for u in hom_maps_iter(D, X) if u.key() not in restrictions)
+    return {"boundary": {"vertices": {v: u.vertex_map[v] for v in D.vertices},
+                         "edges": {e: u.edge_map[e] for e in D.nonidentity_edges()}},
+            "extensions": 0}
+
+
+@pytest.mark.parametrize("scan_below", (0, 3))
+def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan_below):
+    """Every failing determined problem of the frozen report set, and the
+    shapes that fail on two targets with several vertices, decided by the
+    counts and given the witness a plain scan finds."""
+    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
+    monkeypatch.setattr(complexes, "_SCAN_BELOW", scan_below)
+    several = (simplex(3),
+               mapping_complex(nerve(to_relfa(chain(1))), nerve(to_relfa(chain(2)))).complex)
+    problems = _report_problems() + [(name, X, "exists") for X in several
+                                     for name in SHAPE_NAMES + SMALL_BOXES]
+    witnesses = {}
+    for shape_name, X, mode in problems:
+        shape = shape_from_name(shape_name)
+        if not complexes._determined_missing_edges(shape, complexes._TargetIndex(X)):
+            continue
+        report = check_lifting(shape, X, mode)
+        if not report.passed:
+            assert report.method == "count-comparison"
+            key = (shape_name, X.name)
+            if key not in witnesses:
+                witnesses[key] = _first_unfillable(shape, X)
+            assert report.failures == (witnesses[key],), (key, mode)
+    assert len(witnesses) > 80
+    assert {X.name for X in several} <= {name for _, name in witnesses}
 
 
 # sha256 of `fa --json lift "box(horn-2-1,horn-2-1)" <file>` run in the

@@ -113,6 +113,15 @@ def test_hom_object_rejects_tables_that_are_not_effect_algebras():
                 route(E, F)
 
 
+def test_fibration_check_rejects_tables_that_are_not_pseudo_effect_algebras(not_a_pea):
+    for E, F in ((chain(1), not_a_pea), (not_a_pea, chain(1))):
+        with pytest.raises(ValueError, match="not-a-pea is not a pseudo effect algebra: "
+                                             "fails associativity, zero-one-law"):
+            eval_fibration_check(E, F)
+    pea = enumerate_small(5, "pseudo-effect-algebra")[4]
+    assert eval_fibration_check(pea, chain(1)).passed
+
+
 def test_hom_complex_invariants_frozen():
     assert hom_complex_invariants(chain(2), chain(3)) == {
         "vertices": 2,
