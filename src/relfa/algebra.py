@@ -500,7 +500,7 @@ def height_order(t: SumTable) -> list[str]:
 # Sum tables as relational algebras
 
 
-def to_relfa(t: SumTable, name: str | None = None) -> RelFA:
+def to_relfa(t: SumTable) -> RelFA:
     """Translate a sum table into a relational algebra.
 
     The table is read as its class's ``kind``: only a
@@ -524,7 +524,7 @@ def to_relfa(t: SumTable, name: str | None = None) -> RelFA:
              for y in preimages.get(q, ())
              for z in preimages.get(s, ())}
     return RelFA(
-        name=name or f"relfa({t.name})",
+        name=f"relfa({t.name})",
         elements=t.elements,
         mu=mu,
         eta=frozenset({t.zero}),

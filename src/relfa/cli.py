@@ -4,9 +4,10 @@ Dispatches validation, classification, nerve construction, homology,
 mapping complexes, fibration checks, lifting properties, enumeration, and
 the builtin catalog.  Reports carry the command echo, the tool version, and
 a digest of every input file; with ``--json`` the report serialization is
-byte-stable across runs.  Failing properties exit with status 1 and attach
-certificates embedding the full failing boundary assignment, so a negative
-lifting verdict can be re-run standalone with ``fa lift``.  Input problems
+byte-stable across runs.  A failing property attaches a certificate, and a
+report exits with status 1 exactly when it carries one; a lifting
+certificate embeds the full failing boundary assignment, so a negative
+verdict can be re-run standalone with ``fa lift``.  Input problems
 exit with status 2, and a bug in relfa (a violated internal invariant, or
 any exception but ValueError and OSError) with status 3.
 """
@@ -71,18 +72,26 @@ def _load(path: str, seed: str):
     return _reorder(obj, seed), {"path": path, "sha256": _digest(path)}
 
 
-def _as_relational(obj):
+def _as_relational(obj, path: str):
     if isinstance(obj, SumTable):
         return to_relfa(obj)
     if isinstance(obj, RelFA):
         return obj
-    raise StructureError("input", "expected an algebra, got a complex")
+    raise StructureError(path, "expected an algebra, got a complex")
 
 
 def _as_table(obj, path: str) -> SumTable:
     if isinstance(obj, SumTable):
         return obj
     raise StructureError(path, "expected a sum table")
+
+
+def _load_tables(args, seed):
+    """The source and target sum tables of a two-file command, with their
+    input digests."""
+    eobj, edig = _load(args.source, seed)
+    fobj, fdig = _load(args.target, seed)
+    return _as_table(eobj, args.source), _as_table(fobj, args.target), [edig, fdig]
 
 
 def _check_lines(checks) -> list[str]:
@@ -125,28 +134,25 @@ def cmd_validate(args, seed):
             obj = to_relfa(obj)
         rep = validate(kind, obj)
     results = rep.to_dict()
-    status = 0 if rep.passed else 1
     certificates = _failure_certificates(rep, "validation", kind=rep.kind)
     lines = [f"{rep.kind} {rep.name}: {'PASS' if rep.passed else 'FAIL'}"]
     lines += _check_lines(rep.checks)
-    return results, certificates, status, [digest], lines
+    return results, certificates, [digest], lines
 
 
 def cmd_classify(args, seed):
     obj, digest = _load(args.file, seed)
-    algebra = _as_relational(obj)
+    algebra = _as_relational(obj, args.file)
     flags = classify(algebra)
     results = flags.to_dict()
     bad_crosses = sorted(k for k, v in flags.cross_checks.items() if not v)
+    certificates = []
     if bad_crosses:
         frobenius = validate("frobenius", algebra)
         if not frobenius.passed:
             raise StructureError(args.file, "not a Frobenius algebra, so the cross-checks "
                                  "do not apply; fails "
                                  + ", ".join(c.name for c in frobenius.failing()))
-    status = 1 if bad_crosses else 0
-    certificates = []
-    if bad_crosses:
         certificates.append({
             "type": "classification-cross-check",
             "structure": flags.name,
@@ -168,12 +174,12 @@ def cmd_classify(args, seed):
     for key in sorted(flags.cross_checks):
         lines.append(f"  cross-check {key}: "
                      f"{'ok' if flags.cross_checks[key] else 'FAIL'}")
-    return results, certificates, status, [digest], lines
+    return results, certificates, [digest], lines
 
 
 def cmd_nerve(args, seed):
     obj, digest = _load(args.file, seed)
-    N = nerve(_as_relational(obj))
+    N = nerve(_as_relational(obj, args.file))
     rep = recognize_nerve(N)
     results = {
         "name": N.name,
@@ -191,16 +197,14 @@ def cmd_nerve(args, seed):
         save_structure(N, args.out)
         results["written"] = args.out
         lines.append(f"written to {args.out}")
-    status = 0 if rep.passed else 1
     certificates = _failure_certificates(rep, "nerve-recognition")
-    return results, certificates, status, [digest], lines
+    return results, certificates, [digest], lines
 
 
 def cmd_homology(args, seed):
     obj, digest = _load(args.file, seed)
     pres = h1_universal_group(obj)
     results = {"h1": pres.to_dict()}
-    status = 0
     certificates = []
     lines = [f"universal group: {pres.format()}"]
     if isinstance(obj, SumTable):
@@ -211,30 +215,22 @@ def cmd_homology(args, seed):
         lines.append(f"direct presentation: {direct.format()} "
                      f"({'agrees' if agree else 'DISAGREES'})")
         if not agree:
-            status = 1
             certificates.append({
                 "type": "homology-mismatch",
                 "structure": obj.name,
                 "nerve_h1": pres.to_dict(),
                 "direct": direct.to_dict(),
             })
-    return results, certificates, status, [digest], lines
+    return results, certificates, [digest], lines
 
 
 def cmd_hom(args, seed):
-    eobj, edig = _load(args.source, seed)
-    fobj, fdig = _load(args.target, seed)
-    E = _as_table(eobj, args.source)
-    F = _as_table(fobj, args.target)
+    E, F, inputs = _load_tables(args, seed)
     hob = hom_object_ea(E, F)
-    components = []
-    for comp in hob.components:
-        components.append({
-            "index": comp.index,
-            "morphism": {a: comp.morphism.image[a] for a in E.elements},
-            "loop_top": comp.top,
-            "size": len(comp.carrier),
-        })
+    components = [{"index": comp.index,
+                   "morphism": {a: comp.morphism.image[a] for a in E.elements},
+                   "loop_top": comp.top,
+                   "size": len(comp.carrier)} for comp in hob.components]
     iso = verify_mapping_theorem(E, F)
     results = {
         "hom_object": hob.algebra.name,
@@ -242,7 +238,6 @@ def cmd_hom(args, seed):
         "elements": len(hob.algebra.elements),
         "mapping_complex_matches": iso,
     }
-    status = 0 if iso else 1
     certificates = []
     if not iso:
         certificates.append({
@@ -259,22 +254,18 @@ def cmd_hom(args, seed):
                      f"(interval of size {comp['size']})")
     lines.append("mapping complex matches the nerve of the hom object: "
                  f"{'PASS' if iso else 'FAIL'}")
-    return results, certificates, status, [edig, fdig], lines
+    return results, certificates, inputs, lines
 
 
 def cmd_kan(args, seed):
-    eobj, edig = _load(args.source, seed)
-    fobj, fdig = _load(args.target, seed)
-    E = _as_table(eobj, args.source)
-    F = _as_table(fobj, args.target)
+    E, F, inputs = _load_tables(args, seed)
     rep = eval_fibration_check(E, F)
     results = rep.to_dict()
-    status = 0 if rep.passed else 1
     certificates = _failure_certificates(rep, "fibration")
     lines = [f"{rep.name}: {'PASS' if rep.passed else 'FAIL'}"]
     lines += _check_lines(rep.checks)
     lines += [f"  note: {n}" for n in rep.notes]
-    return results, certificates, status, [edig, fdig], lines
+    return results, certificates, inputs, lines
 
 
 def cmd_lift(args, seed):
@@ -283,12 +274,11 @@ def cmd_lift(args, seed):
     if isinstance(obj, TruncatedEpsilonComplex):
         C = obj
     else:
-        C = nerve(_as_relational(obj))
+        C = nerve(_as_relational(obj, args.file))
     mode = "unique" if args.unique else "exists"
     rep = check_lifting(shape, C, mode=mode)
     results = rep.to_dict()
     results["target"] = C.name
-    status = 0 if rep.passed else 1
     certificates = []
     if not rep.passed:
         certificates.append({
@@ -309,7 +299,7 @@ def cmd_lift(args, seed):
                      f"with {f['extensions']} extensions")
     if not rep.passed and not rep.failures:
         lines.append(f"  {rep.detail}")
-    return results, certificates, status, [digest], lines
+    return results, certificates, [digest], lines
 
 
 def cmd_enumerate(args, seed):
@@ -332,7 +322,7 @@ def cmd_enumerate(args, seed):
             written.append(str(path))
         results["written"] = written
         lines.append(f"wrote {len(written)} files to {args.emit}")
-    return results, [], 0, [], lines
+    return results, [], [], lines
 
 
 def cmd_catalog(args, seed):
@@ -349,7 +339,7 @@ def cmd_catalog(args, seed):
         lines = [f"{len(entries)} catalog entries:"]
         lines += [f"  {e['name']} ({e['kind']}, {e['size']} elements)"
                   for e in entries]
-        return results, [], 0, [], lines
+        return results, [], [], lines
     if args.name is None:
         raise StructureError("catalog", f"{args.action} needs a name")
     if args.name not in store:
@@ -360,12 +350,12 @@ def cmd_catalog(args, seed):
         results = {"structure": doc}
         lines = [f"{args.name} ({doc['kind']}, {len(obj.elements)} elements)"]
         lines.append(json.dumps(doc, indent=2, sort_keys=True))
-        return results, [], 0, [], lines
+        return results, [], [], lines
     path = args.out or f"{_safe_filename(args.name)}.json"
     save_structure(obj, path)
     results = {"written": path, "name": args.name, "kind": doc["kind"]}
     lines = [f"exported {args.name} to {path}"]
-    return results, [], 0, [], lines
+    return results, [], [], lines
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         return status
 
     try:
-        results, certificates, status, inputs, lines = args.func(args, seed)
+        results, certificates, inputs, lines = args.func(args, seed)
     except InvariantError as exc:
         return emit_error(str(exc), 3)
     except FileNotFoundError as exc:
@@ -499,6 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return emit_error(f"{type(exc).__name__}: {exc}", 3)
 
+    status = 1 if certificates else 0
     report = {
         "command": raw,
         "version": __version__,

@@ -640,37 +640,39 @@ def _faces_of(n: int, omit: set[int]) -> list[frozenset[str]]:
             for i in range(n + 1) if i not in omit]
 
 
+def _face_shape(name: str, n: int, faces, dom_name: str,
+                marked_top: bool = False) -> ShapeInclusion:
+    """The inclusion, named ``name``, of the subcomplex of simplex(n)
+    spanned by ``faces`` (vertex-label sets), whose domain is named
+    ``dom_name``; ``marked_top`` marks the simplex's top edge."""
+    cod = simplex(n, marked_top=marked_top)
+    return ShapeInclusion(name, subcomplex_on_faces(cod, faces, dom_name), cod)
+
+
 def horn(n: int, i: int) -> ShapeInclusion:
-    cod = simplex(n)
-    dom = subcomplex_on_faces(cod, _faces_of(n, {i}), f"horn{n}_{i}_dom")
-    return ShapeInclusion(f"horn-{n}-{i}", dom, cod)
+    return _face_shape(f"horn-{n}-{i}", n, _faces_of(n, {i}), f"horn{n}_{i}_dom")
 
 
 def marked_horn(n: int, i: int) -> ShapeInclusion:
     """The marked outer horns: i must be 0 or n."""
     if i not in (0, n):
         raise ValueError("marked horns exist only at the outer indices")
-    cod = simplex(n, marked_top=True)
-    dom = subcomplex_on_faces(cod, _faces_of(n, {i}), f"ehorn{n}_{i}_dom")
-    return ShapeInclusion(f"ehorn-{n}-{i}", dom, cod)
+    return _face_shape(f"ehorn-{n}-{i}", n, _faces_of(n, {i}), f"ehorn{n}_{i}_dom",
+                       marked_top=True)
 
 
 def boundary(n: int) -> ShapeInclusion:
-    cod = simplex(n)
-    dom = subcomplex_on_faces(cod, _faces_of(n, set()), f"boundary{n}_dom")
-    return ShapeInclusion(f"boundary-{n}", dom, cod)
+    return _face_shape(f"boundary-{n}", n, _faces_of(n, set()), f"boundary{n}_dom")
 
 
 def assoc_shape(which: str) -> ShapeInclusion:
-    cod = simplex(3)
     if which == "02":
         faces = [frozenset({"1", "2", "3"}), frozenset({"0", "1", "3"})]
     elif which == "13":
         faces = [frozenset({"0", "2", "3"}), frozenset({"0", "1", "2"})]
     else:
         raise ValueError("assoc shape is 02 or 13")
-    dom = subcomplex_on_faces(cod, faces, f"assoc{which}_dom")
-    return ShapeInclusion(f"assoc-{which}", dom, cod)
+    return _face_shape(f"assoc-{which}", 3, faces, f"assoc{which}_dom")
 
 
 def mark_edge_shape() -> ShapeInclusion:
@@ -678,15 +680,12 @@ def mark_edge_shape() -> ShapeInclusion:
 
 
 def wedge_shape() -> ShapeInclusion:
-    cod = simplex(2)
-    dom = subcomplex_on_faces(cod, [frozenset({"0", "2"}), frozenset({"1"})], "wedge02_1_dom")
-    return ShapeInclusion("wedge-02-1", dom, cod)
+    return _face_shape("wedge-02-1", 2, [frozenset({"0", "2"}), frozenset({"1"})],
+                       "wedge02_1_dom")
 
 
 def vertex_in_edge_shape(i: int) -> ShapeInclusion:
-    cod = simplex(1)
-    dom = subcomplex_on_faces(cod, [frozenset({str(i)})], f"vertex{i}_dom")
-    return ShapeInclusion(f"vertex-{i}-in-edge", dom, cod)
+    return _face_shape(f"vertex-{i}-in-edge", 1, [frozenset({str(i)})], f"vertex{i}_dom")
 
 
 def braiding_square() -> TruncatedEpsilonComplex:
@@ -714,8 +713,7 @@ def braiding_shape(side: str) -> ShapeInclusion:
 # Products and pushout products
 
 
-def product(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
-            name: str | None = None) -> TruncatedEpsilonComplex:
+def product(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> TruncatedEpsilonComplex:
     def pid(a, b):
         return f"{a}|{b}"
 
@@ -732,7 +730,7 @@ def product(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
     triangles = [(pid(s[0], t[0]), pid(s[1], t[1]), pid(s[2], t[2]))
                  for s in X.triangles for t in Y.triangles]
     marked = [pid(e, f) for e in X.marked for f in Y.marked]
-    return make_complex(name or f"({X.name}x{Y.name})", vertices, edges,
+    return make_complex(f"({X.name}x{Y.name})", vertices, edges,
                         src, tgt, identity, triangles, marked)
 
 

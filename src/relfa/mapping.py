@@ -57,9 +57,6 @@ class PMMorphism:
     target: SumTable
     image: dict[str, str]
 
-    def __call__(self, a: str) -> str:
-        return self.image[a]
-
     def key(self) -> tuple[str, ...]:
         return tuple(self.image[a] for a in self.source.elements)
 
@@ -70,16 +67,6 @@ class PMMorphism:
             if self.target.sums.get((self.image[x], self.image[y])) != self.image[z]:
                 raise ValueError(
                     f"{self.source.name}->{self.target.name}: sum ({x},{y}) not preserved")
-
-    def compose(self, other: "PMMorphism") -> "PMMorphism":
-        """self after other; the target of other must be the source of
-        self, as an object or as an equal table."""
-        s, t = other.target, self.source
-        if s is not t and \
-                (s.elements, s.zero, s.one, s.sums) != (t.elements, t.zero, t.one, t.sums):
-            raise ValueError("composition mismatch")
-        return PMMorphism(other.source, self.target,
-                          {a: self.image[b] for a, b in other.image.items()})
 
 
 def pm_morphisms(E: SumTable, F: SumTable) -> list[PMMorphism]:
@@ -168,25 +155,19 @@ def _simplex_map(m: int, n: int, images: tuple[int, ...]) -> ComplexMorphism:
     return ComplexMorphism(dom, cod, vmap, emap)
 
 
-def _with_factor(phi: ComplexMorphism, X: TruncatedEpsilonComplex,
-                 dom: TruncatedEpsilonComplex, cod: TruncatedEpsilonComplex) -> ComplexMorphism:
-    """phi x id_X between the prism products dom = phi.domain x X and
-    cod = phi.codomain x X."""
-    vmap = {f"{u}|{x}": f"{phi.vertex_map[u]}|{x}"
-            for u in phi.domain.vertices for x in X.vertices}
-    emap = {f"{a}|{e}": f"{phi.edge_map[a]}|{e}"
-            for a in phi.domain.edges for e in X.edges}
-    return ComplexMorphism(dom, cod, vmap, emap)
+def _identity(X: TruncatedEpsilonComplex) -> ComplexMorphism:
+    return ComplexMorphism(X, X, {v: v for v in X.vertices}, {e: e for e in X.edges})
 
 
-def _with_factor_right(S: TruncatedEpsilonComplex, psi: ComplexMorphism) -> ComplexMorphism:
-    """id_S x psi on prism products."""
-    dom = product(S, psi.domain)
-    cod = product(S, psi.codomain)
-    vmap = {f"{u}|{x}": f"{u}|{psi.vertex_map[x]}"
-            for u in S.vertices for x in psi.domain.vertices}
-    emap = {f"{a}|{e}": f"{a}|{psi.edge_map[e]}"
-            for a in S.edges for e in psi.domain.edges}
+def _times(phi: ComplexMorphism, psi: ComplexMorphism,
+           dom: TruncatedEpsilonComplex, cod: TruncatedEpsilonComplex) -> ComplexMorphism:
+    """The product morphism phi x psi, cell by cell, between the products
+    dom = phi.domain x psi.domain and cod = phi.codomain x psi.codomain
+    (passed in, so that callers holding them build each product once)."""
+    vmap = {f"{u}|{x}": f"{phi.vertex_map[u]}|{psi.vertex_map[x]}"
+            for u in phi.domain.vertices for x in psi.domain.vertices}
+    emap = {f"{a}|{e}": f"{phi.edge_map[a]}|{psi.edge_map[e]}"
+            for a in phi.domain.edges for e in psi.domain.edges}
     return ComplexMorphism(dom, cod, vmap, emap)
 
 
@@ -196,27 +177,20 @@ def _with_factor_right(S: TruncatedEpsilonComplex, psi: ComplexMorphism) -> Comp
 
 @dataclass(frozen=True)
 class MappingComplex:
-    """An edge-marked complex whose cells carry back-references to the
-    morphisms representing them: vertices to maps (simplex(0) x source) ->
-    target, edges to maps out of the 1-prism, triangles to maps out of the
-    2-prism."""
+    """The complex [X, Y] of maps X -> Y with its cells tied to the
+    morphisms representing them.  ``vertex_refs`` sends a vertex to its map
+    simplex(0) x X -> Y and ``edge_refs`` an edge to its map out of the
+    1-prism simplex(1) x X; ``vertex_index`` and ``edge_index`` are the
+    inverse lookups, from a morphism's ``key()`` to its cell."""
 
     complex: TruncatedEpsilonComplex
     vertex_refs: dict[str, ComplexMorphism]
     edge_refs: dict[str, ComplexMorphism]
-    triangle_refs: dict[tuple[str, str, str], ComplexMorphism]
-    source: TruncatedEpsilonComplex
-    target: TruncatedEpsilonComplex
-
-    def vertex_index(self) -> dict[tuple, str]:
-        return {r.key(): v for v, r in self.vertex_refs.items()}
-
-    def edge_index(self) -> dict[tuple, str]:
-        return {r.key(): e for e, r in self.edge_refs.items()}
+    vertex_index: dict[tuple, str]
+    edge_index: dict[tuple, str]
 
 
-def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
-                    name: str | None = None) -> MappingComplex:
+def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> MappingComplex:
     """The complex of maps X -> Y, one level at a time.
 
     Level n is the morphism set Hom(simplex(n) x X, Y); faces and identities
@@ -227,46 +201,30 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
     e_homs = hom_maps(p1, Y)
     t_homs = hom_maps(p2, Y)
 
-    vid = {h.key(): f"h{i}" for i, h in enumerate(v_homs)}
-    eid = {h.key(): f"e{i}" for i, h in enumerate(e_homs)}
+    vertex_refs = {f"h{i}": h for i, h in enumerate(v_homs)}
+    edge_refs = {f"e{i}": h for i, h in enumerate(e_homs)}
+    vid = {h.key(): v for v, h in vertex_refs.items()}
+    eid = {h.key(): e for e, h in edge_refs.items()}
     if len(vid) != len(v_homs) or len(eid) != len(e_homs):
         raise InvariantError("mapping complex: two morphisms share a key")
 
-    at0 = _with_factor(_simplex_map(0, 1, (0,)), X, p0, p1)
-    at1 = _with_factor(_simplex_map(0, 1, (1,)), X, p0, p1)
-    collapse = _with_factor(_simplex_map(1, 0, (0, 0)), X, p1, p0)
-    prism_faces = [_with_factor(_simplex_map(1, 2, g), X, p1, p2)
+    id_X = _identity(X)
+    at0 = _times(_simplex_map(0, 1, (0,)), id_X, p0, p1)
+    at1 = _times(_simplex_map(0, 1, (1,)), id_X, p0, p1)
+    collapse = _times(_simplex_map(1, 0, (0, 0)), id_X, p1, p0)
+    prism_faces = [_times(_simplex_map(1, 2, g), id_X, p1, p2)
                    for g in ((1, 2), (0, 2), (0, 1))]
 
-    src, tgt = {}, {}
-    edge_refs = {}
-    for h in e_homs:
-        e = eid[h.key()]
-        edge_refs[e] = h
-        src[e] = vid[h.compose(at0).key()]
-        tgt[e] = vid[h.compose(at1).key()]
-
-    identity, vertex_refs = {}, {}
-    for h in v_homs:
-        v = vid[h.key()]
-        vertex_refs[v] = h
-        identity[v] = eid[h.compose(collapse).key()]
-
-    triangles = []
-    triangle_refs = {}
-    for h in t_homs:
-        t = tuple(eid[h.compose(fm).key()] for fm in prism_faces)
-        triangles.append(t)
-        triangle_refs[t] = h
-
-    marked = [eid[h.key()] for h in e_homs
+    src = {e: vid[h.compose(at0).key()] for e, h in edge_refs.items()}
+    tgt = {e: vid[h.compose(at1).key()] for e, h in edge_refs.items()}
+    identity = {v: eid[h.compose(collapse).key()] for v, h in vertex_refs.items()}
+    triangles = [tuple(eid[h.compose(fm).key()] for fm in prism_faces)
+                 for h in t_homs]
+    marked = [e for e, h in edge_refs.items()
               if all(h.edge_map[f"01|{m}"] in Y.marked for m in X.marked)]
 
-    C = make_complex(
-        name or f"[{X.name},{Y.name}]",
-        [f"h{i}" for i in range(len(v_homs))],
-        [f"e{i}" for i in range(len(e_homs))],
-        src, tgt, identity, triangles, marked)
+    C = make_complex(f"[{X.name},{Y.name}]", list(vertex_refs), list(edge_refs),
+                     src, tgt, identity, triangles, marked)
 
     # Level cardinalities must match the morphism counts out of the prisms,
     # including the marked level counted against the marked 1-prism.
@@ -281,14 +239,14 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex,
         if built != counted:
             raise InvariantError(
                 f"{C.name}: {built} {level} built but {counted} morphisms counted")
-    return MappingComplex(C, vertex_refs, edge_refs, triangle_refs, X, Y)
+    return MappingComplex(C, vertex_refs, edge_refs, vid, eid)
 
 
 # ---------------------------------------------------------------------------
 # The hom object of two effect algebras
 
 
-def interval_algebra(F: SumTable, top: str, name: str | None = None) -> EffectAlgebraTable:
+def interval_algebra(F: SumTable, top: str) -> EffectAlgebraTable:
     """The effect algebra on [0, top] with the restricted sum."""
     order = derived_order(F)
     carrier = tuple(x for x in F.elements if (x, top) in order)
@@ -296,7 +254,7 @@ def interval_algebra(F: SumTable, top: str, name: str | None = None) -> EffectAl
     sums = {(x, y): z for (x, y), z in F.sums.items()
             if x in inside and y in inside and z in inside}
     return EffectAlgebraTable(
-        name=name or f"{F.name}[0,{top}]",
+        name=f"{F.name}[0,{top}]",
         elements=carrier, zero=F.zero, one=top, sums=sums)
 
 
@@ -365,8 +323,6 @@ def _candidate_isomorphism(hob: HomObject, E: SumTable, F: SumTable,
     by h, and the loop named by x in [0, h(1)'] lands on the edge whose
     01-prism images are h(a) + x."""
     C = M.complex
-    vindex = M.vertex_index()
-    eindex = M.edge_index()
     NG = nerve(hob.algebra)
     p0 = product(simplex(0), NE)
     p1 = product(simplex(1), NE)
@@ -380,7 +336,7 @@ def _candidate_isomorphism(hob: HomObject, E: SumTable, F: SumTable,
                 p0, NF,
                 {f"0|{unit_e}": unit_f},
                 {f"00|{a}": h[a] for a in E.elements})
-            vmap[comp.prefix + F.zero] = vindex[vref.key()]
+            vmap[comp.prefix + F.zero] = M.vertex_index[vref.key()]
             for x in comp.carrier:
                 emaps: dict[str, str] = {}
                 for a in E.elements:
@@ -394,7 +350,7 @@ def _candidate_isomorphism(hob: HomObject, E: SumTable, F: SumTable,
                     p1, NF,
                     {f"0|{unit_e}": unit_f, f"1|{unit_e}": unit_f},
                     emaps)
-                emap[comp.prefix + x] = eindex[eref.key()]
+                emap[comp.prefix + x] = M.edge_index[eref.key()]
     except KeyError:
         return None
     f = ComplexMorphism(NG, C, vmap, emap)
@@ -498,12 +454,11 @@ def unit_inclusion_map(one: SumTable, E: SumTable,
 def restriction_map(ME: MappingComplex, M1: MappingComplex,
                     incl: ComplexMorphism) -> ComplexMorphism:
     """Precomposition with a map of sources, cellwise."""
-    d0m = _with_factor_right(simplex(0), incl)
-    d1m = _with_factor_right(simplex(1), incl)
-    vindex = M1.vertex_index()
-    eindex = M1.edge_index()
-    vmap = {v: vindex[r.compose(d0m).key()] for v, r in ME.vertex_refs.items()}
-    emap = {e: eindex[r.compose(d1m).key()] for e, r in ME.edge_refs.items()}
+    d0m, d1m = (_times(_identity(S), incl, product(S, incl.domain),
+                       product(S, incl.codomain))
+                for S in (simplex(0), simplex(1)))
+    vmap = {v: M1.vertex_index[r.compose(d0m).key()] for v, r in ME.vertex_refs.items()}
+    emap = {e: M1.edge_index[r.compose(d1m).key()] for e, r in ME.edge_refs.items()}
     p = ComplexMorphism(ME.complex, M1.complex, vmap, emap)
     p.check()
     return p
@@ -554,9 +509,9 @@ def enriched_compose(E: SumTable, F: SumTable, G: SumTable) -> ComplexMorphism:
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}
     levels = (
-        (MFG.vertex_refs, MEF.vertex_refs, MEG.vertex_index(), vmap,
+        (MFG.vertex_refs, MEF.vertex_refs, MEG.vertex_index, vmap,
          ("0",), ("00",)),
-        (MFG.edge_refs, MEF.edge_refs, MEG.edge_index(), emap,
+        (MFG.edge_refs, MEF.edge_refs, MEG.edge_index, emap,
          ("0", "1"), ("00", "01", "11")),
     )
     for outer_refs, inner_refs, index, cells, vlabels, elabels in levels:

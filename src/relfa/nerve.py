@@ -43,7 +43,7 @@ def element_endpoints(A: RelFA) -> tuple[dict[str, str], dict[str, str]]:
     return src, tgt
 
 
-def nerve(A: RelFA, name: str | None = None) -> TruncatedEpsilonComplex:
+def nerve(A: RelFA) -> TruncatedEpsilonComplex:
     """The edge-marked complex of an algebra.  Requires every element to
     absorb a unique pair of idempotent units, which holds for every valid
     algebra considered here."""
@@ -54,7 +54,7 @@ def nerve(A: RelFA, name: str | None = None) -> TruncatedEpsilonComplex:
     for (x, y, z) in A.mu:
         triangles.append((x, z, y))
     return make_complex(
-        name or f"nerve({A.name})",
+        f"nerve({A.name})",
         vertices, tuple(A.elements), src, tgt, identity,
         triangles, frozenset(A.epsilon))
 
@@ -90,24 +90,21 @@ def recognize_nerve(C: TruncatedEpsilonComplex) -> ValidationReport:
                             checks=tuple(checks), notes=notes)
 
 
-def marked_out_edges(C: TruncatedEpsilonComplex) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for v in C.vertices:
-        es = sorted(e for e in C.marked if C.src[e] == v)
-        if len(es) != 1:
-            raise ValueError(f"{C.name}: vertex {v!r} has {len(es)} marked outgoing edges")
-        out[v] = es[0]
-    return out
-
-
-def marked_in_edges(C: TruncatedEpsilonComplex) -> dict[str, str]:
-    inn: dict[str, str] = {}
-    for v in C.vertices:
-        es = sorted(e for e in C.marked if C.tgt[e] == v)
-        if len(es) != 1:
-            raise ValueError(f"{C.name}: vertex {v!r} has {len(es)} marked incoming edges")
-        inn[v] = es[0]
-    return inn
+def marked_edges(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str]]:
+    """The unique marked edge out of each vertex and the unique one into
+    each vertex.  Raises ValueError at the first vertex with none or several,
+    checking every vertex's outgoing edges before any incoming ones."""
+    found = []
+    for end, direction in ((C.src, "outgoing"), (C.tgt, "incoming")):
+        one: dict[str, str] = {}
+        for v in C.vertices:
+            es = sorted(e for e in C.marked if end[e] == v)
+            if len(es) != 1:
+                raise ValueError(
+                    f"{C.name}: vertex {v!r} has {len(es)} marked {direction} edges")
+            one[v] = es[0]
+        found.append(one)
+    return found[0], found[1]
 
 
 def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str]]:
@@ -117,8 +114,7 @@ def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str
     composite; beta to the unique right factor.  Both are inverse-like
     companions recovered from marked horn fillers.
     """
-    mo = marked_out_edges(C)
-    mi = marked_in_edges(C)
+    mo, mi = marked_edges(C)
     index = _TargetIndex(C)
     alpha: dict[str, str] = {}
     beta: dict[str, str] = {}
@@ -148,7 +144,7 @@ def _transport_delta(elements, beta: dict[str, str], triangles) -> frozenset:
                      for x in preimages.get(t2, ()))
 
 
-def nerve_to_algebra(C: TruncatedEpsilonComplex, name: str | None = None) -> RelFA:
+def nerve_to_algebra(C: TruncatedEpsilonComplex) -> RelFA:
     """Rebuild the algebra of a recognized complex.  The multiplication
     reads off the triangles; the comultiplication is transported through the
     right rotation."""
@@ -158,7 +154,7 @@ def nerve_to_algebra(C: TruncatedEpsilonComplex, name: str | None = None) -> Rel
         mu.add((d0, d2, d1))
     eta = frozenset(C.identity.values())
     return RelFA(
-        name=name or f"algebra({C.name})",
+        name=f"algebra({C.name})",
         elements=tuple(C.edges),
         mu=frozenset(mu),
         eta=eta,

@@ -82,6 +82,16 @@ def test_zero_one_law_rejects_sums_above_top():
     assert not law.passed
 
 
+def test_zero_neutrality_failure_carries_witness():
+    # 0 + a is missing, so a is the first element the zero does not fix.
+    t = table("lost-zero", "0a1", "0", "1",
+              [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"),
+               ("a", "0", "a"), ("a", "a", "1")])
+    for kind in ("effect-algebra", "pseudo-effect-algebra"):
+        check = next(c for c in validate(kind, t).checks if c.name == "zero-neutrality")
+        assert (check.passed, check.witness) == (False, ("a",))
+
+
 def test_unique_supplement_failure():
     t = table("two-supplements", "0ab1", "0", "1",
               [("0", "0", "0"), ("0", "a", "a"), ("a", "0", "a"),

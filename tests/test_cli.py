@@ -81,6 +81,43 @@ def test_validate_rejects_kind_on_complex_files(tmp_path, chain2_file):
     assert proc.returncode == 2
 
 
+def test_classify_and_nerve_name_a_rejected_complex_file(tmp_path, chain2_file, capsys):
+    from relfa import cli
+
+    nerve_path = str(tmp_path / "nerve.json")
+    assert cli.main(["nerve", chain2_file, "--out", nerve_path]) == 0
+    capsys.readouterr()
+    for command in ("classify", "nerve"):
+        assert cli.main([command, nerve_path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {nerve_path}: expected an algebra, got a complex\n"
+
+
+def test_exit_is_one_exactly_when_the_report_carries_a_certificate(
+        write_structure, not_a_pea, chain2_file, capsys):
+    from relfa import cli
+
+    chain1 = write_structure(chain(1), "chain1.json")
+    not_pea = write_structure(not_a_pea, "not-a-pea.json")
+    # Its nerve fails the marked 1-horn conditions of recognition.
+    candidate = write_structure(enumerate_small(2, "frobenius-candidates")[1],
+                                "candidate.json")
+    runs = [
+        (["validate", chain2_file], 0), (["validate", not_pea], 1),
+        (["nerve", chain2_file], 0), (["nerve", candidate], 1),
+        (["lift", "ehorn-2-0", chain2_file, "--unique"], 0),
+        (["lift", "boundary-2", chain2_file], 1),
+        (["classify", chain2_file], 0), (["homology", chain2_file], 0),
+        (["hom", chain1, chain2_file], 0), (["kan", chain1, chain2_file], 0),
+        (["enumerate", "--size", "2", "--kind", "effect-algebra"], 0),
+        (["catalog", "list"], 0),
+    ]
+    for argv, expected in runs:
+        assert cli.main(["--json", *argv]) == expected, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["exit"] == expected == (1 if report["certificates"] else 0), argv
+
+
 def test_missing_file_exits_2():
     proc, report = run_json("validate", "/no/such/structure.json")
     assert proc.returncode == 2

@@ -200,6 +200,32 @@ def test_compose_needs_the_codomain_as_object_or_equal_structure():
         identity(marked).compose(vertex)
 
 
+def test_morphism_check_rejects_each_broken_condition():
+    def identity_maps(X, Y):
+        return ComplexMorphism(X, Y, {v: v for v in X.vertices}, {e: e for e in X.edges})
+
+    Z2 = nerve(cyclic_group_algebra(2))
+    (loop,) = Z2.nonidentity_edges()
+    cases = [
+        (ComplexMorphism(simplex(0), simplex(0), {"0": "9"}, {"00": "00"}),
+         "vertex image '9' missing"),
+        (ComplexMorphism(simplex(1), simplex(1), {"0": "0", "1": "1"},
+                         {"00": "00", "01": "00", "11": "11"}),
+         "edge '01' endpoints not preserved"),
+        (ComplexMorphism(simplex(0), Z2, {"0": Z2.vertices[0]}, {"00": loop}),
+         "identity of '0' not preserved"),
+        (identity_maps(simplex(2), boundary(2).domain),
+         "triangle ('12', '02', '01') maps to non-triangle ('12', '02', '01')"),
+        (identity_maps(simplex(1, marked_top=True), simplex(1)),
+         "marked edge '01' maps to unmarked edge"),
+    ]
+    for f, message in cases:
+        with pytest.raises(ValueError) as exc:
+            f.check()
+        assert str(exc.value) == message
+    identity_maps(simplex(2), simplex(2)).check()
+
+
 # ---------------------------------------------------------------------------
 # The forward-checked search against the plain backtracking search
 

@@ -8,13 +8,14 @@ from collections import Counter
 
 import pytest
 
+from relfa import mapping
 from relfa.algebra import to_relfa, validate
 from relfa.catalog import boolean, chain
-from relfa.complexes import hom_maps
+from relfa.complexes import hom_maps, make_complex
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import (
     FIBRATION_SHAPES,
-    PMMorphism,
+    _candidate_isomorphism,
     _relative_lifting_check,
     conjugate,
     enriched_compose,
@@ -41,23 +42,6 @@ def test_morphisms_preserve_bottom_and_sums():
         h.check()
     keys = [h.key() for h in pm_morphisms(chain(1), chain(2))]
     assert keys == sorted(keys)
-
-
-def test_morphism_composition():
-    homs12 = pm_morphisms(chain(1), chain(2))
-    identity = next(h for h in pm_morphisms(chain(2), chain(2))
-                    if all(h(a) == a for a in chain(2).elements))
-    for h in homs12:
-        assert identity.compose(h).key() == h.key()
-    with pytest.raises(ValueError):
-        h = homs12[0]
-        h.compose(h)
-    # A table that only shares the name of chain(2) is not its source.
-    impostor = dataclasses.replace(boolean(2), name=chain(2).name)
-    other = next(h for h in pm_morphisms(impostor, impostor)
-                 if all(h(a) == a for a in impostor.elements))
-    with pytest.raises(ValueError, match="composition mismatch"):
-        other.compose(homs12[0])
 
 
 def test_conjugation_by_bottom_is_identity():
@@ -103,6 +87,46 @@ def test_mapping_theorem_on_small_pairs():
     assert verify_mapping_theorem(chain(1), chain(1))
     assert verify_mapping_theorem(chain(1), chain(2))
     assert verify_mapping_theorem(chain(2), chain(1))
+
+
+def test_mapping_theorem_fails_when_the_level_counts_differ(monkeypatch):
+    real = mapping.mapping_complex
+    monkeypatch.setattr(mapping, "mapping_complex", lambda X, Y: real(X, X))
+    assert not verify_mapping_theorem(chain(1), chain(2))
+
+
+def test_explicit_labeling_rejects_every_broken_input():
+    E, F = chain(1), chain(2)
+    hob = hom_object_ea(E, F)
+    NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
+    M = mapping_complex(NE, NF)
+    assert _candidate_isomorphism(hob, E, F, NE, NF, M) is not None
+    C = M.complex
+
+    def variant(vertices=(), loops=(), triangles=C.triangles):
+        # M over C plus new vertices and new loops at C's first vertex, with
+        # the given triangles.
+        fresh = tuple(f"id-{v}" for v in vertices)
+        ends = {**{i: v for i, v in zip(fresh, vertices)},
+                **{e: C.vertices[0] for e in loops}}
+        return dataclasses.replace(M, complex=make_complex(
+            C.name, C.vertices + tuple(vertices), C.edges + fresh + tuple(loops),
+            {**C.src, **ends}, {**C.tgt, **ends},
+            {**C.identity, **dict(zip(vertices, fresh))}, triangles, C.marked))
+
+    # Each component's carrier widened to all of F, so that some h(1) + x
+    # is undefined.
+    wide = dataclasses.replace(hob, components=tuple(
+        dataclasses.replace(c, carrier=F.elements) for c in hob.components))
+    broken = [
+        (wide, M),
+        (hob, dataclasses.replace(M, vertex_index={})),
+        (hob, variant(triangles=C.triangles - {C.nondegenerate_triangles()[0]})),
+        (hob, variant(vertices=("extra",))),
+        (hob, variant(loops=("extra",))),
+    ]
+    for h, target in broken:
+        assert _candidate_isomorphism(h, E, F, NE, NF, target) is None
 
 
 def test_hom_object_rejects_tables_that_are_not_effect_algebras():

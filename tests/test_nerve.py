@@ -12,8 +12,7 @@ from relfa.nerve import (
     RECOGNITION_SHAPES,
     cross_validate,
     element_endpoints,
-    marked_in_edges,
-    marked_out_edges,
+    marked_edges,
     nerve,
     nerve_to_algebra,
     recognize_nerve,
@@ -113,7 +112,7 @@ def test_rotations_are_mutually_inverse_bijections():
         for e in N.edges:
             assert beta[alpha[e]] == e
             assert alpha[beta[e]] == e
-        out, incoming = marked_out_edges(N), marked_in_edges(N)
+        out, incoming = marked_edges(N)
         assert set(out) == set(N.vertices)
         assert set(incoming) == set(N.vertices)
 

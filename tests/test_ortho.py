@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from relfa.algebra import PseudoEffectAlgebraTable, RelFA, to_relfa, validate
+from relfa.algebra import PseudoEffectAlgebraTable, RelFA, SumTable, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
+from relfa.complexes import ComplexMorphism, braiding_shape, check_lifting
 from relfa.enumerate_small import enumerate_small
 from relfa.nerve import nerve, rotations
 from relfa.ortho import (
@@ -181,6 +182,37 @@ def test_coherence_check_frozen_verdicts():
     assert coherence_check(boolean(2)) == (True, None)
     assert coherence_check(chain(2)) == (False, ("1", "1", "1"))
     assert coherence_check(wright_triangle()) == (False, ("a", "c", "e"))
+
+
+def test_coherence_is_the_orthomodular_poset_flag_on_orthoalgebras(catalog):
+    # On an orthoalgebra, coherence and being an orthomodular poset coincide.
+    tables = [t for t in catalog.values() if isinstance(t, SumTable)]
+    tables += [t for n in range(1, 6) for t in enumerate_small(n, "effect-algebra")]
+    verdicts = {}
+    for t in tables:
+        flags = classify(to_relfa(t))
+        if flags.orthoalgebra:
+            assert coherence_check(t)[0] == flags.orthomodular_poset, t.name
+            verdicts[t.name] = flags.orthomodular_poset
+    assert len(verdicts) == 9
+    assert [name for name, omp in verdicts.items() if not omp] == ["wright-triangle"]
+
+
+def test_braided_witness_is_a_boundary_without_a_filler():
+    F = next(x for x in enumerate_small(2, "frobenius-candidates")
+             if x.name == "relfa(ea2_0)+mu:0,1,0")
+    flags = classify(F)
+    assert flags.braided is False
+    witness = flags.witnesses["braided"]
+    assert witness["extensions"] == 0
+    N = nerve(F)
+    side = "left" if "a1" in witness["boundary"]["edges"] else "right"
+    shape = braiding_shape(side)
+    vmap = witness["boundary"]["vertices"]
+    emap = {shape.domain.identity[v]: N.identity[vmap[v]] for v in vmap}
+    emap.update(witness["boundary"]["edges"])
+    ComplexMorphism(shape.domain, N, vmap, emap).check()
+    assert not check_lifting(shape, N, mode="exists").passed
 
 
 def test_inverse_analysis_on_a_group_element():
