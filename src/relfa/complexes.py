@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -134,12 +133,18 @@ class ComplexMorphism:
 
     def check(self) -> None:
         X, Y = self.domain, self.codomain
+        for cells, images in ((X.vertices, self.vertex_map), (X.edges, self.edge_map)):
+            for c in cells:
+                if c not in images:
+                    raise ValueError(f"{c!r} has no image")
+        yvertices = set(Y.vertices)
         for v in X.vertices:
-            if self.vertex_map[v] not in set(Y.vertices):
+            if self.vertex_map[v] not in yvertices:
                 raise ValueError(f"vertex image {self.vertex_map[v]!r} missing")
         for e in X.edges:
             fe = self.edge_map[e]
-            if Y.src[fe] != self.vertex_map[X.src[e]] or Y.tgt[fe] != self.vertex_map[X.tgt[e]]:
+            if Y.src.get(fe) != self.vertex_map[X.src[e]] or \
+                    Y.tgt.get(fe) != self.vertex_map[X.tgt[e]]:
                 raise ValueError(f"edge {e!r} endpoints not preserved")
         for v in X.vertices:
             if self.edge_map[X.identity[v]] != Y.identity[self.vertex_map[v]]:
@@ -170,13 +175,17 @@ class _TargetIndex:
 
     ``d0_of[(d1, d2)]`` lists every edge completing the faces ``d1, d2`` to a
     triangle, and likewise ``d1_of[(d0, d2)]`` and ``d2_of[(d0, d1)]``; each
-    list is in declared edge order, as is every ``by_endpoints`` list."""
+    list is in declared edge order, as is every ``by_endpoints`` list.
+    ``marked_endpoints`` holds the endpoint pairs of marked edges, and
+    ``marked_id_vertices`` the vertices with a marked identity."""
 
     def __init__(self, Y: TruncatedEpsilonComplex):
         self.Y = Y
         self.by_endpoints: dict[tuple[str, str], list[str]] = {}
         for e in Y.edges:
             self.by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
+        self.marked_endpoints = {(Y.src[e], Y.tgt[e]) for e in Y.marked}
+        self.marked_id_vertices = [w for w in Y.vertices if Y.identity[w] in Y.marked]
         self.d0_of: dict[tuple[str, str], list[str]] = {}
         self.d1_of: dict[tuple[str, str], list[str]] = {}
         self.d2_of: dict[tuple[str, str], list[str]] = {}
@@ -253,28 +262,38 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     is the target of ``index``.
 
     Edges of D marked only in C, and triangles of C outside D with every
-    edge in D, are checked once up front.  Vertices of C outside D are then
-    assigned in every combination, and the other non-identity edges one at
-    a time in ``_edge_order`` with forward checking: an edge that completes
-    a triangle takes its candidates from the target's face table for the
-    images of the triangle's other two faces, and is then tested against the
-    other triangles it closes.  Candidates come in the target's declared
-    edge order, so the sequence is that of a plain backtracking search over
-    ``by_endpoints``.  The search keeps an explicit stack of candidate
-    iterators.  Each extension is yielded as the pair ``(vmap, emap)`` of
-    dicts the search goes on updating: copy them to keep them."""
+    edge in D, are checked once up front.  The search then keeps one
+    explicit stack of candidate iterators.  Vertices of C outside D come
+    first, in C's order: each tries Y's vertices in declared order (those
+    with a marked identity if its own is marked) and keeps an image only if
+    every non-identity edge of C outside D with both endpoints now assigned
+    has a candidate, marked if the edge is, between the images.  The other
+    non-identity edges follow in ``_edge_order`` with forward checking: an
+    edge that completes a triangle takes its candidates from the target's
+    face table for the images of the triangle's other two faces, and is then
+    tested against the other triangles it closes.  A pruned prefix has no
+    extensions and candidates come in the target's declared order, so the
+    sequence is that of a plain backtracking search over every vertex tuple
+    and ``by_endpoints``.  Each extension is yielded as the pair ``(vmap,
+    emap)`` of dicts the search goes on updating: copy them to keep them."""
     Y = index.Y
     known = frozenset(D.edges)
     plan = _search_plan(C, _edge_order(C, known))
-    depth = len(plan)
     ready = sorted(t for t in C.triangles
                    if t not in D.triangles and all(x in known for x in t))
     newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
     dvertices = set(D.vertices)
-    new_vertices = [(v, C.identity[v]) for v in C.vertices if v not in dvertices]
-    marked_ids = [iv for _, iv in new_vertices if iv in C.marked]
-    tables = (index.d0_of, index.d1_of, index.d2_of)
+    new_vertices = [v for v in C.vertices if v not in dvertices]
+    step_of = dict.fromkeys(D.vertices, -1) | {v: i for i, v in enumerate(new_vertices)}
+    vsteps = [(v, C.identity[v], index.marked_id_vertices if C.identity[v] in C.marked
+               else Y.vertices, []) for v in new_vertices]
     by_endpoints = index.by_endpoints
+    for _, s, t, marked, _, _ in plan:
+        if max(step_of[s], step_of[t]) >= 0:
+            vsteps[max(step_of[s], step_of[t])][3].append(
+                (s, t, index.marked_endpoints if marked else by_endpoints))
+    nv, depth = len(vsteps), len(vsteps) + len(plan)
+    tables = (index.d0_of, index.d1_of, index.d2_of)
     ysrc, ytgt, ytris, ymarked, yidentity = Y.src, Y.tgt, Y.triangles, Y.marked, Y.identity
 
     def extensions(vmap: dict[str, str], emap: dict[str, str]):
@@ -282,43 +301,53 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
                 any((emap[a], emap[b], emap[c]) not in ytris for a, b, c in ready):
             return
         vmap, emap = dict(vmap), dict(emap)
-        for images in itertools.product(Y.vertices, repeat=len(new_vertices)):
-            for (v, iv), w in zip(new_vertices, images):
-                vmap[v] = w
-                emap[iv] = yidentity[w]
-            if any(emap[iv] not in ymarked for iv in marked_ids):
-                continue
-            stack: list = []
-            while True:
-                if len(stack) < depth:
-                    _, s, t, marked, lookup, _ = plan[len(stack)]
-                    vs, vt = vmap[s], vmap[t]
-                    if lookup is None:
-                        vals = by_endpoints.get((vs, vt), ())
-                    else:
-                        slot, a, b = lookup
-                        vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
-                                if ysrc[y] == vs and ytgt[y] == vt]
-                    if marked:
-                        vals = [y for y in vals if y in ymarked]
-                    stack.append(iter(vals))
+        stack: list = []
+        while True:
+            if len(stack) < nv:
+                stack.append(iter(vsteps[len(stack)][2]))
+            elif len(stack) < depth:
+                _, s, t, marked, lookup, _ = plan[len(stack) - nv]
+                vs, vt = vmap[s], vmap[t]
+                if lookup is None:
+                    vals = by_endpoints.get((vs, vt), ())
                 else:
-                    yield vmap, emap
-                while stack:
-                    e, _, _, _, _, checks = plan[len(stack) - 1]
-                    for val in stack[-1]:
-                        emap[e] = val
-                        for tri in checks:
-                            if (emap[tri[0]], emap[tri[1]], emap[tri[2]]) not in ytris:
+                    slot, a, b = lookup
+                    vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
+                            if ysrc[y] == vs and ytgt[y] == vt]
+                if marked:
+                    vals = [y for y in vals if y in ymarked]
+                stack.append(iter(vals))
+            else:
+                yield vmap, emap
+            while stack:
+                if len(stack) <= nv:
+                    v, iv, _, edges = vsteps[len(stack) - 1]
+                    for w in stack[-1]:
+                        vmap[v] = w
+                        for s, t, pairs in edges:
+                            if (vmap[s], vmap[t]) not in pairs:
                                 break
                         else:
+                            emap[iv] = yidentity[w]
                             break
                     else:
                         stack.pop()
                         continue
                     break
+                e, _, _, _, _, checks = plan[len(stack) - nv - 1]
+                for val in stack[-1]:
+                    emap[e] = val
+                    for tri in checks:
+                        if (emap[tri[0]], emap[tri[1]], emap[tri[2]]) not in ytris:
+                            break
+                    else:
+                        break
                 else:
-                    break
+                    stack.pop()
+                    continue
+                break
+            else:
+                break
 
     return extensions
 

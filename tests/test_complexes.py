@@ -44,6 +44,7 @@ from relfa.complexes import (
     subcomplex_on_faces,
     wedge_shape,
 )
+from relfa.enumerate_small import enumerate_small
 from relfa.mapping import mapping_complex
 from relfa.nerve import nerve
 
@@ -207,8 +208,15 @@ def test_morphism_check_rejects_each_broken_condition():
     Z2 = nerve(cyclic_group_algebra(2))
     (loop,) = Z2.nonidentity_edges()
     cases = [
+        (ComplexMorphism(simplex(1), simplex(1), {"0": "0"},
+                         {"00": "00", "01": "01", "11": "11"}),
+         "'1' has no image"),
+        (ComplexMorphism(simplex(1), simplex(1), {"0": "0", "1": "1"}, {"00": "00", "11": "11"}),
+         "'01' has no image"),
         (ComplexMorphism(simplex(0), simplex(0), {"0": "9"}, {"00": "00"}),
          "vertex image '9' missing"),
+        (ComplexMorphism(simplex(0), simplex(0), {"0": "0"}, {"00": "9"}),
+         "edge '00' endpoints not preserved"),
         (ComplexMorphism(simplex(1), simplex(1), {"0": "0", "1": "1"},
                          {"00": "00", "01": "00", "11": "11"}),
          "edge '01' endpoints not preserved"),
@@ -314,6 +322,14 @@ ORACLE_TARGETS = (
     ("group_algebra(Z/2)", nerve(cyclic_group_algebra(2)), SHAPE_NAMES + SMALL_BOXES),
     ("boolean(2)", nerve(to_relfa(boolean(2))), SHAPE_NAMES + SMALL_BOXES[:2]),
     ("multivalued", _multivalued_target(), SHAPE_NAMES + SMALL_BOXES[:2]),
+    # Targets with more than one vertex, so that the search steps through
+    # vertex images: 2 vertices and 3 non-loop edges, 1 of them marked and
+    # no marked identity; 5 vertices, 1 marked identity and 3 marked
+    # non-loop edges.
+    ("product", product(simplex(1, marked_top=True), nerve(to_relfa(chain(2)))), SHAPE_NAMES),
+    ("[chain(1),pea5_4]", mapping_complex(
+        nerve(to_relfa(chain(1))),
+        nerve(to_relfa(enumerate_small(5, "pseudo-effect-algebra")[4]))).complex, SHAPE_NAMES),
 )
 
 

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from relfa import mapping
-from relfa.algebra import to_relfa, validate
+from relfa.algebra import PseudoEffectAlgebraTable, to_relfa, validate
 from relfa.catalog import boolean, chain
 from relfa.complexes import hom_maps, make_complex
 from relfa.enumerate_small import enumerate_small
@@ -184,6 +184,36 @@ def test_eval_fibration_check_passes_and_reports():
     assert report.passed
     names = [c.name for c in report.checks]
     assert names == [f"{s.name}:unique-relative-lift" for s in FIBRATION_SHAPES]
+
+
+def cyclic_pea(n):
+    """The pseudo effect algebra on 0, 1 and atoms a_1..a_n whose only
+    nontrivial sums are a_i + a_{i+1} = 1, indices mod n; it is not
+    commutative for n >= 3."""
+    atoms = "abcdef"[:n]
+    sums = {("0", x): x for x in ("0", "1") + tuple(atoms)}
+    sums.update({(x, "0"): x for x in ("1",) + tuple(atoms)})
+    sums.update({(atoms[i], atoms[(i + 1) % n]): "1" for i in range(n)})
+    return PseudoEffectAlgebraTable(f"cyclic_pea({n})", ("0",) + tuple(atoms) + ("1",),
+                                    "0", "1", sums)
+
+
+FIBRATION_PEA_PAIRS = [pair for n in range(3, 7)
+                       for pair in ((chain(1), cyclic_pea(n)), (cyclic_pea(n), chain(2)),
+                                    (cyclic_pea(n), cyclic_pea(n)))] + [(boolean(3), boolean(3))]
+
+
+@pytest.mark.parametrize("pair", FIBRATION_PEA_PAIRS,
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_eval_fibration_check_passes_on_pseudo_effect_algebras(pair):
+    assert eval_fibration_check(*pair).passed
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_cyclic_pea_is_a_pea_and_not_commutative(n):
+    assert validate("pseudo-effect-algebra", cyclic_pea(n)).passed
+    report = validate("effect-algebra", cyclic_pea(n))
+    assert [c.name for c in report.checks if not c.passed] == ["commutativity"]
 
 
 def _oracle_relative_lift_witness(shape, p):
