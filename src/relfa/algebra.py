@@ -246,12 +246,8 @@ def _table_checks_common(t: SumTable, commutative: bool) -> list[CheckResult]:
 
 def _validate_effect_algebra(t: SumTable) -> ValidationReport:
     checks = _table_checks_common(t, commutative=True)
-    witness = None
-    for a in t.elements:
-        partners = [b for b in t.elements if t.sum_of(a, b) == t.one]
-        if len(partners) != 1:
-            witness = (a, tuple(partners))
-            break
+    witness = next(((a, tuple(right)) for a, (_, right) in _partners(t).items()
+                    if len(right) != 1), None)
     checks.append(CheckResult(
         "unique-supplement", witness is None, witness,
         "every a has exactly one a' with a+a' = 1"))
@@ -262,13 +258,9 @@ def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
     checks = _table_checks_common(t, commutative=False)
     els = t.elements
 
-    witness = None
-    for a in els:
-        left = [b for b in els if t.sum_of(b, a) == t.one]
-        right = [b for b in els if t.sum_of(a, b) == t.one]
-        if len(left) != 1 or len(right) != 1:
-            witness = (a, tuple(left), tuple(right))
-            break
+    witness = next(((a, tuple(left), tuple(right))
+                    for a, (left, right) in _partners(t).items()
+                    if len(left) != 1 or len(right) != 1), None)
     checks.append(CheckResult(
         "unique-supplements", witness is None, witness,
         "every a has exactly one left and one right supplement to 1"))
@@ -289,7 +281,7 @@ def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
     report = ValidationReport("pseudo-effect-algebra", t.name, tuple(checks))
     if report.passed:
         witness = None
-        supp = supplements(t, "pseudo-effect-algebra")
+        supp = supplements(t)
         order = derived_order(t)
         for a, b in itertools.product(els, els):
             below = (b, supp[a][0]) in order
@@ -435,6 +427,16 @@ def validate(kind: str, structure) -> ValidationReport:
     return check(structure)
 
 
+def _require(kind: str, noun: str, *structures) -> None:
+    """Raise ValueError, naming the failing checks, unless every structure
+    validates as ``kind``."""
+    for t in structures:
+        rep = validate(kind, t)
+        if not rep.passed:
+            raise ValueError(f"{t.name} is not {noun}: fails "
+                             + ", ".join(c.name for c in rep.failing()))
+
+
 # ---------------------------------------------------------------------------
 # Derived structure
 
@@ -449,42 +451,36 @@ def derived_order(t: SumTable) -> frozenset[tuple[str, str]]:
     return frozenset(out)
 
 
-def upper_bounds(t: SumTable, a: str, b: str, order=None) -> list[str]:
-    order = order if order is not None else derived_order(t)
-    return [u for u in t.elements if (a, u) in order and (b, u) in order]
-
-
 def join(t: SumTable, a: str, b: str, order=None) -> str | None:
     """Least upper bound of a and b, or None if it does not exist."""
     order = order if order is not None else derived_order(t)
-    ubs = upper_bounds(t, a, b, order)
+    ubs = [u for u in t.elements if (a, u) in order and (b, u) in order]
     for u in ubs:
         if all((u, v) in order for v in ubs):
             return u
     return None
 
 
-def supplements(t: SumTable, kind: str):
-    """Supplement map.  Effect algebras: a -> a'.  Pseudo effect algebras:
-    a -> (left, right) with left + a = 1 = a + right."""
-    if kind == "effect-algebra":
-        out: dict[str, str] = {}
-        for a in t.elements:
-            partners = [b for b in t.elements if t.sum_of(a, b) == t.one]
-            if len(partners) != 1:
-                raise ValueError(f"{t.name}: element {a!r} has {len(partners)} supplements")
-            out[a] = partners[0]
-        return out
-    if kind == "pseudo-effect-algebra":
-        out2: dict[str, tuple[str, str]] = {}
-        for a in t.elements:
-            left = [b for b in t.elements if t.sum_of(b, a) == t.one]
-            right = [b for b in t.elements if t.sum_of(a, b) == t.one]
-            if len(left) != 1 or len(right) != 1:
-                raise ValueError(f"{t.name}: element {a!r} lacks unique supplements")
-            out2[a] = (left[0], right[0])
-        return out2
-    raise ValueError(f"unknown table kind {kind!r}")
+def _partners(t: SumTable) -> dict[str, tuple[list[str], list[str]]]:
+    """Each element's left partners (b + a = 1) and right partners
+    (a + b = 1), both in carrier order."""
+    partners: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in t.elements}
+    for a, b in itertools.product(t.elements, t.elements):
+        if t.sum_of(a, b) == t.one:
+            partners[b][0].append(a)
+            partners[a][1].append(b)
+    return partners
+
+
+def supplements(t: SumTable) -> dict[str, tuple[str, str]]:
+    """Supplement map a -> (left, right) with left + a = 1 = a + right.  In
+    an effect algebra both are the unique supplement a'."""
+    out: dict[str, tuple[str, str]] = {}
+    for a, (left, right) in _partners(t).items():
+        if len(left) != 1 or len(right) != 1:
+            raise ValueError(f"{t.name}: element {a!r} lacks unique supplements")
+        out[a] = (left[0], right[0])
+    return out
 
 
 def height_order(t: SumTable) -> list[str]:
@@ -500,35 +496,39 @@ def height_order(t: SumTable) -> list[str]:
 # Sum tables as relational algebras
 
 
+def _transport_delta(elements, beta: dict[str, str], triangles) -> frozenset:
+    """Triples (z, x, y) with (beta[y], beta[z], beta[x]) a triangle: one
+    pass over the triangles through the preimages of beta, which need not
+    be injective."""
+    preimages: dict[str, list[str]] = {}
+    for e in elements:
+        preimages.setdefault(beta[e], []).append(e)
+    return frozenset((z, x, y)
+                     for t0, t1, t2 in triangles
+                     for y in preimages.get(t0, ())
+                     for z in preimages.get(t1, ())
+                     for x in preimages.get(t2, ()))
+
+
 def to_relfa(t: SumTable) -> RelFA:
     """Translate a sum table into a relational algebra.
 
-    The table is read as its class's ``kind``: only a
-    ``PseudoEffectAlgebraTable`` is read as a pseudo effect algebra.
     mu(x, y) contains y + x (composition order); eta = {0}; epsilon = {1};
     delta(z) contains (x, y) iff z~ = x~ + y~ where a~ is the right
     supplement (for effect algebras the unique supplement a').
     """
-    supp = supplements(t, t.kind)
-    right = supp if t.kind == "effect-algebra" else {a: s[1] for a, s in supp.items()}
-
+    right = {a: r for a, (_, r) in supplements(t).items()}
     mu = frozenset((x, y, c) for (y, x), c in t.sums.items())
-    # delta(z) holds (x, y) when right[x] + right[y] = right[z]: go over the
-    # defined sums through the preimages of the right supplement map.
-    preimages: dict[str, list[str]] = {}
-    for a in t.elements:
-        preimages.setdefault(right[a], []).append(a)
-    delta = {(z, x, y)
-             for (p, q), s in t.sums.items()
-             for x in preimages.get(p, ())
-             for y in preimages.get(q, ())
-             for z in preimages.get(s, ())}
+    # delta(z) holds (x, y) when right[x] + right[y] = right[z]: the defined
+    # sums p + q = s, read as triangles (q, s, p), transported through right.
+    delta = _transport_delta(t.elements, right,
+                             ((q, s, p) for (p, q), s in t.sums.items()))
     return RelFA(
         name=f"relfa({t.name})",
         elements=t.elements,
         mu=mu,
         eta=frozenset({t.zero}),
-        delta=frozenset(delta),
+        delta=delta,
         epsilon=frozenset({t.one}),
         notes=(
             "mu(x, y) contains z iff z = y + x (composition order)",

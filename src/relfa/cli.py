@@ -363,41 +363,51 @@ def cmd_catalog(args, seed):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The global flags work before or after the subcommand; SUPPRESS keeps a
+    # subparser from overwriting them, and main() supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="print the report as byte-stable JSON")
+    common.add_argument("--seed-order", choices=SEED_ORDERS, default=argparse.SUPPRESS,
+                        help="identifier order of loaded structures")
     parser = argparse.ArgumentParser(
-        prog="fa",
+        prog="fa", parents=[common],
         description="Workbench for finite sum tables, relational algebras, "
                     "and their marked complexes.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("validate", help="check the axioms of a structure file")
+    def sub(name: str, help: str) -> argparse.ArgumentParser:
+        return subparsers.add_parser(name, help=help, parents=[common])
+
+    p = sub("validate", help="check the axioms of a structure file")
     p.add_argument("file")
     p.add_argument("--kind", choices=VALIDATE_KINDS)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("classify", help="classification flags of an algebra")
+    p = sub("classify", help="classification flags of an algebra")
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("nerve", help="build the marked complex of an algebra")
+    p = sub("nerve", help="build the marked complex of an algebra")
     p.add_argument("file")
     p.add_argument("--out", help="write the complex to this path")
     p.set_defaults(func=cmd_nerve)
 
-    p = sub.add_parser("homology", help="first homology / universal group")
+    p = sub("homology", help="first homology / universal group")
     p.add_argument("file")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("hom", help="mapping structure between two tables")
+    p = sub("hom", help="mapping structure between two tables")
     p.add_argument("source")
     p.add_argument("target")
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("kan", help="evaluation fibration check for two tables")
+    p = sub("kan", help="evaluation fibration check for two tables")
     p.add_argument("source")
     p.add_argument("target")
     p.set_defaults(func=cmd_kan)
 
-    p = sub.add_parser("lift", help="lifting property of a shape against a structure")
+    p = sub("lift", help="lifting property of a shape against a structure")
     p.add_argument("shape", help="shape name, e.g. horn-2-1 or "
                                  "box(horn-2-0,boundary-1)")
     p.add_argument("file")
@@ -405,13 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="require exactly one extension")
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("enumerate", help="enumerate small structures")
+    p = sub("enumerate", help="enumerate small structures")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--kind", required=True, choices=ENUM_KINDS)
     p.add_argument("--emit", help="write each structure to this directory")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("catalog", help="builtin structure registry")
+    p = sub("catalog", help="builtin structure registry")
     p.add_argument("action", choices=("list", "show", "export"))
     p.add_argument("name", nargs="?")
     p.add_argument("--out", help="export destination path")
@@ -420,44 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_globals(argv: list[str]) -> tuple[bool, str, list[str], str | None]:
-    json_out = False
-    seed = "declared"
-    rest: list[str] = []
-    error = None
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if a == "--json":
-            json_out = True
-        elif a == "--seed-order":
-            if i + 1 >= len(argv):
-                error = "--seed-order needs a value"
-            else:
-                i += 1
-                seed = argv[i]
-        elif a.startswith("--seed-order="):
-            seed = a.split("=", 1)[1]
-        else:
-            rest.append(a)
-        i += 1
-    if error is None and seed not in SEED_ORDERS:
-        error = (f"--seed-order must be one of {', '.join(SEED_ORDERS)}, "
-                 f"got {seed!r}")
-    return json_out, seed, rest, error
-
-
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    json_out, seed, rest, error = _extract_globals(raw)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
     try:
-        args = parser.parse_args(rest)
+        args = _build_parser().parse_args(
+            raw, argparse.Namespace(json=False, seed_order="declared"))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    json_out, seed = args.json, args.seed_order
 
     def emit_error(message: str, status: int = 2) -> int:
         if json_out:

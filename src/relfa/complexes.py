@@ -679,6 +679,8 @@ def _face_shape(name: str, n: int, faces, dom_name: str,
 
 
 def horn(n: int, i: int) -> ShapeInclusion:
+    if not 0 <= i <= n or n < 1:
+        raise ValueError(f"horn-{n}-{i}: horns need n >= 1 and 0 <= i <= n")
     return _face_shape(f"horn-{n}-{i}", n, _faces_of(n, {i}), f"horn{n}_{i}_dom")
 
 
@@ -714,6 +716,8 @@ def wedge_shape() -> ShapeInclusion:
 
 
 def vertex_in_edge_shape(i: int) -> ShapeInclusion:
+    if i not in (0, 1):
+        raise ValueError(f"vertex-{i}-in-edge: an edge has vertices 0 and 1")
     return _face_shape(f"vertex-{i}-in-edge", 1, [frozenset({str(i)})], f"vertex{i}_dom")
 
 
@@ -789,35 +793,22 @@ def shape_from_name(name: str) -> ShapeInclusion:
                 return box_inclusion(shape_from_name(inner[:i]),
                                      shape_from_name(inner[i + 1:]))
         raise ValueError(f"malformed box shape name {name!r}")
-    parts = name.split("-")
-    if parts[0] == "horn" and len(parts) == 3:
-        return horn(int(parts[1]), int(parts[2]))
-    if parts[0] == "ehorn" and len(parts) == 3:
-        return marked_horn(int(parts[1]), int(parts[2]))
-    if parts[0] == "boundary" and len(parts) == 2:
-        return boundary(int(parts[1]))
-    if parts[0] == "assoc" and len(parts) == 2:
-        return assoc_shape(parts[1])
-    if name == "mark-edge":
-        return mark_edge_shape()
-    if name == "wedge-02-1":
-        return wedge_shape()
-    if parts[0] == "vertex" and len(parts) == 4:
-        return vertex_in_edge_shape(int(parts[1]))
-    if parts[0] == "braiding" and len(parts) == 2:
-        return braiding_shape(parts[1])
-    raise ValueError(f"unknown shape name {name!r}")
+    if name not in _NAMED_SHAPES:
+        raise ValueError(f"unknown shape name {name!r}")
+    make, args = _NAMED_SHAPES[name]
+    return make(*args)
 
 
-SHAPE_NAMES = (
-    "horn-1-0", "horn-1-1", "horn-2-0", "horn-2-1", "horn-2-2",
-    "horn-3-0", "horn-3-1", "horn-3-2", "horn-3-3",
-    "ehorn-1-0", "ehorn-1-1", "ehorn-2-0", "ehorn-2-2", "ehorn-3-0", "ehorn-3-3",
-    "boundary-0", "boundary-1", "boundary-2", "boundary-3",
-    "assoc-02", "assoc-13", "mark-edge", "wedge-02-1",
-    "vertex-0-in-edge", "vertex-1-in-edge",
-    "braiding-left", "braiding-right",
-)
+_NAMED_SHAPES = {
+    **{f"horn-{n}-{i}": (horn, (n, i)) for n in (1, 2, 3) for i in range(n + 1)},
+    **{f"ehorn-{n}-{i}": (marked_horn, (n, i)) for n in (1, 2, 3) for i in (0, n)},
+    **{f"boundary-{n}": (boundary, (n,)) for n in range(4)},
+    **{f"assoc-{w}": (assoc_shape, (w,)) for w in ("02", "13")},
+    "mark-edge": (mark_edge_shape, ()), "wedge-02-1": (wedge_shape, ()),
+    **{f"vertex-{i}-in-edge": (vertex_in_edge_shape, (i,)) for i in (0, 1)},
+    **{f"braiding-{side}": (braiding_shape, (side,)) for side in ("left", "right")},
+}
+SHAPE_NAMES = tuple(_NAMED_SHAPES)
 
 
 # ---------------------------------------------------------------------------

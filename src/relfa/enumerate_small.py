@@ -27,11 +27,12 @@ from .algebra import (
     PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
+    _transport_delta,
     to_relfa,
     validate,
 )
 from .catalog import cyclic_group_algebra, klein_group_algebra
-from .nerve import _transport_delta, nerve, rotations
+from .nerve import nerve, rotations
 
 TABLE_BOUND = 5
 RELATIONAL_BOUND = 2
@@ -332,11 +333,10 @@ def _candidate_stream(limit: int) -> tuple[RelFA, ...]:
             out.append(c)
 
     for m in range(1, limit + 1):
-        bases: list[RelFA] = []
+        bases: dict[tuple, RelFA] = {}
 
         def base(c: RelFA) -> None:
-            if all(c.signature() != b.signature() for b in bases):
-                bases.append(c)
+            bases.setdefault(c.signature(), c)
 
         for t in enumerate_small(m, "effect-algebra"):
             base(to_relfa(t))
@@ -349,7 +349,7 @@ def _candidate_stream(limit: int) -> tuple[RelFA, ...]:
         if m <= RELATIONAL_BOUND:
             for c in enumerate_small(m, "frobenius"):
                 base(c)
-        for b in bases:
+        for b in bases.values():
             add(b)
             for mut in _mutations(b):
                 add(mut)

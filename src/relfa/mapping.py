@@ -18,6 +18,7 @@ from .algebra import (
     RelFA,
     SumTable,
     ValidationReport,
+    _require,
     derived_order,
     height_order,
     relabel_relfa,
@@ -122,9 +123,8 @@ def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:
 
     Requires b below the left supplement of f(1); the result is checked to
     preserve bottom and defined sums."""
-    supp = supplements(F, F.kind)
     f1 = f.image[f.source.one]
-    left = supp[f1][0] if F.kind == "pseudo-effect-algebra" else supp[f1]
+    left = supplements(F)[f1][0]
     order = derived_order(F)
     if (b, left) not in order:
         raise ValueError(f"{b!r} is not below the left supplement of f(1)={f1!r}")
@@ -273,16 +273,6 @@ class HomObject:
     components: tuple[HomObjectComponent, ...] = field(repr=False)
 
 
-def _require(kind: str, noun: str, *tables: SumTable) -> None:
-    """Raise ValueError, naming the failing checks, unless every table
-    validates as ``kind``."""
-    for t in tables:
-        rep = validate(kind, t)
-        if not rep.passed:
-            raise ValueError(f"{t.name} is not {noun}: fails "
-                             + ", ".join(c.name for c in rep.failing()))
-
-
 def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     """The disjoint union, over all sum-preserving maps h: E -> F, of the
     relational algebra of the interval [0, h(1)'] in F.  Elements are named
@@ -290,12 +280,12 @@ def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     block came from.  Raises ValueError unless E and F are effect algebras."""
     _require("effect-algebra", "an effect algebra", E, F)
     homs = pm_morphisms(E, F)
-    supp = supplements(F, "effect-algebra")
+    supp = supplements(F)
     elements: list[str] = []
     mu, eta, delta, eps = set(), set(), set(), set()
     comps = []
     for i, h in enumerate(homs):
-        top = supp[h.image[E.one]]
+        top = supp[h.image[E.one]][1]
         block = interval_algebra(F, top)
         if not validate("effect-algebra", block).passed:
             raise InvariantError(f"{block.name} is not an effect algebra")
@@ -411,9 +401,12 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
         homs[key] = hom_maps(B, total), hom_maps(B, base)
     vs, ws = homs[key]
 
+    # The key of p∘f, read off the key of f through p's cell maps: mapping
+    # complexes name vertices h{i} and edges e{i}, so one merged dict does.
+    cells = {**p.vertex_map, **p.edge_map}
     lifts: dict[tuple, int] = {}
     for v in vs:
-        k = (v.key(of=A), p.compose(v).key())
+        k = (v.key(of=A), tuple(cells[c] for c in v.key()))
         lifts[k] = lifts.get(k, 0) + 1
     ws_by_restriction: dict[tuple, list[ComplexMorphism]] = {}
     for w in ws:
@@ -425,7 +418,7 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
     first: tuple | None = None
     for u in hom_maps_iter(A, total):
         u_key = u.key()
-        for w in ws_by_restriction.get(p.compose(u).key(), ()):
+        for w in ws_by_restriction.get(tuple(cells[c] for c in u_key), ()):
             squares += 1
             square = (u_key, w.key())
             n = lifts.get(square, 0)
@@ -542,7 +535,7 @@ def hom_complex_invariants(E: SumTable, F: SumTable) -> dict:
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
     C = M.complex
-    supp = supplements(F, "effect-algebra")
+    supp = supplements(F)
     order = derived_order(F)
     homs = {h.key(): h for h in pm_morphisms(E, F)}
 
@@ -554,7 +547,7 @@ def hom_complex_invariants(E: SumTable, F: SumTable) -> dict:
         if tuple(image[a] for a in E.elements) not in homs:
             loops_are_intervals = False
             break
-        top = supp[image[E.one]]
+        top = supp[image[E.one]][1]
         interval = {x for x in F.elements if (x, top) in order}
         loops = [e for e in C.edges if C.src[e] == v and C.tgt[e] == v]
         extracted = [M.edge_refs[e].edge_map[f"01|{E.zero}"] for e in loops]

@@ -12,7 +12,7 @@ rotating the multiplication through marked fillers.
 
 from __future__ import annotations
 
-from .algebra import CheckResult, RelFA, ValidationReport, validate
+from .algebra import CheckResult, RelFA, ValidationReport, _transport_delta, validate
 from .complexes import (
     TruncatedEpsilonComplex,
     _TargetIndex,
@@ -50,13 +50,10 @@ def nerve(A: RelFA) -> TruncatedEpsilonComplex:
     vertices = unit_vertices(A)
     src, tgt = element_endpoints(A)
     identity = {u: u for u in vertices}
-    triangles = []
-    for (x, y, z) in A.mu:
-        triangles.append((x, z, y))
     return make_complex(
         f"nerve({A.name})",
         vertices, tuple(A.elements), src, tgt, identity,
-        triangles, frozenset(A.epsilon))
+        [(x, z, y) for x, y, z in A.mu], frozenset(A.epsilon))
 
 
 RECOGNITION_SHAPES: tuple[tuple[str, str], ...] = (
@@ -130,34 +127,16 @@ def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str
     return alpha, beta
 
 
-def _transport_delta(elements, beta: dict[str, str], triangles) -> frozenset:
-    """Triples (z, x, y) with (beta[y], beta[z], beta[x]) a triangle: one
-    pass over the triangles through the preimages of beta, which need not
-    be injective."""
-    preimages: dict[str, list[str]] = {}
-    for e in elements:
-        preimages.setdefault(beta[e], []).append(e)
-    return frozenset((z, x, y)
-                     for t0, t1, t2 in triangles
-                     for y in preimages.get(t0, ())
-                     for z in preimages.get(t1, ())
-                     for x in preimages.get(t2, ()))
-
-
 def nerve_to_algebra(C: TruncatedEpsilonComplex) -> RelFA:
     """Rebuild the algebra of a recognized complex.  The multiplication
     reads off the triangles; the comultiplication is transported through the
     right rotation."""
     _, beta = rotations(C)
-    mu = set()
-    for d0, d1, d2 in C.triangles:
-        mu.add((d0, d2, d1))
-    eta = frozenset(C.identity.values())
     return RelFA(
         name=f"algebra({C.name})",
         elements=tuple(C.edges),
-        mu=frozenset(mu),
-        eta=eta,
+        mu=frozenset((d0, d2, d1) for d0, d1, d2 in C.triangles),
+        eta=frozenset(C.identity.values()),
         delta=_transport_delta(C.edges, beta, C.triangles),
         epsilon=frozenset(C.marked))
 

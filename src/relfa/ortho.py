@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import RelFA, SumTable, derived_order, join
+from .algebra import InvariantError, RelFA, SumTable, _require, derived_order, join
 from .complexes import braiding_shape, check_lifting
 from .nerve import element_endpoints, nerve
 
@@ -107,8 +107,11 @@ def inverse_analysis(F: RelFA, a: str) -> dict:
     """The five inverse conditions for one element: a right inverse through
     a unit, orthogonality to everything composable at the target,
     orthogonality to some counit, and the two ⊡ saturation conditions.
-    The first three are equivalent in any algebra; all five when the
-    algebra is cancellative.  Both claims are verified on the spot."""
+    The first three are equivalent in any Frobenius algebra; all five when
+    it is cancellative.  Both claims are verified on the spot: raises
+    ValueError unless F is a Frobenius algebra, and InvariantError when the
+    routes disagree."""
+    _require("frobenius", "a Frobenius algebra", F)
     right_inverse = next(
         (c for c in F.elements if any((a, c, r) in F.mu for r in F.eta)), None)
     src, tgt = element_endpoints(F)
@@ -121,15 +124,15 @@ def inverse_analysis(F: RelFA, a: str) -> dict:
 
     first_three = {right_inverse is not None, perp_all_at_target, epsilon_perp}
     if len(first_three) != 1:
-        raise ValueError(
+        raise InvariantError(
             f"{F.name}: inverse conditions (i)-(iii) disagree at {a!r}")
     if epsilon_boxslash_a and right_inverse is None:
-        raise ValueError(
+        raise InvariantError(
             f"{F.name}: counit ⊡ saturation without a right inverse at {a!r}")
     cancellative, _ = is_cancellative(F)
     if cancellative:
         if len({right_inverse is not None, f_boxslash_a, epsilon_boxslash_a}) != 1:
-            raise ValueError(
+            raise InvariantError(
                 f"{F.name}: inverse conditions (i)-(v) disagree at {a!r} "
                 "despite cancellativity")
     return {

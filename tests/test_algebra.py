@@ -22,7 +22,6 @@ from relfa.algebra import (
     relabel_table,
     supplements,
     to_relfa,
-    upper_bounds,
     validate,
 )
 from relfa.catalog import boolean, chain, construct_catalog
@@ -92,23 +91,34 @@ def test_zero_neutrality_failure_carries_witness():
         assert (check.passed, check.witness) == (False, ("a",))
 
 
-def test_unique_supplement_failure():
-    t = table("two-supplements", "0ab1", "0", "1",
-              [("0", "0", "0"), ("0", "a", "a"), ("a", "0", "a"),
-               ("0", "b", "b"), ("b", "0", "b"), ("0", "1", "1"),
-               ("1", "0", "1"), ("a", "b", "1"), ("b", "a", "1"),
-               ("a", "a", "1")])
-    report = validate("effect-algebra", t)
-    unique = next(c for c in report.checks if c.name == "unique-supplement")
-    assert not unique.passed
+def two_supplements():
+    return table("two-supplements", "0ab1", "0", "1",
+                 [("0", "0", "0"), ("0", "a", "a"), ("a", "0", "a"),
+                  ("0", "b", "b"), ("b", "0", "b"), ("0", "1", "1"),
+                  ("1", "0", "1"), ("a", "b", "1"), ("b", "a", "1"),
+                  ("a", "a", "1")])
 
 
-def test_noncommutative_table_fails_ea_but_passes_pea():
+def cyclic():
+    """Three atoms with a + b = b + c = c + a = 1."""
     pairs = [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1")]
     for x in "abc":
         pairs += [("0", x, x), (x, "0", x)]
     pairs += [("a", "b", "1"), ("b", "c", "1"), ("c", "a", "1")]
-    t = table("cyclic", "0abc1", "0", "1", pairs, cls=PseudoEffectAlgebraTable)
+    return table("cyclic", "0abc1", "0", "1", pairs, cls=PseudoEffectAlgebraTable)
+
+
+def test_unique_supplement_failure():
+    t = two_supplements()
+    ea = next(c for c in validate("effect-algebra", t).checks if c.name == "unique-supplement")
+    assert (ea.passed, ea.witness) == (False, ("a", ("a", "b")))
+    pea = next(c for c in validate("pseudo-effect-algebra", t).checks
+               if c.name == "unique-supplements")
+    assert (pea.passed, pea.witness) == (False, ("a", ("a", "b"), ("a", "b")))
+
+
+def test_noncommutative_table_fails_ea_but_passes_pea():
+    t = cyclic()
     assert validate("pseudo-effect-algebra", t).passed
     ea = validate("effect-algebra", t)
     assert not ea.passed
@@ -122,17 +132,15 @@ def test_derived_order_and_join_on_boolean_square():
     assert ("a", "b") not in order
     assert join(b, "a", "b") == "1"
     assert join(b, "0", "a") == "a"
-    assert set(upper_bounds(b, "a", "b")) == {"1"}
 
 
 def test_supplements_effect_and_pseudo():
-    c = chain(2)
-    supp = supplements(c, "effect-algebra")
-    assert supp == {"0": "2", "1": "1", "2": "0"}
-    both = supplements(c, "pseudo-effect-algebra")
-    assert both == {a: (supp[a], supp[a]) for a in c.elements}
-    with pytest.raises(ValueError):
-        supplements(c, "rel-monoid")
+    # In an effect algebra both entries are the supplement a'.
+    assert supplements(chain(2)) == {"0": ("2", "2"), "1": ("1", "1"), "2": ("0", "0")}
+    # c + a = 1 = a + b: a has left supplement c and right supplement b.
+    assert supplements(cyclic())["a"] == ("c", "b")
+    with pytest.raises(ValueError, match="'a' lacks unique supplements"):
+        supplements(two_supplements())
 
 
 def test_atoms_and_height_order():
@@ -358,9 +366,7 @@ def test_to_relfa_delta_matches_triple_loop():
     tables = [s for s in construct_catalog().values() if isinstance(s, SumTable)]
     tables += enumerate_small(5, "effect-algebra") + enumerate_small(5, "pseudo-effect-algebra")
     for t in tables:
-        kind = "pseudo-effect-algebra" if isinstance(t, PseudoEffectAlgebraTable) else "effect-algebra"
-        supp = supplements(t, kind)
-        right = {a: supp[a] if kind == "effect-algebra" else supp[a][1] for a in t.elements}
+        right = {a: supp[1] for a, supp in supplements(t).items()}
         expected = frozenset(
             (z, x, y) for z, x, y in itertools.product(t.elements, repeat=3)
             if t.sum_of(right[x], right[y]) == right[z])

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from relfa import __version__
+from relfa.algebra import RelFA
 from relfa.catalog import boolean, chain
 from relfa.enumerate_small import enumerate_small
 from relfa.structio import load_structure, save_structure
@@ -256,6 +257,10 @@ def test_lift_box_shapes_parse(chain2_file):
 def test_lift_unknown_shape_exits_2(chain2_file):
     proc = run_cli("lift", "megahorn-9", chain2_file)
     assert proc.returncode == 2
+    # A known family with an index out of range is no shape either.
+    proc, report = run_json("lift", "horn-2-5", chain2_file)
+    assert proc.returncode == report["exit"] == 2
+    assert report["error"] == "unknown shape name 'horn-2-5'"
 
 
 def test_enumerate_emits_loadable_files(tmp_path):
@@ -308,13 +313,62 @@ def test_catalog_export_then_full_pipeline(tmp_path):
     assert run_cli("homology", str(out)).returncode == 0
 
 
-def test_seed_order_sorted_reorders_but_keeps_verdicts(chain2_file):
-    plain = run_json("validate", chain2_file)[1]
-    sorted_run = run_json("validate", "--seed-order", "sorted", chain2_file)[1]
-    assert plain["results"]["passed"] is True
-    assert sorted_run["results"]["passed"] is True
-    proc = run_cli("validate", "--seed-order", "shuffled", chain2_file)
-    assert proc.returncode == 2
+def test_seed_order_sorted_reorders_but_keeps_verdicts(chain2_file, capsys):
+    from relfa import cli
+
+    def run(*argv):
+        status = cli.main(list(argv))
+        return status, capsys.readouterr()
+
+    # The global flags go before or after the subcommand, in either form.
+    status, plain = run("--json", "validate", chain2_file)
+    assert status == 0 and json.loads(plain.out)["results"]["passed"] is True
+    assert json.loads(run("validate", "--json", chain2_file)[1].out)["results"] == \
+        json.loads(plain.out)["results"]
+    sorted_runs = [run(*argv) for argv in (
+        ("--json", "--seed-order", "sorted", "validate", chain2_file),
+        ("--seed-order=sorted", "validate", "--json", chain2_file),
+        ("validate", chain2_file, "--seed-order", "sorted", "--json"),
+        ("validate", "--json", "--seed-order=sorted", chain2_file))]
+    assert {status for status, _ in sorted_runs} == {0}
+    assert len({json.dumps(json.loads(out.out)["results"]) for _, out in sorted_runs}) == 1
+    assert json.loads(sorted_runs[0][1].out)["results"]["passed"] is True
+    for argv in (("validate", "--seed-order", "shuffled", chain2_file),
+                 ("--seed-order=shuffled", "validate", chain2_file),
+                 ("validate", chain2_file, "--seed-order")):
+        status, captured = run(*argv)
+        assert status == 2 and "--seed-order" in captured.err, argv
+
+
+@pytest.mark.parametrize("name", ["chain(3)", "boolean(2)", "group_algebra(Z/3)",
+                                  "horizontal_sum(boolean(2),chain(3))", "pea5_4"])
+def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_structure,
+                                                             capsys, name):
+    from relfa import cli
+
+    if name == "pea5_4":
+        structure = next(t for t in enumerate_small(5, "pseudo-effect-algebra")
+                         if t.name == name)
+    else:
+        structure = catalog[name]
+    path = write_structure(structure, "entry.json")
+    commands = [["validate", path], ["classify", path]]
+    if not isinstance(structure, RelFA):
+        commands.append(["kan", write_structure(chain(1), "chain1.json"), path])
+    for argv in commands:
+        reports = []
+        for order in ("declared", "sorted"):
+            status = cli.main(["--json", "--seed-order", order, *argv])
+            reports.append((status, json.loads(capsys.readouterr().out)["results"]))
+        (status, declared), (sorted_status, reordered) = reports
+        assert status == sorted_status, argv
+        if argv[0] == "classify":
+            # The flags and cross-checks; witnesses may name other elements.
+            del declared["witnesses"], reordered["witnesses"]
+            assert declared == reordered
+        else:
+            assert [(c["name"], c["passed"]) for c in declared["checks"]] == \
+                [(c["name"], c["passed"]) for c in reordered["checks"]], argv
 
 
 def test_json_reports_are_byte_identical(chain2_file):

@@ -42,6 +42,7 @@ from relfa.complexes import (
     shape_from_name,
     simplex,
     subcomplex_on_faces,
+    vertex_in_edge_shape,
     wedge_shape,
 )
 from relfa.enumerate_small import enumerate_small
@@ -112,8 +113,15 @@ def test_box_shape_names_resolve_recursively():
     assert shape.codomain.counts() == direct.codomain.counts()
     nested = shape_from_name("box(box(horn-2-0,boundary-1),vertex-0-in-edge)")
     assert "box(" in nested.name
-    with pytest.raises(ValueError):
-        shape_from_name("pentagon-3")
+    # A name resolves only if it is in SHAPE_NAMES or a box of such names.
+    for bad in ("pentagon-3", "horn-2-5", "horn-0-0", "vertex-7-in-edge",
+                "braiding-up", "vertex-0-in-box", "boundary-4", "box(horn-2-1,horn-2-5)"):
+        with pytest.raises(ValueError):
+            shape_from_name(bad)
+    for make, args in ((horn, (2, 5)), (horn, (0, 0)), (horn, (2, -1)),
+                       (vertex_in_edge_shape, (7,))):
+        with pytest.raises(ValueError):
+            make(*args)
 
 
 def test_product_counts():

@@ -3,6 +3,8 @@ the classification flags with their order-theoretic cross checks."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from relfa.algebra import PseudoEffectAlgebraTable, RelFA, SumTable, to_relfa, validate
@@ -224,6 +226,28 @@ def test_inverse_analysis_on_a_group_element():
     assert result["epsilon_boxslash_a"] is True
     assert result["epsilon_perp"] is True
     assert result["perp_all_at_target"] is True
+
+
+def test_inverse_conditions_agree_on_every_frobenius_algebra(catalog):
+    # The candidate stream's Frobenius algebras and the catalog: 41 algebras
+    # and 151 elements.  The analysis raises InvariantError on a disagreement.
+    candidates = enumerate_small(4, "frobenius-candidates")
+    algebras = [F for F in candidates if validate("frobenius", F).passed]
+    algebras += [s if isinstance(s, RelFA) else to_relfa(s) for s in catalog.values()]
+    assert (len(algebras), sum(len(F.elements) for F in algebras)) == (41, 151)
+    for F in algebras:
+        for a in F.elements:
+            result = inverse_analysis(F, a)
+            assert result["perp_all_at_target"] == result["epsilon_perp"] == \
+                (result["right_inverse"] is not None)
+
+
+def test_inverse_analysis_rejects_algebras_that_are_not_frobenius():
+    candidate = enumerate_small(2, "frobenius-candidates")[1]
+    failing = ", ".join(c.name for c in validate("frobenius", candidate).failing())
+    assert failing
+    with pytest.raises(ValueError, match=re.escape(f"is not a Frobenius algebra: fails {failing}")):
+        inverse_analysis(candidate, candidate.elements[0])
 
 
 def test_rotations_are_the_supplement():
