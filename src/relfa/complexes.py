@@ -14,6 +14,10 @@ products, the standard shape inclusions (horns, marked horns, boundaries, the
 associativity and braiding shapes, pushout products), lifting verdicts in
 exists and unique modes, and an exact morphism counting engine used to decide
 determined lifting problems by fiber counting.
+
+Set-up is built once where its lifetime belongs: named shapes and simplices
+once per process; the face index and count input tables once per target
+object (``_target_index``); count and search plans once per domain signature.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ class TruncatedEpsilonComplex:
     def _nonidentity_edges(self) -> tuple[str, ...]:
         ids = set(self.identity.values())
         return tuple(e for e in self.edges if e not in ids)
+
+    @functools.cached_property
+    def _target_index(self) -> _TargetIndex:
+        return _TargetIndex(self)
 
     def signature(self) -> tuple:
         """Hashable identity of the complex: everything but its name."""
@@ -171,16 +179,20 @@ class ComplexMorphism:
 
 
 class _TargetIndex:
-    """Lookup tables for a codomain used by the morphism search.
+    """Lookup tables for a codomain used by the morphism search and counts.
 
     ``d0_of[(d1, d2)]`` lists every edge completing the faces ``d1, d2`` to a
     triangle, and likewise ``d1_of[(d0, d2)]`` and ``d2_of[(d0, d1)]``; each
     list is in declared edge order, as is every ``by_endpoints`` list.
-    ``marked_endpoints`` holds the endpoint pairs of marked edges, and
-    ``marked_id_vertices`` the vertices with a marked identity."""
+    ``functional[slot]`` says whether the ``d{slot}_of`` table has at most one
+    entry per key.  ``marked_endpoints`` holds the endpoint pairs of marked
+    edges, and ``marked_id_vertices`` the vertices with a marked identity.
+    It copies the fields it reads and holds no reference to its target, so a
+    target caching its index forms no reference cycle."""
 
     def __init__(self, Y: TruncatedEpsilonComplex):
-        self.Y = Y
+        self.vertices, self.edges, self.identity = Y.vertices, Y.edges, Y.identity
+        self.src, self.tgt, self.triangles, self.marked = Y.src, Y.tgt, Y.triangles, Y.marked
         self.by_endpoints: dict[tuple[str, str], list[str]] = {}
         for e in Y.edges:
             self.by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
@@ -194,10 +206,16 @@ class _TargetIndex:
             self.d1_of.setdefault((d0, d2), []).append(d1)
             self.d0_of.setdefault((d1, d2), []).append(d0)
             self.d2_of.setdefault((d0, d1), []).append(d2)
+        self.functional = tuple(all(len(v) <= 1 for v in table.values())
+                                for table in (self.d0_of, self.d1_of, self.d2_of))
+        self._input_tables: dict[tuple, dict[tuple, int]] = {}
 
-    def slot_functional(self, slot: int) -> bool:
-        table = (self.d0_of, self.d1_of, self.d2_of)[slot]
-        return all(len(v) <= 1 for v in table.values())
+    def input_tables(self, kinds: tuple) -> list[dict[tuple, int]]:
+        """The count input table (``_input_table``) of each kind, built once."""
+        for kind in kinds:
+            if kind not in self._input_tables:
+                self._input_tables[kind] = _input_table(kind, self)
+        return [self._input_tables[kind] for kind in kinds]
 
 
 def _edge_order(C: TruncatedEpsilonComplex, known: frozenset) -> list[str]:
@@ -254,6 +272,34 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     return plan
 
 
+# Compiled plans kept: count plans by domain signature, search plans by pair.
+_COUNT_PLANS = 256
+
+
+@functools.lru_cache(maxsize=_COUNT_PLANS)
+def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
+    """The target-free part of ``_extender`` for C and D with these
+    signatures: the edge steps, the triangles of C outside D with every edge
+    in D, the edges of D marked only in C, and per vertex of C outside D
+    ``(vertex, identity, identity marked, [(source, target, marked)])`` for
+    the edge steps whose endpoints that vertex completes."""
+    C, D = (TruncatedEpsilonComplex("", v, e, dict(s), dict(t), dict(i), tris, m)
+            for v, e, s, t, i, tris, m in (csig, dsig))
+    known = frozenset(D.edges)
+    plan = _search_plan(C, _edge_order(C, known))
+    ready = sorted(t for t in C.triangles
+                   if t not in D.triangles and all(x in known for x in t))
+    newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
+    dvertices = set(D.vertices)
+    new_vertices = [v for v in C.vertices if v not in dvertices]
+    step_of = dict.fromkeys(D.vertices, -1) | {v: i for i, v in enumerate(new_vertices)}
+    vsteps = [(v, C.identity[v], C.identity[v] in C.marked, []) for v in new_vertices]
+    for _, s, t, marked, _, _ in plan:
+        if max(step_of[s], step_of[t]) >= 0:
+            vsteps[max(step_of[s], step_of[t])][3].append((s, t, marked))
+    return plan, ready, newly_marked, vsteps
+
+
 def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
               index: _TargetIndex):
     """The one morphism search.  Returns the generator function
@@ -261,6 +307,8 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     D of C of the morphism D -> Y with those vertex and edge images, where Y
     is the target of ``index``.
 
+    What depends on C and D alone is compiled once per pair of signatures
+    (``_extension_plan``); a call binds it to the target's candidate lists.
     Edges of D marked only in C, and triangles of C outside D with every
     edge in D, are checked once up front.  The search then keeps one
     explicit stack of candidate iterators.  Vertices of C outside D come
@@ -276,25 +324,16 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     sequence is that of a plain backtracking search over every vertex tuple
     and ``by_endpoints``.  Each extension is yielded as the pair ``(vmap,
     emap)`` of dicts the search goes on updating: copy them to keep them."""
-    Y = index.Y
-    known = frozenset(D.edges)
-    plan = _search_plan(C, _edge_order(C, known))
-    ready = sorted(t for t in C.triangles
-                   if t not in D.triangles and all(x in known for x in t))
-    newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
-    dvertices = set(D.vertices)
-    new_vertices = [v for v in C.vertices if v not in dvertices]
-    step_of = dict.fromkeys(D.vertices, -1) | {v: i for i, v in enumerate(new_vertices)}
-    vsteps = [(v, C.identity[v], index.marked_id_vertices if C.identity[v] in C.marked
-               else Y.vertices, []) for v in new_vertices]
+    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature())
     by_endpoints = index.by_endpoints
-    for _, s, t, marked, _, _ in plan:
-        if max(step_of[s], step_of[t]) >= 0:
-            vsteps[max(step_of[s], step_of[t])][3].append(
-                (s, t, index.marked_endpoints if marked else by_endpoints))
+    vsteps = [(v, iv, index.marked_id_vertices if id_marked else index.vertices,
+               [(s, t, index.marked_endpoints if marked else by_endpoints)
+                for s, t, marked in edges])
+              for v, iv, id_marked, edges in vplan]
     nv, depth = len(vsteps), len(vsteps) + len(plan)
     tables = (index.d0_of, index.d1_of, index.d2_of)
-    ysrc, ytgt, ytris, ymarked, yidentity = Y.src, Y.tgt, Y.triangles, Y.marked, Y.identity
+    ysrc, ytgt, ytris, ymarked, yidentity = \
+        index.src, index.tgt, index.triangles, index.marked, index.identity
 
     def extensions(vmap: dict[str, str], emap: dict[str, str]):
         if any(emap[e] not in ymarked for e in newly_marked) or \
@@ -358,8 +397,9 @@ _EMPTY = make_complex("empty", (), (), {}, {}, {}, (), ())
 def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
     """Yield every morphism X -> Y, in a deterministic search order: the
     extensions of the empty morphism along the empty subcomplex of X, found
-    by the one morphism search ``_extender``."""
-    for vmap, emap in _extender(X, _EMPTY, _TargetIndex(Y))({}, {}):
+    by the one morphism search ``_extender``: its plan is compiled once per
+    signature of X, and Y builds its face index once (``_target_index``)."""
+    for vmap, emap in _extender(X, _EMPTY, Y._target_index)({}, {}):
         yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
 
 
@@ -382,10 +422,6 @@ def _picker(positions: list[int]):
     if positions == list(range(positions[0], positions[-1] + 1)):
         return operator.itemgetter(slice(positions[0], positions[-1] + 1))
     return operator.itemgetter(*positions)
-
-
-# The number of compiled plans kept, one per domain signature.
-_COUNT_PLANS = 256
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
@@ -480,8 +516,9 @@ def _count_plan(signature: tuple) -> tuple:
     return tuple(kinds), tuple(inputs), tuple(steps), holders
 
 
-def _input_table(kind: tuple, Y: TruncatedEpsilonComplex) -> dict[tuple, int]:
-    """The 0/1 table of one kind of input factor over the target Y."""
+def _input_table(kind: tuple, Y) -> dict[tuple, int]:
+    """The 0/1 table of one kind of input factor over the target Y, a
+    complex or its ``_TargetIndex``."""
     if kind[0] == "vertex":
         return {(w,): 1 for w in Y.vertices if not kind[1] or Y.identity[w] in Y.marked}
     if kind[0] != "triangle":
@@ -548,13 +585,13 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     one's.  The plan also holds each bucket and the picker positions of
     each join.
 
-    A call fills in the input tables from Y, one per kind of factor, so
-    that triangles with the same pattern of repeated and identity slots
-    share one, and runs the steps.  The last join of each bucket sums the
+    The plan reads one input table per kind of factor, built once per target
+    object by its ``_target_index``, so that triangles with the same pattern
+    of repeated and identity slots share one.  The last join of each bucket sums the
     variable out as it goes, so the product table of a bucket is never
     built."""
     plan = _count_plan(X.signature())
-    return _run_count_plan(plan, [_input_table(kind, Y) for kind in plan[0]], {})
+    return _run_count_plan(plan, Y._target_index.input_tables(plan[0]), {})
 
 
 def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:
@@ -592,7 +629,9 @@ def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:
 # Standard shapes
 
 
+@functools.lru_cache
 def simplex(n: int, marked_top: bool = False, name: str | None = None) -> TruncatedEpsilonComplex:
+    """The n-simplex, top edge marked if ``marked_top``; built once, shared."""
     if not 0 <= n <= 3:
         raise ValueError("simplex dimension must be between 0 and 3")
     vertices = [str(i) for i in range(n + 1)]
@@ -779,8 +818,10 @@ def box_inclusion(f: ShapeInclusion, g: ShapeInclusion) -> ShapeInclusion:
 # Shape registry
 
 
+@functools.lru_cache
 def shape_from_name(name: str) -> ShapeInclusion:
-    """Resolve a shape name, including nested box(...) expressions."""
+    """Resolve a shape name, including nested box(...) expressions; the
+    last 128 shapes are kept and shared, so treat them as read-only."""
     if name.startswith("box(") and name.endswith(")"):
         inner = name[4:-1]
         depth = 0
@@ -851,7 +892,6 @@ def _determined_missing_edges(shape: ShapeInclusion, index: _TargetIndex) -> boo
         return False
     known = set(D.edges)
     missing = [e for e in C.edges if e not in known]
-    fn = [index.slot_functional(s) for s in range(3)]
     changed = True
     while missing and changed:
         changed = False
@@ -861,7 +901,7 @@ def _determined_missing_edges(shape: ShapeInclusion, index: _TargetIndex) -> boo
             for slot in range(3):
                 e = t[slot]
                 others = [t[s] for s in range(3) if s != slot]
-                if e not in known and all(o in known for o in others) and fn[slot]:
+                if e not in known and all(o in known for o in others) and index.functional[slot]:
                     known.add(e)
                     missing = [m for m in missing if m != e]
                     changed = True
@@ -897,7 +937,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
-    index = _TargetIndex(X)
+    index = X._target_index
     C, D = shape.codomain, shape.domain
 
     if _determined_missing_edges(shape, index):
@@ -990,7 +1030,7 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     variables = [("V", v) for v in D.vertices] + \
         [("E", e) for e in _edge_order(D, frozenset())]
     plans = (_count_plan(D.signature()), _count_plan(C.signature()))
-    tables = [[_input_table(kind, X) for kind in plan[0]] for plan in plans]
+    tables = [index.input_tables(plan[0]) for plan in plans]
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}
     pins: dict[tuple, str] = {}

@@ -15,7 +15,6 @@ from __future__ import annotations
 from .algebra import CheckResult, RelFA, ValidationReport, _transport_delta, validate
 from .complexes import (
     TruncatedEpsilonComplex,
-    _TargetIndex,
     check_lifting,
     make_complex,
     shape_from_name,
@@ -112,7 +111,7 @@ def rotations(C: TruncatedEpsilonComplex) -> tuple[dict[str, str], dict[str, str
     companions recovered from marked horn fillers.
     """
     mo, mi = marked_edges(C)
-    index = _TargetIndex(C)
+    index = C._target_index
     alpha: dict[str, str] = {}
     beta: dict[str, str] = {}
     for a in C.edges:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import InvariantError, RelFA, SumTable, _require, derived_order, join
-from .complexes import braiding_shape, check_lifting
+from .complexes import check_lifting, shape_from_name
 from .nerve import element_endpoints, nerve
 
 
@@ -247,15 +247,16 @@ def classify(F: RelFA) -> ClassificationFlags:
     braided = None
     try:
         N = nerve(F)
-        left = check_lifting(braiding_shape("left"), N, mode="exists")
-        right = check_lifting(braiding_shape("right"), N, mode="exists")
+    except ValueError:
+        pass
+    else:
+        left = check_lifting(shape_from_name("braiding-left"), N, mode="exists")
+        right = check_lifting(shape_from_name("braiding-right"), N, mode="exists")
         braided = left.passed and right.passed
         if not braided:
             bad = left if not left.passed else right
             if bad.failures:
                 witnesses["braided"] = bad.failures[0]
-    except ValueError:
-        pass
 
     return ClassificationFlags(
         name=F.name,

@@ -3,12 +3,14 @@ and the lifting decision procedure."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -47,7 +49,7 @@ from relfa.complexes import (
 )
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import mapping_complex
-from relfa.nerve import nerve
+from relfa.nerve import RECOGNITION_SHAPES, nerve, rotations
 
 
 def test_simplex_counts_are_frozen():
@@ -348,7 +350,7 @@ def _images(morphisms):
 
 def test_multivalued_target_has_no_functional_face_table():
     index = complexes._TargetIndex(_multivalued_target())
-    assert not any(index.slot_functional(s) for s in range(3))
+    assert index.functional == (False, False, False)
 
 
 @pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
@@ -634,3 +636,101 @@ def test_lift_json_report_bytes_are_frozen(filename, write_structure, tmp_path):
         capture_output=True, cwd=tmp_path, env=env, check=False)
     assert proc.returncode == 1
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def _catalog_nerve(name):
+    obj = construct_catalog()[name]
+    return nerve(obj if isinstance(obj, RelFA) else to_relfa(obj))
+
+
+def _clear_plan_caches():
+    complexes._extension_plan.cache_clear()
+    complexes._count_plan.cache_clear()
+
+
+CACHE_TARGETS = ("chain(2)", "boolean(2)", "group_algebra(Z/3)", "zk_interval(2,1)",
+                 "wright-triangle")
+
+
+def test_lifting_reports_do_not_depend_on_the_caches():
+    """Each recognition shape and a pushout-product square gets the same
+    report on a first call with cold plan caches, on a repeat, and on a
+    freshly rebuilt equal target with its own index."""
+    problems = [(name, mode) for name, mode in RECOGNITION_SHAPES] + \
+        [("box(horn-2-1,horn-1-0)", "exists")]
+    _clear_plan_caches()
+    for target in CACHE_TARGETS:
+        X = _catalog_nerve(target)
+        for name, mode in problems:
+            first = check_lifting(shape_from_name(name), X, mode).to_dict()
+            again = check_lifting(shape_from_name(name), X, mode).to_dict()
+            rebuilt = _catalog_nerve(target)
+            assert rebuilt is not X and rebuilt.signature() == X.signature()
+            fresh = check_lifting(shape_from_name(name), rebuilt, mode).to_dict()
+            assert first == again == fresh, (target, name, mode)
+
+
+def test_hom_maps_iter_is_the_same_after_the_plan_cache_is_cleared():
+    Y = _catalog_nerve("chain(2)")
+    for name in ("ehorn-3-0", "assoc-02", "box(horn-2-1,horn-1-0)"):
+        shape = shape_from_name(name)
+        for X in (shape.domain, shape.codomain):
+            before = _images(hom_maps_iter(X, Y))
+            _clear_plan_caches()
+            assert _images(hom_maps_iter(X, Y)) == before, (name, X.name)
+
+
+def test_plans_and_indexes_are_keyed_by_structure_not_by_name():
+    """Domains, shapes and targets that share a name but differ in
+    triangles or marking each get their own plan, index and verdict, in
+    either order."""
+    hollow = boundary(2).domain
+    flat = make_complex("delta2", hollow.vertices, hollow.edges, hollow.src, hollow.tgt,
+                        hollow.identity, hollow.triangles, hollow.marked)
+    unmarked = simplex(1, name="sigma1")
+    twins = ((simplex(2), flat), (simplex(1, marked_top=True), unmarked))
+    Y = _catalog_nerve("chain(2)")
+    for real, twin in twins:
+        assert real.name == twin.name and real.signature() != twin.signature()
+        assert count_homs(real, Y) != count_homs(twin, Y)
+        for X in (real, twin, real):
+            _clear_plan_caches()
+            assert len(list(hom_maps_iter(X, Y))) == count_homs(X, Y), X.signature()
+    shapes = ((boundary(2), complexes.ShapeInclusion("boundary-2", hollow, flat)),
+              (shape_from_name("mark-edge"),
+               complexes.ShapeInclusion("mark-edge", simplex(1), unmarked)))
+    for real, twin in shapes:
+        for shape in (real, twin, real):
+            _clear_plan_caches()
+            for mode in ("exists", "unique"):
+                assert check_lifting(shape, Y, mode).passed is (shape is twin)
+    bare = make_complex(Y.name, Y.vertices, Y.edges, Y.src, Y.tgt, Y.identity,
+                        Y.triangles, ())
+    for X in (Y, bare, Y):
+        assert check_lifting(shape_from_name("ehorn-1-0"), X, "unique").passed is (X is Y)
+
+
+def test_named_shapes_are_built_once():
+    for name in SHAPE_NAMES + ("box(horn-2-1,horn-1-0)",):
+        assert shape_from_name(name) is shape_from_name(name)
+    assert simplex(2) is simplex(2)
+
+
+def test_no_reference_cycle_keeps_a_target_alive():
+    """A nerve that cached its index through lifting, the morphism search
+    and its rotations is freed by reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        N = nerve(to_relfa(chain(2)))
+        for name, mode in RECOGNITION_SHAPES:
+            check_lifting(shape_from_name(name), N, mode)
+        assert hom_maps(shape_from_name("assoc-02").codomain, N)
+        rotations(N)
+        assert "_target_index" in vars(N)
+        ref = weakref.ref(N)
+        del N
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

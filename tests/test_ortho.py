@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from relfa import ortho
 from relfa.algebra import PseudoEffectAlgebraTable, RelFA, SumTable, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
 from relfa.complexes import ComplexMorphism, braiding_shape, check_lifting
@@ -215,6 +216,18 @@ def test_braided_witness_is_a_boundary_without_a_filler():
     emap.update(witness["boundary"]["edges"])
     ComplexMorphism(shape.domain, N, vmap, emap).check()
     assert not check_lifting(shape, N, mode="exists").passed
+
+
+def test_classify_reports_a_lifting_fault_instead_of_braided_null(monkeypatch):
+    """Only a failure to build the nerve reads as braided: null; a
+    ValueError from inside the lifting engine propagates."""
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside the lifting engine")
+
+    assert classify(to_relfa(chain(2))).braided is True
+    monkeypatch.setattr(ortho, "check_lifting", broken)
+    with pytest.raises(ValueError, match="lifting engine"):
+        classify(to_relfa(chain(2)))
 
 
 def test_inverse_analysis_on_a_group_element():
