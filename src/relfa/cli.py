@@ -33,7 +33,6 @@ from .complexes import (
 from .enumerate_small import KINDS as ENUM_KINDS
 from .enumerate_small import enumerate_small
 from .homology import h1_universal_group, universal_group_presentation
-from .mapping import eval_fibration_check, hom_object_ea, verify_mapping_theorem
 from .nerve import nerve, recognize_nerve
 from .ortho import classify
 from .structio import (
@@ -225,6 +224,8 @@ def cmd_homology(args, seed):
 
 
 def cmd_hom(args, seed):
+    # imported here, so that only hom and kan pay for it
+    from .mapping import hom_object_ea, verify_mapping_theorem
     E, F, inputs = _load_tables(args, seed)
     hob = hom_object_ea(E, F)
     components = [{"index": comp.index,
@@ -258,6 +259,7 @@ def cmd_hom(args, seed):
 
 
 def cmd_kan(args, seed):
+    from .mapping import eval_fibration_check
     E, F, inputs = _load_tables(args, seed)
     rep = eval_fibration_check(E, F)
     results = rep.to_dict()

@@ -5,14 +5,17 @@ neutrality, sums against the top are forced undefined for nonzero arguments,
 and only the interior cells are free.  Candidate values exclude the bottom
 and both arguments, since a sum equal to one of its arguments forces the
 other to be zero.  Branches are cut on duplicated supplements and on
-associativity conflicts over the decided cells; every surviving leaf is
-still passed through the full validator, which remains the authority.
-Representatives are the lexicographically least relabelings under
-permutations fixing bottom and top.
+associativity conflicts, defined or undefined, among the triples that read
+the cell just decided: the table before it had none, so no other triple can
+hold one.  Every surviving leaf is still passed through the full validator,
+which remains the authority.  Representatives are the lexicographically
+least relabelings under permutations fixing bottom and top.
 
 Relational structures are searched exhaustively only at very small sizes,
 with the comultiplication transported through the rotation of the
-multiplication.  Larger relational test material comes from a deterministic
+multiplication.  A multiplication and unit that fail the monoid checks are
+skipped before any counit is tried, since the Frobenius validator starts
+with those checks.  Larger relational test material comes from a deterministic
 candidate stream: known-good structures together with all of their
 single-step mutations that still present a well-formed complex.
 """
@@ -64,30 +67,20 @@ def _carrier(n: int) -> tuple[str, ...]:
 # Sum table search
 
 
-def _assoc_conflict(T: dict, n: int) -> bool:
-    """True when some triple already decides both association orders and
-    they disagree, in definedness or in value."""
-    for a in range(n):
-        for b in range(n):
-            ab = T.get((a, b), _OPEN)
-            for c in range(n):
-                bc = T.get((b, c), _OPEN)
-                if ab is _OPEN:
-                    left = _OPEN
-                elif ab is None:
-                    left = None
-                else:
-                    left = T.get((ab, c), _OPEN)
-                if bc is _OPEN:
-                    right = _OPEN
-                elif bc is None:
-                    right = None
-                else:
-                    right = T.get((a, bc), _OPEN)
-                if left is _OPEN or right is _OPEN:
-                    continue
-                if left != right:
-                    return True
+def _assoc_clash(T: dict, n: int, i: int, j: int) -> bool:
+    """True when a triple (a, b, c) reading the fresh cell (i, j) in one of
+    its four lookups decides both association orders and they disagree, in
+    definedness or in value.  The table had no conflict before the cell was
+    decided, so only these triples can have one now."""
+    triples = [(i, j, c) for c in range(n)] + [(a, i, j) for a in range(n)]
+    triples += [(a, b, j) for (a, b), v in T.items() if v == i]
+    triples += [(i, b, c) for (b, c), v in T.items() if v == j]
+    for a, b, c in triples:
+        ab, bc = T.get((a, b), _OPEN), T.get((b, c), _OPEN)
+        left = ab if ab is _OPEN or ab is None else T.get((ab, c), _OPEN)
+        right = bc if bc is _OPEN or bc is None else T.get((a, bc), _OPEN)
+        if left is not _OPEN and right is not _OPEN and left != right:
+            return True
     return False
 
 
@@ -186,8 +179,9 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
                 ok = not _supplement_clash(T, n, i, j)
                 if ok and mirrored:
                     ok = not _supplement_clash(T, n, j, i)
-            if ok and v is not None:
-                ok = not _assoc_conflict(T, n)
+            if ok:
+                ok = not (_assoc_clash(T, n, i, j)
+                          or mirrored and _assoc_clash(T, n, j, i))
             if ok:
                 search(T, k + 1)
             del T[(i, j)]
@@ -210,6 +204,14 @@ def transported_delta(elements, mu, eta, epsilon) -> frozenset:
                   frozenset(), frozenset(epsilon))
     try:
         C = nerve(probe)
+    except ValueError:
+        return frozenset()
+    return _rotated_delta(elements, C)
+
+
+def _rotated_delta(elements, C) -> frozenset:
+    """``transported_delta`` from the probe's complex C."""
+    try:
         _, beta = rotations(C)
     except ValueError:
         return frozenset()
@@ -258,10 +260,13 @@ def _relational_forms(n: int) -> tuple[tuple, ...]:
     for e in els:
         unit_choices = [s for s in unit_choices] + [s + (e,) for s in unit_choices]
     found: dict[tuple, None] = {}
-    for mu_set in subsets:
-        mu = frozenset(mu_set)
-        for eta_set, eps_set in product(unit_choices, unit_choices):
-            eta = frozenset(eta_set)
+    for mu_set, eta_set in product(subsets, unit_choices):
+        mu, eta = frozenset(mu_set), frozenset(eta_set)
+        # validate("frobenius") starts with these monoid checks on (mu, eta).
+        if not validate("rel-monoid", RelFA("monoid", els, mu, eta, frozenset(),
+                                            frozenset())).passed:
+            continue
+        for eps_set in unit_choices:
             eps = frozenset(eps_set)
             delta = transported_delta(els, mu, eta, eps)
             candidate = RelFA("candidate", els, mu, eta, delta, eps)
@@ -285,11 +290,10 @@ def _assemble_candidate(elements, mu, eta, eps, name: str) -> RelFA | None:
         return None
     probe = RelFA("probe", tuple(elements), mu, eta, frozenset(), eps)
     try:
-        nerve(probe)
+        C = nerve(probe)
     except ValueError:
         return None
-    delta = transported_delta(elements, mu, eta, eps)
-    return RelFA(name, tuple(elements), mu, eta, delta, eps)
+    return RelFA(name, tuple(elements), mu, eta, _rotated_delta(elements, C), eps)
 
 
 def _mutations(base: RelFA) -> list[RelFA]:

@@ -31,6 +31,7 @@ from .complexes import (
     ComplexMorphism,
     ShapeInclusion,
     TruncatedEpsilonComplex,
+    _picker,
     boundary,
     hom_maps,
     hom_maps_iter,
@@ -391,26 +392,33 @@ def _images(f: ComplexMorphism) -> tuple:
 def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
                             homs: dict) -> CheckResult:
     """Exactly one lift for every commutative square from the shape
-    inclusion to p.  ``homs`` maps the signature of a shape codomain to its
-    morphisms into the total and the base complex of p, so that shapes with
-    one codomain enumerate them once."""
+    inclusion to p.  ``homs`` maps the signature of a shape codomain to the
+    keys of its morphisms into the total complex of p and to its morphisms
+    into the base complex with their keys, so that shapes with one codomain
+    enumerate and key them once."""
     A, B = shape.domain, shape.codomain
     total, base = p.domain, p.codomain
     key = B.signature()
     if key not in homs:
-        homs[key] = hom_maps(B, total), hom_maps(B, base)
-    vs, ws = homs[key]
+        homs[key] = ([v.key() for v in hom_maps(B, total)],
+                     [(w, w.key()) for w in hom_maps(B, base)])
+    v_keys, ws = homs[key]
+    # key(of=A) picked out of key(): the cells of A are cells of B.
+    vslot = {v: i for i, v in enumerate(B.vertices)}
+    eslot = {e: len(vslot) + i for i, e in enumerate(B.nonidentity_edges())}
+    restrict = _picker([vslot[v] for v in A.vertices]
+                       + [eslot[e] for e in A.nonidentity_edges()])
 
     # The key of p∘f, read off the key of f through p's cell maps: mapping
     # complexes name vertices h{i} and edges e{i}, so one merged dict does.
     cells = {**p.vertex_map, **p.edge_map}
     lifts: dict[tuple, int] = {}
-    for v in vs:
-        k = (v.key(of=A), tuple(cells[c] for c in v.key()))
+    for v_key in v_keys:
+        k = (restrict(v_key), tuple(cells[c] for c in v_key))
         lifts[k] = lifts.get(k, 0) + 1
-    ws_by_restriction: dict[tuple, list[ComplexMorphism]] = {}
-    for w in ws:
-        ws_by_restriction.setdefault(w.key(of=A), []).append(w)
+    ws_by_restriction: dict[tuple, list[tuple[ComplexMorphism, tuple]]] = {}
+    for w, w_key in ws:
+        ws_by_restriction.setdefault(restrict(w_key), []).append((w, w_key))
 
     # The boundary morphisms are scanned as the search yields them; the
     # witness is the failing square first in key order.
@@ -418,9 +426,9 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
     first: tuple | None = None
     for u in hom_maps_iter(A, total):
         u_key = u.key()
-        for w in ws_by_restriction.get(tuple(cells[c] for c in u_key), ()):
+        for w, w_key in ws_by_restriction.get(tuple(cells[c] for c in u_key), ()):
             squares += 1
-            square = (u_key, w.key())
+            square = (u_key, w_key)
             n = lifts.get(square, 0)
             if n != 1 and (first is None or square < first[0]):
                 first = (square, (n, _images(u), _images(w)))
@@ -428,7 +436,7 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
         name=f"{shape.name}:unique-relative-lift",
         passed=first is None,
         witness=None if first is None else first[1],
-        detail=f"{squares} squares, {len(vs)} candidate fillers")
+        detail=f"{squares} squares, {len(v_keys)} candidate fillers")
 
 
 def unit_inclusion_map(one: SumTable, E: SumTable,

@@ -236,6 +236,15 @@ def test_kan_rejects_tables_that_are_not_pseudo_effect_algebras(write_structure,
     assert run_cli("kan", pea, c1).returncode == 0
 
 
+def test_importing_the_cli_leaves_relfa_mapping_unloaded():
+    """Only fa hom and fa kan import the mapping module, so the other
+    subcommands do not pay for it."""
+    code = "import sys, relfa.cli; print('relfa.mapping' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_lift_failure_has_a_rerunnable_certificate(chain2_file):
     proc, report = run_json("lift", "boundary-2", chain2_file)
     assert proc.returncode == 1

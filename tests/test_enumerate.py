@@ -7,7 +7,8 @@ import itertools
 
 import pytest
 
-from relfa.algebra import to_relfa, validate
+from relfa import enumerate_small as es
+from relfa.algebra import RelFA, to_relfa, validate
 from relfa.catalog import chain
 from relfa.enumerate_small import (
     CANDIDATE_BOUND,
@@ -103,6 +104,64 @@ def test_relational_class_counts_and_soundness():
     for f in ones + twos:
         assert validate("frobenius", f).passed, f.name
         assert f.delta == transported_delta(f.elements, f.mu, f.eta, f.epsilon)
+
+
+def test_relational_forms_match_the_brute_force_loop():
+    """Oracle: every (mu, eta, eps) on n elements with the transported
+    comultiplication through the Frobenius validator, with no monoid-first
+    pruning."""
+    for n in (1, 2):
+        els = tuple(f"x{k}" for k in range(n))
+        triples = list(itertools.product(els, repeat=3))
+        relations = [frozenset(itertools.compress(triples, bits))
+                     for bits in itertools.product((0, 1), repeat=len(triples))]
+        units = [frozenset(itertools.compress(els, bits))
+                 for bits in itertools.product((0, 1), repeat=n)]
+        found = set()
+        for mu, eta, eps in itertools.product(relations, units, units):
+            delta = transported_delta(els, mu, eta, eps)
+            candidate = RelFA("candidate", els, mu, eta, delta, eps)
+            if validate("frobenius", candidate).passed:
+                found.add(es._relfa_canonical(candidate))
+        assert es._relational_forms(n) == tuple(sorted(found))
+
+
+def _full_assoc_conflict(T: dict, n: int) -> bool:
+    """Oracle: some triple whose four lookups are all decided has the two
+    association orders disagree, in definedness or in value."""
+    open_ = object()
+    for a, b, c in itertools.product(range(n), repeat=3):
+        ab, bc = T.get((a, b), open_), T.get((b, c), open_)
+        left = ab if ab is open_ or ab is None else T.get((ab, c), open_)
+        right = bc if bc is open_ or bc is None else T.get((a, bc), open_)
+        if left is not open_ and right is not open_ and left != right:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["effect-algebra", "pseudo-effect-algebra"])
+def test_incremental_associativity_agrees_with_the_full_scan(monkeypatch, kind):
+    """At every node of the table search the check of the triples reading
+    the fresh cell (and its mirror) decides as the full n^3 scan does."""
+    real = es._assoc_clash
+    calls = []
+
+    def recording(T, n, i, j):
+        result = real(T, n, i, j)
+        calls.append((tuple(sorted(T.items(), key=lambda kv: kv[0])), result))
+        return result
+
+    monkeypatch.setattr(es, "_assoc_clash", recording)
+    for n in range(1, 6):
+        assert not _full_assoc_conflict(es._forced_cells(n), n)
+        calls.clear()
+        assert es._table_forms.__wrapped__(n, kind) == es._table_forms(n, kind)
+        # A mirrored cell is checked by up to two calls on one table.
+        nodes: dict = {}
+        for state, result in calls:
+            nodes[state] = nodes.get(state, False) or result
+        for state, clash in nodes.items():
+            assert clash == _full_assoc_conflict(dict(state), n), state
 
 
 def test_transported_delta_reproduces_translation():
