@@ -245,30 +245,43 @@ def _edge_order(C: TruncatedEpsilonComplex, known: frozenset) -> list[str]:
     return order
 
 
-def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
+def _search_plan(X: TruncatedEpsilonComplex, order: list[str],
+                 look_ahead: bool) -> list[tuple]:
     """Per edge of ``order``: its endpoints, whether it is marked, the face
-    table lookup that yields its candidates, and the remaining triangles it
-    closes.
+    table lookup that yields its candidates, the remaining triangles it
+    closes, and its look-ahead checks.
 
     An edge closes the triangles whose other edges come earlier in ``order``
     or are outside it (identities and known edges).  The first of them (in
     sorted order) in which the edge fills exactly one slot is the lookup
     ``(slot, other, other)``: the images of the two other faces select the
     candidates from the target's ``d{slot}_of`` table.  An edge with no such
-    triangle takes its candidates from ``by_endpoints``."""
+    triangle takes its candidates from ``by_endpoints``.
+
+    With ``look_ahead`` (forward checking, Haralick and Elliott 1980), an
+    edge that leaves a triangle with one open face, filling one slot and
+    later in ``order``, checks ``(slot, other, other, marked)``: the
+    ``d{slot}_of`` table must have an entry for the images of the other two
+    faces, a marked one if the open face is marked.  Such an entry has the
+    open face's endpoint images, since the target's triangles have
+    compatible faces.  Without ``look_ahead`` the checks are empty."""
     pos = {e: i for i, e in enumerate(order)}
     closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
+    ahead: dict[str, list[tuple]] = {e: [] for e in order}
     for t in sorted(X.triangles):
-        nonid = [x for x in t if x in pos]
+        nonid = sorted((x for x in set(t) if x in pos), key=pos.__getitem__)
         if nonid:
-            closers[max(nonid, key=pos.__getitem__)].append(t)
+            closers[nonid[-1]].append(t)
+        if look_ahead and len(nonid) > 1 and t.count(nonid[-1]) == 1:
+            slot = t.index(nonid[-1])
+            ahead[nonid[-2]].append((slot, *t[:slot], *t[slot + 1:], t[slot] in X.marked))
     plan = []
     for e in order:
         first = next((t for t in closers[e] if t.count(e) == 1), None)
         lookup = None if first is None else \
             (first.index(e),) + tuple(x for x in first if x != e)
         checks = [t for t in closers[e] if t != first]
-        plan.append((e, X.src[e], X.tgt[e], e in X.marked, lookup, checks))
+        plan.append((e, X.src[e], X.tgt[e], e in X.marked, lookup, checks, ahead[e]))
     return plan
 
 
@@ -277,16 +290,20 @@ _COUNT_PLANS = 256
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
-def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
+def _extension_plan(csig: tuple, dsig: tuple, key_order: bool) -> tuple:
     """The target-free part of ``_extender`` for C and D with these
     signatures: the edge steps, the triangles of C outside D with every edge
     in D, the edges of D marked only in C, and per vertex of C outside D
     ``(vertex, identity, identity marked, [(source, target, marked)])`` for
-    the edge steps whose endpoints that vertex completes."""
+    the edge steps whose endpoints that vertex completes.  The edge steps
+    follow ``_edge_order``, or with ``key_order`` the declared order of C's
+    non-identity edges, with look-ahead checks."""
     C, D = (TruncatedEpsilonComplex("", v, e, dict(s), dict(t), dict(i), tris, m)
             for v, e, s, t, i, tris, m in (csig, dsig))
     known = frozenset(D.edges)
-    plan = _search_plan(C, _edge_order(C, known))
+    order = [e for e in C.nonidentity_edges() if e not in known] if key_order \
+        else _edge_order(C, known)
+    plan = _search_plan(C, order, look_ahead=key_order)
     ready = sorted(t for t in C.triangles
                    if t not in D.triangles and all(x in known for x in t))
     newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
@@ -294,42 +311,49 @@ def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     new_vertices = [v for v in C.vertices if v not in dvertices]
     step_of = dict.fromkeys(D.vertices, -1) | {v: i for i, v in enumerate(new_vertices)}
     vsteps = [(v, C.identity[v], C.identity[v] in C.marked, []) for v in new_vertices]
-    for _, s, t, marked, _, _ in plan:
+    for _, s, t, marked, _, _, _ in plan:
         if max(step_of[s], step_of[t]) >= 0:
             vsteps[max(step_of[s], step_of[t])][3].append((s, t, marked))
     return plan, ready, newly_marked, vsteps
 
 
 def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
-              index: _TargetIndex):
+              index: _TargetIndex, key_order: bool = False):
     """The one morphism search.  Returns the generator function
     ``extensions(vmap, emap)`` yielding every extension along the subcomplex
     D of C of the morphism D -> Y with those vertex and edge images, where Y
     is the target of ``index``.
 
     What depends on C and D alone is compiled once per pair of signatures
-    (``_extension_plan``); a call binds it to the target's candidate lists.
-    Edges of D marked only in C, and triangles of C outside D with every
-    edge in D, are checked once up front.  The search then keeps one
-    explicit stack of candidate iterators.  Vertices of C outside D come
-    first, in C's order: each tries Y's vertices in declared order (those
-    with a marked identity if its own is marked) and keeps an image only if
+    and order (``_extension_plan``); a call binds it to the target's
+    candidate lists.  Edges of D marked only in C, and triangles of C
+    outside D with every edge in D, are checked once up front.  The search
+    then keeps one explicit stack of candidate iterators.  Vertices of C
+    outside D come first, in C's order: each tries Y's vertices (those with
+    a marked identity if its own is marked) and keeps an image only if
     every non-identity edge of C outside D with both endpoints now assigned
     has a candidate, marked if the edge is, between the images.  The other
-    non-identity edges follow in ``_edge_order`` with forward checking: an
-    edge that completes a triangle takes its candidates from the target's
-    face table for the images of the triangle's other two faces, and is then
-    tested against the other triangles it closes.  A pruned prefix has no
-    extensions and candidates come in the target's declared order, so the
-    sequence is that of a plain backtracking search over every vertex tuple
-    and ``by_endpoints``.  Each extension is yielded as the pair ``(vmap,
-    emap)`` of dicts the search goes on updating: copy them to keep them."""
-    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature())
+    non-identity edges follow with forward checking: an edge that completes
+    a triangle takes its candidates from the target's face table for the
+    images of the triangle's other two faces, and is then tested against
+    the other triangles it closes.  A pruned prefix has no extensions.
+
+    By default the edges follow ``_edge_order`` and candidates come in the
+    target's declared order, so the sequence is that of a plain
+    backtracking search over every vertex tuple and ``by_endpoints``.  With
+    ``key_order`` the edges follow C's declared order, every candidate list
+    is sorted by name and each edge step also runs its look-ahead checks
+    (``_search_plan``), so the extensions come in ``ComplexMorphism.key``
+    order.  Each extension is yielded as the pair ``(vmap, emap)`` of dicts
+    the search goes on updating: copy them to keep them."""
+    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature(), key_order)
     by_endpoints = index.by_endpoints
     vsteps = [(v, iv, index.marked_id_vertices if id_marked else index.vertices,
                [(s, t, index.marked_endpoints if marked else by_endpoints)
                 for s, t, marked in edges])
               for v, iv, id_marked, edges in vplan]
+    if key_order:
+        vsteps = [(v, iv, sorted(ws), edges) for v, iv, ws, edges in vsteps]
     nv, depth = len(vsteps), len(vsteps) + len(plan)
     tables = (index.d0_of, index.d1_of, index.d2_of)
     ysrc, ytgt, ytris, ymarked, yidentity = \
@@ -345,7 +369,7 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
             if len(stack) < nv:
                 stack.append(iter(vsteps[len(stack)][2]))
             elif len(stack) < depth:
-                _, s, t, marked, lookup, _ = plan[len(stack) - nv]
+                _, s, t, marked, lookup, _, _ = plan[len(stack) - nv]
                 vs, vt = vmap[s], vmap[t]
                 if lookup is None:
                     vals = by_endpoints.get((vs, vt), ())
@@ -355,7 +379,7 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
                             if ysrc[y] == vs and ytgt[y] == vt]
                 if marked:
                     vals = [y for y in vals if y in ymarked]
-                stack.append(iter(vals))
+                stack.append(iter(sorted(vals) if key_order else vals))
             else:
                 yield vmap, emap
             while stack:
@@ -373,14 +397,19 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
                         stack.pop()
                         continue
                     break
-                e, _, _, _, _, checks = plan[len(stack) - nv - 1]
+                e, _, _, _, _, checks, ahead = plan[len(stack) - nv - 1]
                 for val in stack[-1]:
                     emap[e] = val
                     for tri in checks:
                         if (emap[tri[0]], emap[tri[1]], emap[tri[2]]) not in ytris:
                             break
                     else:
-                        break
+                        for slot, a, b, marked in ahead:
+                            vals = tables[slot].get((emap[a], emap[b]))
+                            if not vals or marked and ymarked.isdisjoint(vals):
+                                break
+                        else:
+                            break
                 else:
                     stack.pop()
                     continue
@@ -879,7 +908,7 @@ class LiftingReport:
 
 
 _ENUMERATION_LIMIT = 20000
-# The enumeration route stops scanning boundaries after this many failures.
+# The enumeration route stops testing boundaries after this many failures.
 _MAX_FAILURES = 3
 
 
@@ -931,16 +960,21 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     in enumeration form while the larger count is at most
     ``_ENUMERATION_LIMIT``.  Above that limit the counts decide either way
     (count-comparison form).  Every other problem, a failing determined
-    one included, enumerates the boundaries and counts the extensions of
-    each with the one morphism search ``_extender``; in exists mode the
-    count stops at the first extension, since a failure there always has 0.
+    one included, scans the boundaries lazily in key order (``_extender``
+    with ``key_order``) and counts the extensions of each with the one
+    morphism search; in exists mode the count stops at the first
+    extension, since a failure there always has 0.  The scan stops testing
+    at the ``_MAX_FAILURES``-th failure.  A determined problem stops there
+    too, as its boundary count is known; any other goes on scanning, only
+    to count the boundaries.  No boundary list is built or sorted.
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
     index = X._target_index
     C, D = shape.codomain, shape.domain
 
-    if _determined_missing_edges(shape, index):
+    determined = _determined_missing_edges(shape, index)
+    if determined:
         cod_count = count_homs(C, X)
         dom_count = count_homs(D, X)
         if max(cod_count, dom_count) > _ENUMERATION_LIMIT:
@@ -963,29 +997,29 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     extensions = _extender(C, D, index)
     exists = mode == "exists"
     failures_list: list[dict] = []
-    boundaries = hom_maps(D, X)
-    for u in boundaries:
-        if len(failures_list) >= _MAX_FAILURES:
-            break
+    boundaries = 0
+    scan = _extender(D, _EMPTY, index, key_order=True)({}, {})
+    for vmap, emap in scan:
+        boundaries += 1
         n = 0
-        for _ in extensions(u.vertex_map, u.edge_map):
+        for _ in extensions(vmap, emap):
             n += 1
             if exists:
                 break
         if (n == 0) if exists else (n != 1):
-            failures_list.append({
-                "boundary": _describe_morphism(u),
-                "extensions": n,
-            })
-    passed = not failures_list
-    return LiftingReport(shape.name, mode, "enumeration", passed,
-                         len(boundaries), tuple(failures_list))
+            failures_list.append({"boundary": _describe_morphism(D, vmap, emap),
+                                  "extensions": n})
+            if len(failures_list) == _MAX_FAILURES:
+                boundaries = dom_count if determined else boundaries + sum(1 for _ in scan)
+                break
+    return LiftingReport(shape.name, mode, "enumeration", not failures_list,
+                         boundaries, tuple(failures_list))
 
 
-def _describe_morphism(f: ComplexMorphism) -> dict:
+def _describe_morphism(D: TruncatedEpsilonComplex, vmap: dict, emap: dict) -> dict:
     return {
-        "vertices": {v: f.vertex_map[v] for v in f.domain.vertices},
-        "edges": {e: f.edge_map[e] for e in f.domain.nonidentity_edges()},
+        "vertices": {v: vmap[v] for v in D.vertices},
+        "edges": {e: emap[e] for e in D.nonidentity_edges()},
     }
 
 
@@ -1060,7 +1094,6 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
         if count > _WITNESS_SEARCH_LIMIT:
             return None
         if next(extensions(vm, em), None) is None:
-            u = ComplexMorphism(D, X, vm, em)
-            return {"boundary": _describe_morphism(u), "extensions": 0}
+            return {"boundary": _describe_morphism(D, vm, em), "extensions": 0}
     raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
                          "but every boundary morphism extends")

@@ -163,32 +163,40 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
         if validate(kind, candidate).passed:
             found.setdefault(_canonical_table(T, n), None)
 
-    def search(T: dict, k: int) -> None:
-        if k == len(cells):
-            leaf(T)
-            return
-        i, j = cells[k]
-        options = [None] + [v for v in range(1, n) if v != i and v != j]
-        for v in options:
-            T[(i, j)] = v
-            mirrored = commutative and i != j
-            if mirrored:
-                T[(j, i)] = v
-            ok = True
-            if v == n - 1:
-                ok = not _supplement_clash(T, n, i, j)
-                if ok and mirrored:
-                    ok = not _supplement_clash(T, n, j, i)
-            if ok:
-                ok = not (_assoc_clash(T, n, i, j)
-                          or mirrored and _assoc_clash(T, n, j, i))
-            if ok:
-                search(T, k + 1)
-            del T[(i, j)]
-            if mirrored:
-                del T[(j, i)]
+    def fits(i: int, j: int, v, mirrored: bool) -> bool:
+        T[(i, j)] = v
+        if mirrored:
+            T[(j, i)] = v
+        if v == n - 1 and (_supplement_clash(T, n, i, j)
+                           or mirrored and _supplement_clash(T, n, j, i)):
+            return False
+        return not (_assoc_clash(T, n, i, j) or mirrored and _assoc_clash(T, n, j, i))
 
-    search(_forced_cells(n), 0)
+    # One explicit stack of option iterators, one per filled cell: a
+    # recursive closure would be a reference cycle left to the collector.
+    T = _forced_cells(n)
+    stack: list = []
+    while True:
+        if len(stack) == len(cells):
+            leaf(T)
+        else:
+            i, j = cells[len(stack)]
+            stack.append(iter([None] + [v for v in range(1, n) if v != i and v != j]))
+        while stack:
+            i, j = cells[len(stack) - 1]
+            mirrored = commutative and i != j
+            for v in stack[-1]:
+                if fits(i, j, v, mirrored):
+                    break
+            else:
+                del T[(i, j)]
+                if mirrored:
+                    del T[(j, i)]
+                stack.pop()
+                continue
+            break
+        else:
+            break
     return tuple(sorted(found))
 
 

@@ -91,30 +91,39 @@ def pm_morphisms(E: SumTable, F: SumTable) -> list[PMMorphism]:
     out: list[PMMorphism] = []
     image: dict[str, str] = {}
 
+    def candidates(a: str):
+        if a == E.zero:
+            return [F.zero]
+        if a in decomp:
+            forced = F.sums.get((image[decomp[a][0]], image[decomp[a][1]]))
+            return [] if forced is None else [forced]
+        return F.elements
+
     def consistent(a: str) -> bool:
         return all(F.sums.get((image[x], image[y])) == image[z]
                    for x, y, z in sums_by_latest[a])
 
-    def place(i: int) -> None:
-        if i == len(order):
+    # One explicit stack of candidate iterators, one per placed element: a
+    # recursive closure would be a reference cycle left to the collector.
+    stack: list = []
+    while True:
+        if len(stack) == len(order):
             out.append(PMMorphism(E, F, dict(image)))
-            return
-        a = order[i]
-        if a == E.zero:
-            candidates = [F.zero]
-        elif a in decomp:
-            x, y = decomp[a]
-            forced = F.sums.get((image[x], image[y]))
-            candidates = [] if forced is None else [forced]
         else:
-            candidates = list(F.elements)
-        for c in candidates:
-            image[a] = c
-            if consistent(a):
-                place(i + 1)
-            del image[a]
-
-    place(0)
+            stack.append(iter(candidates(order[len(stack)])))
+        while stack:
+            a = order[len(stack) - 1]
+            for c in stack[-1]:
+                image[a] = c
+                if consistent(a):
+                    break
+            else:
+                image.pop(a, None)
+                stack.pop()
+                continue
+            break
+        else:
+            break
     out.sort(key=lambda h: h.key())
     return out
 

@@ -380,6 +380,34 @@ def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_stru
                 [(c["name"], c["passed"]) for c in reordered["checks"]], argv
 
 
+@pytest.mark.parametrize("name", ["chain(2)", "boolean(2)", "wright-triangle"])
+def test_seed_order_keeps_lift_reports(catalog, write_structure, capsys, name):
+    """An enumeration-form report depends only on names: under --seed-order
+    sorted its --json results are the same bytes.  A count-comparison
+    witness is the first in search order, which follows the declarations,
+    so there only the verdict, the form and the boundary count must agree."""
+    from relfa import cli
+
+    path = write_structure(catalog[name], "entry.json")
+    methods = set()
+    for shape in ("horn-2-1", "box(horn-2-1,horn-2-1)", "box(boundary-1,boundary-1)"):
+        reports = []
+        for order in ("declared", "sorted"):
+            status = cli.main(["--json", "--seed-order", order, "lift", shape, path])
+            results = json.loads(capsys.readouterr().out)["results"]
+            reports.append((status, json.dumps(results, indent=2, sort_keys=True)))
+        (status, declared), (sorted_status, reordered) = reports
+        assert status == sorted_status, shape
+        method = json.loads(declared)["method"]
+        methods.add(method)
+        if method == "enumeration":
+            assert declared == reordered, shape
+        else:
+            assert [json.loads(declared)[k] for k in ("passed", "method", "boundaries")] == \
+                [json.loads(reordered)[k] for k in ("passed", "method", "boundaries")], shape
+    assert "enumeration" in methods
+
+
 def test_json_reports_are_byte_identical(chain2_file):
     outputs = {run_cli("--json", "classify", chain2_file).stdout
                for _ in range(3)}

@@ -389,6 +389,26 @@ def test_extender_yields_the_codomain_morphisms_over_each_boundary(target):
     assert {(True, False), (False, False), (False, True)} <= kinds
 
 
+@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
+def test_key_order_scan_yields_the_sorted_morphisms(target):
+    """The key-order search finds the morphisms out of every shape's domain
+    and codomain already sorted: the sequence of keys is that of hom_maps,
+    on targets with one vertex or several, and with marked identities, as
+    declared and with their vertices and edges declared in reverse."""
+    _, Y, shape_names = target
+    reverse = make_complex(Y.name, Y.vertices[::-1], Y.edges[::-1], Y.src, Y.tgt,
+                           Y.identity, Y.triangles, Y.marked)
+    for name in shape_names:
+        shape = shape_from_name(name)
+        for X in (shape.domain, shape.codomain):
+            want = [f.key() for f in hom_maps(X, Y)]
+            for Z in (Y, reverse):
+                scan = complexes._extender(X, complexes._EMPTY, Z._target_index,
+                                           key_order=True)
+                got = [ComplexMorphism(X, Z, vm, em).key() for vm, em in scan({}, {})]
+                assert got == want, (name, X.name, Z.vertices)
+
+
 # sha256 over the JSON of 996 lifting reports, one line each (keys sorted):
 # every shape of SHAPE_NAMES against the nerves of the 17 catalog entries in
 # name order, in exists then unique mode, then 13 pushout-product squares
@@ -442,21 +462,26 @@ def _enumerated_report(shape, X, mode):
                                    len(boundaries), tuple(failures[:3]))
 
 
-def test_determined_reports_match_full_enumeration():
-    """Every determined problem of the frozen report set that check_lifting
-    answers in enumeration form, passing ones (decided by the counts)
-    included, gets the report that enumerating every boundary gives."""
-    verdicts = set()
+def test_enumeration_reports_match_full_enumeration(monkeypatch):
+    """Every problem of the frozen report set that check_lifting answers in
+    enumeration form, determined or not, passing ones (decided by the
+    counts) included, gets the report that enumerating every boundary
+    gives.  check_lifting scans the boundaries lazily: it never calls
+    hom_maps."""
+    def no_hom_maps(X, Y):
+        raise AssertionError("check_lifting called hom_maps")
+
+    monkeypatch.setattr(complexes, "hom_maps", no_hom_maps)
+    kinds = set()
     for shape_name, X, mode in _report_problems():
         shape = shape_from_name(shape_name)
-        if not complexes._determined_missing_edges(shape, complexes._TargetIndex(X)):
-            continue
         report = check_lifting(shape, X, mode)
         if report.method == "enumeration":
             assert report.to_dict() == _enumerated_report(shape, X, mode).to_dict(), \
                 (shape_name, X.name, mode)
-            verdicts.add(report.passed)
-    assert verdicts == {True, False}
+            kinds.add((complexes._determined_missing_edges(shape, X._target_index),
+                       report.passed))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_count_homs_matches_enumeration_between_small_complexes():

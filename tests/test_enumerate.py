@@ -3,6 +3,7 @@ of every emitted structure, isomorph rejection, and the candidate stream."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -162,6 +163,20 @@ def test_incremental_associativity_agrees_with_the_full_scan(monkeypatch, kind):
             nodes[state] = nodes.get(state, False) or result
         for state, clash in nodes.items():
             assert clash == _full_assoc_conflict(dict(state), n), state
+
+
+def test_table_search_leaves_no_cyclic_garbage():
+    """The table search holds no reference cycle: a call frees all of its
+    state on return, and leaves nothing for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(es._table_forms.__wrapped__(5, "pseudo-effect-algebra")) == 5
+        gc.collect()
+        assert len(gc.garbage) == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_transported_delta_reproduces_translation():

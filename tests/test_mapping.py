@@ -4,6 +4,7 @@ hom object, and the evaluation fibration check."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 from collections import Counter
 
 import pytest
@@ -42,6 +43,20 @@ def test_morphisms_preserve_bottom_and_sums():
         h.check()
     keys = [h.key() for h in pm_morphisms(chain(1), chain(2))]
     assert keys == sorted(keys)
+
+
+def test_pm_morphisms_leaves_no_cyclic_garbage():
+    """The placement search holds no reference cycle: a call frees all of
+    its state on return, and leaves nothing for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(pm_morphisms(chain(2), boolean(2))) == 1
+        gc.collect()
+        assert len(gc.garbage) == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def test_conjugation_by_bottom_is_identity():
