@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -432,6 +433,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(lines: list[str]) -> bool:
+    """Print the lines to stdout and flush it; False if the reader closed the
+    pipe, after pointing stdout at the null device for the flush at exit."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -452,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
                 "error": message,
                 "exit": status,
             }
-            print(json.dumps(report, indent=2, sort_keys=True))
+            # A closed stdout leaves the status as it is: it is 2 or 3 already.
+            _emit([json.dumps(report, indent=2, sort_keys=True)])
         else:
             label = "internal error" if status == 3 else "error"
             print(f"{label}: {message}", file=sys.stderr)
@@ -481,13 +496,11 @@ def main(argv: list[str] | None = None) -> int:
         "exit": status,
     }
     if json_out:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        lines = [json.dumps(report, indent=2, sort_keys=True)]
     else:
-        for line in lines:
-            print(line)
-        for cert in certificates:
-            print(f"certificate: {json.dumps(cert, sort_keys=True)}")
-    return status
+        lines = lines + [f"certificate: {json.dumps(cert, sort_keys=True)}"
+                         for cert in certificates]
+    return status if _emit(lines) else 2
 
 
 if __name__ == "__main__":

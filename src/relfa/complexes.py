@@ -11,9 +11,9 @@ automatically, so constructors only list the interesting ones.
 The module also provides one morphism search, which extends a morphism out
 of a subcomplex and enumerates morphisms as extensions of the empty one,
 products, the standard shape inclusions (horns, marked horns, boundaries, the
-associativity and braiding shapes, pushout products), lifting verdicts in
-exists and unique modes, and an exact morphism counting engine used to decide
-determined lifting problems by fiber counting.
+associativity and braiding shapes, pushout products), absolute and relative
+lifting verdicts in exists and unique modes, and an exact morphism counting
+engine used to decide determined lifting problems by fiber counting.
 
 Set-up is built once where its lifetime belongs: named shapes and simplices
 once per process; the face index and count input tables once per target
@@ -133,11 +133,10 @@ class ComplexMorphism:
     vertex_map: dict[str, str]
     edge_map: dict[str, str]
 
-    def key(self, of: TruncatedEpsilonComplex | None = None) -> tuple:
-        """Image tuple over a complex's variables (default: the domain)."""
-        c = of if of is not None else self.domain
-        return tuple(self.vertex_map[v] for v in c.vertices) + \
-            tuple(self.edge_map[e] for e in c.nonidentity_edges())
+    def key(self) -> tuple:
+        """Image tuple over the domain's vertices and non-identity edges."""
+        return tuple(self.vertex_map[v] for v in self.domain.vertices) + \
+            tuple(self.edge_map[e] for e in self.domain.nonidentity_edges())
 
     def check(self) -> None:
         X, Y = self.domain, self.codomain
@@ -335,8 +334,10 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     has a candidate, marked if the edge is, between the images.  The other
     non-identity edges follow with forward checking: an edge that completes
     a triangle takes its candidates from the target's face table for the
-    images of the triangle's other two faces, and is then tested against
-    the other triangles it closes.  A pruned prefix has no extensions.
+    images of the triangle's other two faces (they have the edge's endpoint
+    images, since ``make_complex`` admits only triangles with compatible
+    faces), and is then tested against the other triangles it closes.  A
+    pruned prefix has no extensions.
 
     By default the edges follow ``_edge_order`` and candidates come in the
     target's declared order, so the sequence is that of a plain
@@ -356,8 +357,7 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
         vsteps = [(v, iv, sorted(ws), edges) for v, iv, ws, edges in vsteps]
     nv, depth = len(vsteps), len(vsteps) + len(plan)
     tables = (index.d0_of, index.d1_of, index.d2_of)
-    ysrc, ytgt, ytris, ymarked, yidentity = \
-        index.src, index.tgt, index.triangles, index.marked, index.identity
+    ytris, ymarked, yidentity = index.triangles, index.marked, index.identity
 
     def extensions(vmap: dict[str, str], emap: dict[str, str]):
         if any(emap[e] not in ymarked for e in newly_marked) or \
@@ -370,13 +370,11 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
                 stack.append(iter(vsteps[len(stack)][2]))
             elif len(stack) < depth:
                 _, s, t, marked, lookup, _, _ = plan[len(stack) - nv]
-                vs, vt = vmap[s], vmap[t]
                 if lookup is None:
-                    vals = by_endpoints.get((vs, vt), ())
+                    vals = by_endpoints.get((vmap[s], vmap[t]), ())
                 else:
                     slot, a, b = lookup
-                    vals = [y for y in tables[slot].get((emap[a], emap[b]), ())
-                            if ysrc[y] == vs and ytgt[y] == vt]
+                    vals = tables[slot].get((emap[a], emap[b]), ())
                 if marked:
                     vals = [y for y in vals if y in ymarked]
                 stack.append(iter(sorted(vals) if key_order else vals))
@@ -896,15 +894,7 @@ class LiftingReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "shape": self.shape,
-            "mode": self.mode,
-            "method": self.method,
-            "passed": self.passed,
-            "boundaries": self.boundaries,
-            "failures": list(self.failures),
-            "detail": self.detail,
-        }
+        return {**vars(self), "failures": list(self.failures)}
 
 
 _ENUMERATION_LIMIT = 20000
@@ -919,27 +909,23 @@ def _determined_missing_edges(shape: ShapeInclusion, index: _TargetIndex) -> boo
     C, D = shape.codomain, shape.domain
     if set(C.vertices) != set(D.vertices):
         return False
-    known = set(D.edges)
-    missing = [e for e in C.edges if e not in known]
-    changed = True
-    while missing and changed:
-        changed = False
-        for t in C.triangles:
-            if t in D.triangles:
-                continue
-            for slot in range(3):
-                e = t[slot]
-                others = [t[s] for s in range(3) if s != slot]
-                if e not in known and all(o in known for o in others) and index.functional[slot]:
+    known, grown = set(D.edges), True
+    while grown and not known.issuperset(C.edges):
+        grown = False
+        for t in C.triangles - D.triangles:
+            for slot, e in enumerate(t):
+                if e not in known and index.functional[slot] and \
+                        all(x in known for x in t[:slot] + t[slot + 1:]):
                     known.add(e)
-                    missing = [m for m in missing if m != e]
-                    changed = True
-    return not missing
+                    grown = True
+    return known.issuperset(C.edges)
 
 
 def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                  mode: str = "exists") -> LiftingReport:
-    """Decide the lifting property of X against a shape inclusion.
+                  mode: str = "exists",
+                  over: ComplexMorphism | None = None) -> LiftingReport:
+    """Decide the lifting property of X, or of a map ``over`` out of X,
+    against a shape inclusion.
 
     exists mode asks every boundary morphism to extend; unique mode asks for
     exactly one extension.  The report's ``method`` names its form, not the
@@ -967,9 +953,20 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     at the ``_MAX_FAILURES``-th failure.  A determined problem stops there
     too, as its boundary count is known; any other goes on scanning, only
     to count the boundaries.  No boundary list is built or sorted.
+
+    Relative to a map p: X -> Y (``over``), a square is a boundary u with an
+    extension w of p∘u, and its lifts are the extensions of u that p maps
+    to w; the absolute problem is the one over the terminal complex.  It is
+    decided in enumeration form, failures first in (u, w) key order with w
+    as ``over``, and ``boundaries`` counts the squares.
     """
     if mode not in ("exists", "unique"):
         raise ValueError("mode must be exists or unique")
+    if over is not None:
+        if over.domain is not X:
+            raise ValueError(f"{shape.name}: lifting over a map out of "
+                             f"{over.domain.name}, not out of {X.name}")
+        return _relative_lifting(shape, over, mode)
     index = X._target_index
     C, D = shape.codomain, shape.domain
 
@@ -1014,6 +1011,41 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                 break
     return LiftingReport(shape.name, mode, "enumeration", not failures_list,
                          boundaries, tuple(failures_list))
+
+
+def _relative_lifting(shape: ShapeInclusion, p: ComplexMorphism, mode: str) -> LiftingReport:
+    """The relative problem of ``check_lifting``, scanned to the end."""
+    C, D = shape.codomain, shape.domain
+    index, pv, pe = p.domain._target_index, p.vertex_map, p.edge_map
+    # The squares over one boundary differ only on the cells of C outside D.
+    cv = [v for v in C.vertices if v not in D.vertices]
+    ce = [e for e in C.nonidentity_edges() if e not in D.edges]
+    lifts = _extender(C, D, index)
+    extend_base = _extender(C, D, p.codomain._target_index, key_order=True)
+    bases: dict[tuple, list[tuple]] = {}  # the w of each p∘u, on those cells
+    failures: list[dict] = []
+    squares = fillers = 0
+    for vmap, emap in _extender(D, _EMPTY, index, key_order=True)({}, {}):
+        images: dict[tuple, int] = {}
+        for vm, em in lifts(vmap, emap):
+            w = tuple(pv[vm[v]] for v in cv) + tuple(pe[em[e]] for e in ce)
+            images[w] = images.get(w, 0) + 1
+        fillers += sum(images.values())
+        pvmap = {v: pv[x] for v, x in vmap.items()}
+        pemap = {e: pe[y] for e, y in emap.items()}
+        base = tuple(pemap[e] for e in D.edges)  # identity edges fix the vertices
+        if base not in bases:
+            bases[base] = [tuple(wv[v] for v in cv) + tuple(we[e] for e in ce)
+                           for wv, we in extend_base(pvmap, pemap)]
+        for w in bases[base]:
+            squares += 1
+            n = images.get(w, 0)
+            if (n == 0 if mode == "exists" else n != 1) and len(failures) < _MAX_FAILURES:
+                failures.append({"boundary": _describe_morphism(D, vmap, emap), "extensions": n,
+                                 "over": _describe_morphism(C, pvmap | dict(zip(cv, w)),
+                                                            pemap | dict(zip(ce, w[len(cv):])))})
+    return LiftingReport(shape.name, mode, "enumeration", not failures, squares,
+                         tuple(failures), f"{squares} squares, {fillers} candidate fillers")
 
 
 def _describe_morphism(D: TruncatedEpsilonComplex, vmap: dict, emap: dict) -> dict:

@@ -31,10 +31,9 @@ from .complexes import (
     ComplexMorphism,
     ShapeInclusion,
     TruncatedEpsilonComplex,
-    _picker,
     boundary,
+    check_lifting,
     hom_maps,
-    hom_maps_iter,
     horn,
     make_complex,
     mark_edge_shape,
@@ -393,61 +392,6 @@ FIBRATION_SHAPES: tuple[ShapeInclusion, ...] = (
 )
 
 
-def _images(f: ComplexMorphism) -> tuple:
-    return (tuple(sorted(f.vertex_map.items())),
-            tuple(sorted(f.edge_map.items())))
-
-
-def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
-                            homs: dict) -> CheckResult:
-    """Exactly one lift for every commutative square from the shape
-    inclusion to p.  ``homs`` maps the signature of a shape codomain to the
-    keys of its morphisms into the total complex of p and to its morphisms
-    into the base complex with their keys, so that shapes with one codomain
-    enumerate and key them once."""
-    A, B = shape.domain, shape.codomain
-    total, base = p.domain, p.codomain
-    key = B.signature()
-    if key not in homs:
-        homs[key] = ([v.key() for v in hom_maps(B, total)],
-                     [(w, w.key()) for w in hom_maps(B, base)])
-    v_keys, ws = homs[key]
-    # key(of=A) picked out of key(): the cells of A are cells of B.
-    vslot = {v: i for i, v in enumerate(B.vertices)}
-    eslot = {e: len(vslot) + i for i, e in enumerate(B.nonidentity_edges())}
-    restrict = _picker([vslot[v] for v in A.vertices]
-                       + [eslot[e] for e in A.nonidentity_edges()])
-
-    # The key of p∘f, read off the key of f through p's cell maps: mapping
-    # complexes name vertices h{i} and edges e{i}, so one merged dict does.
-    cells = {**p.vertex_map, **p.edge_map}
-    lifts: dict[tuple, int] = {}
-    for v_key in v_keys:
-        k = (restrict(v_key), tuple(cells[c] for c in v_key))
-        lifts[k] = lifts.get(k, 0) + 1
-    ws_by_restriction: dict[tuple, list[tuple[ComplexMorphism, tuple]]] = {}
-    for w, w_key in ws:
-        ws_by_restriction.setdefault(restrict(w_key), []).append((w, w_key))
-
-    # The boundary morphisms are scanned as the search yields them; the
-    # witness is the failing square first in key order.
-    squares = 0
-    first: tuple | None = None
-    for u in hom_maps_iter(A, total):
-        u_key = u.key()
-        for w, w_key in ws_by_restriction.get(tuple(cells[c] for c in u_key), ()):
-            squares += 1
-            square = (u_key, w_key)
-            n = lifts.get(square, 0)
-            if n != 1 and (first is None or square < first[0]):
-                first = (square, (n, _images(u), _images(w)))
-    return CheckResult(
-        name=f"{shape.name}:unique-relative-lift",
-        passed=first is None,
-        witness=None if first is None else first[1],
-        detail=f"{squares} squares, {len(v_keys)} candidate fillers")
-
-
 def unit_inclusion_map(one: SumTable, E: SumTable,
                        N1: TruncatedEpsilonComplex,
                        NE: TruncatedEpsilonComplex) -> ComplexMorphism:
@@ -487,8 +431,18 @@ def eval_fibration_check(E: SumTable, F: SumTable) -> ValidationReport:
     ME = mapping_complex(NE, NF)
     M1 = mapping_complex(N1, NF)
     p = restriction_map(ME, M1, unit_inclusion_map(one, E, NE=NE, N1=N1))
-    homs: dict = {}
-    checks = tuple(_relative_lifting_check(shape, p, homs) for shape in FIBRATION_SHAPES)
+    checks = []
+    for shape in FIBRATION_SHAPES:
+        report = check_lifting(shape, ME.complex, "unique", over=p)
+        # The first failure's lifts, then all cell images of u and w, sorted.
+        first = report.failures[0] if report.failures else None
+        witness = None if first is None else (first["extensions"],) + tuple(
+            (tuple(sorted(c["vertices"].items())), tuple(sorted((c["edges"] | {
+                S.identity[v]: T.identity[x] for v, x in c["vertices"].items()}).items())))
+            for c, S, T in ((first["boundary"], shape.domain, ME.complex),
+                            (first["over"], shape.codomain, M1.complex)))
+        checks.append(CheckResult(f"{shape.name}:unique-relative-lift", report.passed,
+                                  witness, report.detail))
     notes = (
         f"total complex: {len(ME.complex.vertices)} vertices, {len(ME.complex.edges)} edges",
         f"base complex: {len(M1.complex.vertices)} vertices, {len(M1.complex.edges)} edges",
@@ -496,7 +450,7 @@ def eval_fibration_check(E: SumTable, F: SumTable) -> ValidationReport:
     return ValidationReport(
         kind="evaluation-fibration",
         name=f"eval({E.name};{F.name})",
-        checks=checks,
+        checks=tuple(checks),
         notes=notes)
 
 

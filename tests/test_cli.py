@@ -119,6 +119,27 @@ def test_exit_is_one_exactly_when_the_report_carries_a_certificate(
         assert report["exit"] == expected == (1 if report["certificates"] else 0), argv
 
 
+@pytest.mark.parametrize("argv", [("catalog", "list"), ("--json", "kan", "{chain1}", "{chain1}"),
+                                  ("--json", "kan", "{missing}", "{chain1}")],
+                         ids=["catalog-list", "json-kan", "json-error"])
+@pytest.mark.parametrize("unbuffered", ["0", "1"])
+def test_closed_stdout_exits_2_without_a_traceback(write_structure, argv, unbuffered):
+    """A reader that went away before the report was written is an output
+    error: status 2, and nothing on stderr, neither a traceback nor the
+    interpreter's complaint about the failed flush at exit."""
+    chain1 = write_structure(chain(1), "chain1.json")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        missing = str(Path(chain1).with_name("missing.json"))
+        proc = subprocess.run(CLI + [a.format(chain1=chain1, missing=missing) for a in argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONUNBUFFERED=unbuffered), check=False)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
 def test_missing_file_exits_2():
     proc, report = run_json("validate", "/no/such/structure.json")
     assert proc.returncode == 2
@@ -375,6 +396,10 @@ def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_stru
             # The flags and cross-checks; witnesses may name other elements.
             del declared["witnesses"], reordered["witnesses"]
             assert declared == reordered
+        elif argv[0] == "kan":
+            # Every check with its witness and its "N squares, M candidate
+            # fillers" detail, and the notes.
+            assert declared == reordered, argv
         else:
             assert [(c["name"], c["passed"]) for c in declared["checks"]] == \
                 [(c["name"], c["passed"]) for c in reordered["checks"]], argv

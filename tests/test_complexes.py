@@ -379,7 +379,8 @@ def test_extender_yields_the_codomain_morphisms_over_each_boundary(target):
                    len(C.vertices) > len(D.vertices)))
         grouped = {}
         for f in hom_maps_iter(C, Y):
-            grouped.setdefault(f.key(D), []).append(f.key())
+            grouped.setdefault(ComplexMorphism(D, Y, f.vertex_map, f.edge_map).key(),
+                               []).append(f.key())
         extensions = complexes._extender(C, D, index)
         for u in hom_maps(D, Y):
             got = [ComplexMorphism(C, Y, dict(vm), dict(em)).key()
@@ -606,7 +607,8 @@ def _first_unfillable(shape, X):
     """The first boundary morphism of hom_maps_iter(D, X) that no morphism
     out of the codomain restricts to."""
     C, D = shape.codomain, shape.domain
-    restrictions = {f.key(D) for f in hom_maps_iter(C, X)}
+    restrictions = {ComplexMorphism(D, X, f.vertex_map, f.edge_map).key()
+                    for f in hom_maps_iter(C, X)}
     u = next(u for u in hom_maps_iter(D, X) if u.key() not in restrictions)
     return {"boundary": {"vertices": {v: u.vertex_map[v] for v in D.vertices},
                          "edges": {e: u.edge_map[e] for e in D.nonidentity_edges()}},

@@ -10,14 +10,23 @@ from collections import Counter
 import pytest
 
 from relfa import mapping
-from relfa.algebra import PseudoEffectAlgebraTable, to_relfa, validate
-from relfa.catalog import boolean, chain
-from relfa.complexes import hom_maps, make_complex
+from relfa.algebra import CheckResult, PseudoEffectAlgebraTable, to_relfa, validate
+from relfa.catalog import boolean, chain, zk_interval
+from relfa.complexes import (
+    SHAPE_NAMES,
+    ComplexMorphism,
+    ShapeInclusion,
+    _picker,
+    check_lifting,
+    hom_maps,
+    hom_maps_iter,
+    make_complex,
+    shape_from_name,
+)
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import (
     FIBRATION_SHAPES,
     _candidate_isomorphism,
-    _relative_lifting_check,
     conjugate,
     enriched_compose,
     eval_fibration_check,
@@ -231,37 +240,177 @@ def test_cyclic_pea_is_a_pea_and_not_commutative(n):
     assert [c.name for c in report.checks if not c.passed] == ["commutativity"]
 
 
+def _images(f: ComplexMorphism) -> tuple:
+    return (tuple(sorted(f.vertex_map.items())),
+            tuple(sorted(f.edge_map.items())))
+
+
+def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
+                            homs: dict) -> CheckResult:
+    """Exactly one lift for every commutative square from the shape
+    inclusion to p.  ``homs`` maps the signature of a shape codomain to the
+    keys of its morphisms into the total complex of p and to its morphisms
+    into the base complex with their keys, so that shapes with one codomain
+    enumerate and key them once."""
+    A, B = shape.domain, shape.codomain
+    total, base = p.domain, p.codomain
+    key = B.signature()
+    if key not in homs:
+        homs[key] = ([v.key() for v in hom_maps(B, total)],
+                     [(w, w.key()) for w in hom_maps(B, base)])
+    v_keys, ws = homs[key]
+    # The key of the restriction to A picked out of key(): A's cells are B's.
+    vslot = {v: i for i, v in enumerate(B.vertices)}
+    eslot = {e: len(vslot) + i for i, e in enumerate(B.nonidentity_edges())}
+    restrict = _picker([vslot[v] for v in A.vertices]
+                       + [eslot[e] for e in A.nonidentity_edges()])
+
+    # The key of p∘f, read off the key of f through p's cell maps: mapping
+    # complexes name vertices h{i} and edges e{i}, so one merged dict does.
+    cells = {**p.vertex_map, **p.edge_map}
+    lifts: dict[tuple, int] = {}
+    for v_key in v_keys:
+        k = (restrict(v_key), tuple(cells[c] for c in v_key))
+        lifts[k] = lifts.get(k, 0) + 1
+    ws_by_restriction: dict[tuple, list[tuple[ComplexMorphism, tuple]]] = {}
+    for w, w_key in ws:
+        ws_by_restriction.setdefault(restrict(w_key), []).append((w, w_key))
+
+    # The boundary morphisms are scanned as the search yields them; the
+    # witness is the failing square first in key order.
+    squares = 0
+    first: tuple | None = None
+    for u in hom_maps_iter(A, total):
+        u_key = u.key()
+        for w, w_key in ws_by_restriction.get(tuple(cells[c] for c in u_key), ()):
+            squares += 1
+            square = (u_key, w_key)
+            n = lifts.get(square, 0)
+            if n != 1 and (first is None or square < first[0]):
+                first = (square, (n, _images(u), _images(w)))
+    return CheckResult(
+        name=f"{shape.name}:unique-relative-lift",
+        passed=first is None,
+        witness=None if first is None else first[1],
+        detail=f"{squares} squares, {len(v_keys)} candidate fillers")
+
+
+def _restriction_key(f, A):
+    """The key of f restricted to the subcomplex A of its domain."""
+    return ComplexMorphism(A, f.codomain, f.vertex_map, f.edge_map).key()
+
+
 def _oracle_relative_lift_witness(shape, p):
     """The failing square first in key order, found by scanning the sorted
     boundary morphisms and, for each, the sorted base morphisms."""
     A, B = shape.domain, shape.codomain
-    lifts = Counter((v.key(of=A), p.compose(v).key()) for v in hom_maps(B, p.domain))
+    lifts = Counter((_restriction_key(v, A), p.compose(v).key())
+                    for v in hom_maps(B, p.domain))
     ws = hom_maps(B, p.codomain)
     for u in hom_maps(A, p.domain):
         for w in ws:
-            if w.key(of=A) == p.compose(u).key():
+            if _restriction_key(w, A) == p.compose(u).key():
                 n = lifts[(u.key(), w.key())]
                 if n != 1:
-                    return (n, _sorted_images(u), _sorted_images(w))
+                    return (n, _images(u), _images(w))
     return None
 
 
-def _sorted_images(f):
-    return tuple(sorted(f.vertex_map.items())), tuple(sorted(f.edge_map.items()))
+def _evaluation_map(E, F):
+    """The restriction map of eval_fibration_check(E, F)."""
+    one = chain(1)
+    NE, NF, N1 = (nerve(to_relfa(T)) for T in (E, F, one))
+    ME, M1 = mapping.mapping_complex(NE, NF), mapping.mapping_complex(N1, NF)
+    return mapping.restriction_map(ME, M1, mapping.unit_inclusion_map(one, E, N1, NE))
+
+
+CRITERION_6_PAIRS = [(E, F) for E in (chain(1), chain(2), boolean(2), chain(3))
+                     for F in (chain(1), chain(2), boolean(2), chain(3))
+                     if len(E.elements) * len(F.elements) <= 16]
+
+
+@pytest.mark.parametrize("pair", CRITERION_6_PAIRS + FIBRATION_PEA_PAIRS,
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_eval_fibration_check_agrees_with_the_relative_oracle(pair):
+    """Every check of eval_fibration_check, decided by check_lifting, is the
+    CheckResult the hom-set grouping oracle gives: verdict, witness and the
+    square and filler counts of its detail."""
+    p = _evaluation_map(*pair)
+    homs: dict = {}
+    want = [_relative_lifting_check(shape, p, homs) for shape in FIBRATION_SHAPES]
+    assert list(eval_fibration_check(*pair).checks) == want
 
 
 @pytest.mark.parametrize("pair", [(chain(1), boolean(2)), (boolean(2), chain(3))],
                          ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
 def test_relative_lift_witness_is_the_first_failing_square(pair):
-    """On morphisms of nerves that are not fibrations, the lazy scan of the
-    boundary morphisms gives the witness the sorted scan gives."""
+    """On morphisms of nerves that are not fibrations, check_lifting gives
+    the failing square first in key order as its first failure, as the
+    sorted scan and the hom-set grouping oracle do."""
     total, base = (nerve(to_relfa(algebra)) for algebra in pair)
     failing = 0
     for p in hom_maps(total, base)[:4]:
         homs: dict = {}
         for shape in FIBRATION_SHAPES:
-            check = _relative_lifting_check(shape, p, homs)
-            assert check.witness == _oracle_relative_lift_witness(shape, p), shape.name
-            assert check.passed == (check.witness is None)
-            failing += not check.passed
+            report = check_lifting(shape, total, "unique", over=p)
+            oracle = _relative_lifting_check(shape, p, homs)
+            witness = None
+            if report.failures:
+                first = report.failures[0]
+                u, w = (_complete(first[k], S, Y) for k, S, Y in
+                        (("boundary", shape.domain, total), ("over", shape.codomain, base)))
+                witness = (first["extensions"], _images(u), _images(w))
+            assert witness == _oracle_relative_lift_witness(shape, p) == oracle.witness, \
+                shape.name
+            assert report.passed == oracle.passed == (witness is None)
+            assert report.detail == oracle.detail
+            failing += not report.passed
     assert failing
+
+
+def _complete(described, S, Y):
+    """The morphism S -> Y a failure describes: its vertex and non-identity
+    edge images, with the identity edges they determine."""
+    vmap = described["vertices"]
+    emap = described["edges"] | {S.identity[v]: Y.identity[x] for v, x in vmap.items()}
+    f = ComplexMorphism(S, Y, vmap, emap)
+    f.check()
+    return f
+
+
+def _terminal():
+    """The terminal complex: one vertex and its identity edge, marked."""
+    return make_complex("pt", ("*",), ("id",), {"id": "*"}, {"id": "*"},
+                        {"*": "id"}, (), ("id",))
+
+
+@pytest.mark.parametrize("mode", ["exists", "unique"])
+@pytest.mark.parametrize("algebra", [chain(2), boolean(2), zk_interval((2, 1)), chain(3)],
+                         ids=lambda algebra: algebra.name)
+def test_absolute_lifting_is_relative_lifting_over_the_terminal_complex(algebra, mode):
+    """Over the terminal complex a square is a boundary morphism, and its
+    lifts are its extensions: the relative report has the absolute verdict,
+    boundary count and failing boundaries, on every named shape and a
+    pushout-product square."""
+    X, pt = nerve(to_relfa(algebra)), _terminal()
+    to_pt = ComplexMorphism(X, pt, dict.fromkeys(X.vertices, "*"), dict.fromkeys(X.edges, "id"))
+    to_pt.check()
+    failing = 0
+    for name in SHAPE_NAMES + ("box(horn-2-1,horn-1-0)",):
+        shape = shape_from_name(name)
+        absolute = check_lifting(shape, X, mode)
+        relative = check_lifting(shape, X, mode, over=to_pt)
+        assert (relative.passed, relative.boundaries) == \
+            (absolute.passed, absolute.boundaries), name
+        assert [(f["boundary"], f["extensions"]) for f in relative.failures] == \
+            [(f["boundary"], f["extensions"]) for f in absolute.failures], name
+        failing += not absolute.passed
+    assert failing
+
+
+def test_relative_lifting_rejects_a_map_out_of_another_complex():
+    X, Y = (nerve(to_relfa(algebra)) for algebra in (chain(1), chain(2)))
+    p = hom_maps(X, Y)[0]
+    with pytest.raises(ValueError, match=r"horn-1-0: lifting over a map out of "
+                                         r"nerve\(relfa\(chain\(1\)\)\), not out of"):
+        check_lifting(FIBRATION_SHAPES[0], Y, "unique", over=p)
