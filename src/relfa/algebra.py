@@ -35,14 +35,14 @@ class CheckResult:
 
     name: str
     passed: bool
-    witness: tuple | None = None
+    witness: tuple | dict | None = None
     detail: str = ""
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "passed": self.passed,
-            "witness": list(self.witness) if self.witness is not None else None,
+            "witness": list(self.witness) if isinstance(self.witness, tuple) else self.witness,
             "detail": self.detail,
         }
 

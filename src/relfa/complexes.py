@@ -950,9 +950,9 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     with ``key_order``) and counts the extensions of each with the one
     morphism search; in exists mode the count stops at the first
     extension, since a failure there always has 0.  The scan stops testing
-    at the ``_MAX_FAILURES``-th failure.  A determined problem stops there
-    too, as its boundary count is known; any other goes on scanning, only
-    to count the boundaries.  No boundary list is built or sorted.
+    at the ``_MAX_FAILURES``-th failure and takes its boundary count from
+    ``count_homs``, or from the count it has if it is determined.  No
+    boundary list is built or sorted.
 
     Relative to a map p: X -> Y (``over``), a square is a boundary u with an
     extension w of p∘u, and its lifts are the extensions of u that p maps
@@ -995,8 +995,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     exists = mode == "exists"
     failures_list: list[dict] = []
     boundaries = 0
-    scan = _extender(D, _EMPTY, index, key_order=True)({}, {})
-    for vmap, emap in scan:
+    for vmap, emap in _extender(D, _EMPTY, index, key_order=True)({}, {}):
         boundaries += 1
         n = 0
         for _ in extensions(vmap, emap):
@@ -1007,7 +1006,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
             failures_list.append({"boundary": _describe_morphism(D, vmap, emap),
                                   "extensions": n})
             if len(failures_list) == _MAX_FAILURES:
-                boundaries = dom_count if determined else boundaries + sum(1 for _ in scan)
+                boundaries = dom_count if determined else count_homs(D, X)
                 break
     return LiftingReport(shape.name, mode, "enumeration", not failures_list,
                          boundaries, tuple(failures_list))
@@ -1022,7 +1021,6 @@ def _relative_lifting(shape: ShapeInclusion, p: ComplexMorphism, mode: str) -> L
     ce = [e for e in C.nonidentity_edges() if e not in D.edges]
     lifts = _extender(C, D, index)
     extend_base = _extender(C, D, p.codomain._target_index, key_order=True)
-    bases: dict[tuple, list[tuple]] = {}  # the w of each p∘u, on those cells
     failures: list[dict] = []
     squares = fillers = 0
     for vmap, emap in _extender(D, _EMPTY, index, key_order=True)({}, {}):
@@ -1033,17 +1031,13 @@ def _relative_lifting(shape: ShapeInclusion, p: ComplexMorphism, mode: str) -> L
         fillers += sum(images.values())
         pvmap = {v: pv[x] for v, x in vmap.items()}
         pemap = {e: pe[y] for e, y in emap.items()}
-        base = tuple(pemap[e] for e in D.edges)  # identity edges fix the vertices
-        if base not in bases:
-            bases[base] = [tuple(wv[v] for v in cv) + tuple(we[e] for e in ce)
-                           for wv, we in extend_base(pvmap, pemap)]
-        for w in bases[base]:
+        for wv, we in extend_base(pvmap, pemap):
+            w = tuple(wv[v] for v in cv) + tuple(we[e] for e in ce)
             squares += 1
             n = images.get(w, 0)
             if (n == 0 if mode == "exists" else n != 1) and len(failures) < _MAX_FAILURES:
                 failures.append({"boundary": _describe_morphism(D, vmap, emap), "extensions": n,
-                                 "over": _describe_morphism(C, pvmap | dict(zip(cv, w)),
-                                                            pemap | dict(zip(ce, w[len(cv):])))})
+                                 "over": _describe_morphism(C, wv, we)})
     return LiftingReport(shape.name, mode, "enumeration", not failures, squares,
                          tuple(failures), f"{squares} squares, {fillers} candidate fillers")
 

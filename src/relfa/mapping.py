@@ -3,9 +3,10 @@
 Levels of ``[X, Y]`` are computed as morphism sets out of prism products
 ``simplex(n) x X``; the module also provides the partial-monoid morphism
 calculus used to describe those levels for nerves of effect algebras
-(``pm_morphisms``, ``conjugate``, ``hom_object_ea``), the isomorphism
-verification between the two descriptions, the evaluation-map fibration
-checks, and the enriched composition morphism."""
+(``pm_morphisms``, ``conjugate``, ``hom_object_ea``), the mapping theorem
+checked by relabelling the hom object along the explicit labeling and
+comparing it relation by relation with the mapping complex, the
+evaluation-map fibration checks, and the enriched composition morphism."""
 
 from __future__ import annotations
 
@@ -315,68 +316,52 @@ def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     return HomObject(algebra, tuple(comps))
 
 
-def _candidate_isomorphism(hob: HomObject, E: SumTable, F: SumTable,
-                           NE: TruncatedEpsilonComplex, NF: TruncatedEpsilonComplex,
-                           M: MappingComplex) -> ComplexMorphism | None:
-    """The explicit labeling: the component of h lands on the vertex induced
-    by h, and the loop named by x in [0, h(1)'] lands on the edge whose
-    01-prism images are h(a) + x."""
-    C = M.complex
-    NG = nerve(hob.algebra)
-    p0 = product(simplex(0), NE)
+def _explicit_labeling(hob: HomObject, E: SumTable, F: SumTable,
+                       NE: TruncatedEpsilonComplex, NF: TruncatedEpsilonComplex,
+                       M: MappingComplex) -> dict[str, str] | None:
+    """The explicit labeling of the hom object by edges of the mapping
+    complex: the element x of the component of h names the edge whose
+    1-prism map sends a to h(a) at both ends and to h(a) + x along the
+    prism.  None when such a sum is undefined or no edge has that key."""
     p1 = product(simplex(1), NE)
     unit_e, unit_f = NE.vertices[0], NF.vertices[0]
-    vmap: dict[str, str] = {}
-    emap: dict[str, str] = {}
-    try:
-        for comp in hob.components:
-            h = comp.morphism.image
-            vref = ComplexMorphism(
-                p0, NF,
-                {f"0|{unit_e}": unit_f},
-                {f"00|{a}": h[a] for a in E.elements})
-            vmap[comp.prefix + F.zero] = M.vertex_index[vref.key()]
-            for x in comp.carrier:
-                emaps: dict[str, str] = {}
-                for a in E.elements:
-                    shifted = F.sums.get((h[a], x))
-                    if shifted is None:
-                        return None
-                    emaps[f"00|{a}"] = h[a]
-                    emaps[f"11|{a}"] = h[a]
-                    emaps[f"01|{a}"] = shifted
-                eref = ComplexMorphism(
-                    p1, NF,
-                    {f"0|{unit_e}": unit_f, f"1|{unit_e}": unit_f},
-                    emaps)
-                emap[comp.prefix + x] = M.edge_index[eref.key()]
-    except KeyError:
-        return None
-    f = ComplexMorphism(NG, C, vmap, emap)
-    try:
-        f.check()
-    except ValueError:
-        return None
-    if len(set(vmap.values())) != len(C.vertices):
-        return None
-    if len(set(emap.values())) != len(C.edges):
-        return None
-    return f
+    ends = {f"0|{unit_e}": unit_f, f"1|{unit_e}": unit_f}
+    labels: dict[str, str] = {}
+    for comp in hob.components:
+        h = comp.morphism.image
+        for x in comp.carrier:
+            emap: dict[str, str] = {}
+            for a in E.elements:
+                shifted = F.sums.get((h[a], x))
+                if shifted is None:
+                    return None
+                emap[f"00|{a}"] = emap[f"11|{a}"] = h[a]
+                emap[f"01|{a}"] = shifted
+            edge = M.edge_index.get(ComplexMorphism(p1, NF, ends, emap).key())
+            if edge is None:
+                return None
+            labels[comp.prefix + x] = edge
+    return labels
 
 
 def verify_mapping_theorem(E: SumTable, F: SumTable) -> bool:
-    """Whether the explicit labeling ``_candidate_isomorphism`` is an
-    isomorphism from the nerve of the hom object onto the mapping complex of
-    the two nerves; no other isomorphism is searched for.  A bijection
-    between complexes with equal level counts is one, since equal triangle
-    and marked counts force the structure to be reflected."""
+    """Whether the explicit labeling ``_explicit_labeling`` is an isomorphism
+    from the nerve of the hom object onto the mapping complex C of the two
+    nerves; no other isomorphism is searched for.  It is one exactly when
+    it is a bijection onto C's edges that carries the multiplication, unit
+    and counit of the hom object to C's triangles (as ``nerve`` reads
+    them), identity edges and marked edges: the degenerate triangles of
+    each edge fix its endpoints, and the units fix the vertices."""
     hob = hom_object_ea(E, F)
-    NG = nerve(hob.algebra)
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
-    if NG.counts() != M.complex.counts():
+    C = M.complex
+    labels = _explicit_labeling(hob, E, F, NE, NF, M)
+    if labels is None or sorted(labels.values()) != sorted(C.edges):
         return False
-    return _candidate_isomorphism(hob, E, F, NE, NF, M) is not None
+    G = relabel_relfa(hob.algebra, labels)
+    return G.mu == {(d0, d2, d1) for d0, d1, d2 in C.triangles} and \
+        G.eta == set(C.identity.values()) and G.epsilon == C.marked
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def parse_structure(text: str, source: str = "input"):
     for v, e in identities.items():
         if not isinstance(e, str):
             raise StructureError(f"{source}.identities.{v}", "expected an edge id")
+        if v not in universe:
+            raise StructureError(f"{source}.identities.{v}", f"unknown identifier {v!r}")
     triangles = _triples(doc, "triangles", source)
     marked = _string_list(doc, "marked", source)
     try:

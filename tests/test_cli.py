@@ -14,6 +14,7 @@ import pytest
 from relfa import __version__
 from relfa.algebra import RelFA
 from relfa.catalog import boolean, chain
+from relfa.complexes import check_lifting, make_complex, shape_from_name
 from relfa.enumerate_small import enumerate_small
 from relfa.structio import load_structure, save_structure
 
@@ -146,6 +147,17 @@ def test_missing_file_exits_2():
     assert "error" in report
 
 
+def test_validate_rejects_identities_of_unknown_vertices(tmp_path):
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps({
+        "kind": "complex", "name": "ghost", "vertices": ["v"],
+        "edges": [["i", "v", "v"]], "identities": {"v": "i", "ghost": "nope"},
+        "triangles": [], "marked": []}))
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}.identities.ghost: unknown identifier 'ghost'\n"
+
+
 def test_internal_error_exits_3(monkeypatch, capsys, chain2_file):
     """A violated invariant is a bug in relfa, not bad input: exit 3."""
     from relfa import InvariantError, cli
@@ -174,6 +186,20 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys, chain2_file):
     assert cli.main(["--json", "homology", chain2_file]) == 3
     report = json.loads(capsys.readouterr().out)
     assert (report["exit"], report["error"]) == (3, "KeyError: 'x'")
+
+
+def test_json_keeps_the_failing_boundary_of_a_recognition_check(write_structure):
+    """A recognition check's witness is the first failing boundary of its
+    lifting report, a dict, and --json writes it whole."""
+    C = make_complex("unmarked-loop", ["v"], ["i"], {"i": "v"}, {"i": "v"},
+                     {"v": "i"}, [], [])
+    proc, report = run_json("validate", write_structure(C, "loop.json"))
+    assert proc.returncode == 1
+    check = report["results"]["checks"][0]
+    assert (check["name"], check["passed"]) == ("ehorn-1-0:unique", False)
+    assert check["witness"] == \
+        check_lifting(shape_from_name("ehorn-1-0"), C, "unique").failures[0]
+    assert report["certificates"][0]["failed_checks"][0] == check
 
 
 def test_classify_reports_flags(boolean2_file):
@@ -403,6 +429,28 @@ def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_stru
         else:
             assert [(c["name"], c["passed"]) for c in declared["checks"]] == \
                 [(c["name"], c["passed"]) for c in reordered["checks"]], argv
+
+
+@pytest.mark.parametrize("name", ["chain(3)", "boolean(2)", "group_algebra(Z/3)",
+                                  "horizontal_sum(boolean(2),chain(3))"])
+def test_seed_order_keeps_nerve_homology_and_hom_reports(catalog, write_structure,
+                                                         capsys, name):
+    """nerve, homology, and hom against chain(1) in both directions, give
+    the same --json results and exit status under both seed orders."""
+    from relfa import cli
+
+    structure = catalog[name]
+    path = write_structure(structure, "entry.json")
+    commands = [["nerve", path], ["homology", path]]
+    if not isinstance(structure, RelFA):
+        one = write_structure(chain(1), "chain1.json")
+        commands += [["hom", one, path], ["hom", path, one]]
+    for argv in commands:
+        reports = []
+        for order in ("declared", "sorted"):
+            status = cli.main(["--json", "--seed-order", order, *argv])
+            reports.append((status, json.loads(capsys.readouterr().out)["results"]))
+        assert reports[0] == reports[1], argv
 
 
 @pytest.mark.parametrize("name", ["chain(2)", "boolean(2)", "wright-triangle"])

@@ -26,7 +26,6 @@ from relfa.complexes import (
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import (
     FIBRATION_SHAPES,
-    _candidate_isomorphism,
     conjugate,
     enriched_compose,
     eval_fibration_check,
@@ -119,38 +118,46 @@ def test_mapping_theorem_fails_when_the_level_counts_differ(monkeypatch):
     assert not verify_mapping_theorem(chain(1), chain(2))
 
 
-def test_explicit_labeling_rejects_every_broken_input():
+def test_explicit_labeling_rejects_every_broken_input(monkeypatch):
     E, F = chain(1), chain(2)
     hob = hom_object_ea(E, F)
-    NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
-    M = mapping_complex(NE, NF)
-    assert _candidate_isomorphism(hob, E, F, NE, NF, M) is not None
+    M = mapping_complex(nerve(to_relfa(E)), nerve(to_relfa(F)))
     C = M.complex
 
-    def variant(vertices=(), loops=(), triangles=C.triangles):
+    def variant(vertices=(), loops=(), triangles=C.triangles, marked=C.marked):
         # M over C plus new vertices and new loops at C's first vertex, with
-        # the given triangles.
+        # the given triangles and marked edges.
         fresh = tuple(f"id-{v}" for v in vertices)
         ends = {**{i: v for i, v in zip(fresh, vertices)},
                 **{e: C.vertices[0] for e in loops}}
         return dataclasses.replace(M, complex=make_complex(
             C.name, C.vertices + tuple(vertices), C.edges + fresh + tuple(loops),
             {**C.src, **ends}, {**C.tgt, **ends},
-            {**C.identity, **dict(zip(vertices, fresh))}, triangles, C.marked))
+            {**C.identity, **dict(zip(vertices, fresh))}, triangles, marked))
 
+    def verdict(h, target):
+        monkeypatch.setattr(mapping, "hom_object_ea", lambda E, F: h)
+        monkeypatch.setattr(mapping, "mapping_complex", lambda X, Y: target)
+        return verify_mapping_theorem(E, F)
+
+    assert verdict(hob, M)
     # Each component's carrier widened to all of F, so that some h(1) + x
     # is undefined.
     wide = dataclasses.replace(hob, components=tuple(
         dataclasses.replace(c, carrier=F.elements) for c in hob.components))
+    # The unit moved onto the elements that are not units.
+    moved = dataclasses.replace(hob, algebra=dataclasses.replace(
+        hob.algebra, eta=frozenset(hob.algebra.elements) - hob.algebra.eta))
     broken = [
         (wide, M),
-        (hob, dataclasses.replace(M, vertex_index={})),
+        (moved, M),
         (hob, variant(triangles=C.triangles - {C.nondegenerate_triangles()[0]})),
         (hob, variant(vertices=("extra",))),
         (hob, variant(loops=("extra",))),
+        (hob, variant(marked=C.marked - {sorted(C.marked)[0]})),
     ]
     for h, target in broken:
-        assert _candidate_isomorphism(h, E, F, NE, NF, target) is None
+        assert not verdict(h, target)
 
 
 def test_hom_object_rejects_tables_that_are_not_effect_algebras():

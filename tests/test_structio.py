@@ -134,6 +134,15 @@ def test_complex_duplicate_edge_ids_are_rejected():
         parse_structure(json.dumps(doc))
 
 
+def test_complex_identities_of_unknown_vertices_are_located():
+    doc = {"kind": "complex", "name": "d", "vertices": ["v"],
+           "edges": [["i", "v", "v"]],
+           "identities": {"v": "i", "ghost": "nope"}, "triangles": [], "marked": []}
+    with pytest.raises(StructureError,
+                       match=r"^d\.json\.identities\.ghost: unknown identifier 'ghost'$"):
+        parse_structure(json.dumps(doc), source="d.json")
+
+
 def test_structure_to_doc_rejects_foreign_objects():
     with pytest.raises((TypeError, ValueError)):
         structure_to_doc(42)
