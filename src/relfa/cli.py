@@ -6,8 +6,9 @@ the builtin catalog.  Reports carry the command echo, the tool version, and
 a digest of every input file; with ``--json`` the report serialization is
 byte-stable across runs.  A failing property attaches a certificate, and a
 report exits with status 1 exactly when it carries one; a lifting
-certificate embeds the full failing boundary assignment, so a negative
-verdict can be re-run standalone with ``fa lift``.  Input problems
+certificate embeds the full failing boundary assignment and, as
+``rerun``, the shell command that repeats the check: ``fa lift`` with the
+shape, the file, ``--unique`` and ``--seed-order`` as given.  Input problems
 exit with status 2, and a bug in relfa (a violated internal invariant, or
 any exception but ValueError and OSError) with status 3.
 """
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -233,7 +235,7 @@ def cmd_hom(args, seed):
                    "morphism": {a: comp.morphism.image[a] for a in E.elements},
                    "loop_top": comp.top,
                    "size": len(comp.carrier)} for comp in hob.components]
-    iso = verify_mapping_theorem(E, F)
+    iso = verify_mapping_theorem(E, F, hob)
     results = {
         "hom_object": hob.algebra.name,
         "components": components,
@@ -291,8 +293,9 @@ def cmd_lift(args, seed):
             "target": {"file": args.file, "name": C.name,
                        "sha256": digest["sha256"]},
             "failures": list(rep.failures),
-            "rerun": f"fa lift {shape.name} {args.file}"
-                     + (" --unique" if args.unique else ""),
+            "rerun": shlex.join(["fa", "lift", shape.name, args.file]
+                                + (["--unique"] if args.unique else [])
+                                + (["--seed-order", "sorted"] if seed == "sorted" else [])),
         })
     lines = [f"{shape.name} against {C.name} ({mode}): "
              f"{'PASS' if rep.passed else 'FAIL'}"]
@@ -300,8 +303,6 @@ def cmd_lift(args, seed):
     for f in rep.failures:
         lines.append(f"  unfilled boundary: {f['boundary']} "
                      f"with {f['extensions']} extensions")
-    if not rep.passed and not rep.failures:
-        lines.append(f"  {rep.detail}")
     return results, certificates, [digest], lines
 
 

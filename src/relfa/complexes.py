@@ -933,10 +933,10 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     morphisms as ``boundaries``.  An ``enumeration`` report lists every
     failing boundary, up to ``_MAX_FAILURES`` and in key order, with its
     number of extensions, and has an empty detail.  A
-    ``count-comparison`` report gives both counts in its detail and at most
-    one failing boundary: the first in ``hom_maps_iter`` order, found by
-    descending on pinned counts (``_search_unfillable``), the same witness
-    a plain scan finds.
+    ``count-comparison`` report gives both counts in its detail and, when
+    it fails, one failing boundary: the first in ``hom_maps_iter`` order,
+    found by descending on pinned counts (``_search_unfillable``), the same
+    witness a plain scan finds.  So every failing report has a witness.
 
     When the missing edges of the shape are forced through triangles
     functional in X (``_determined_missing_edges``), restriction of
@@ -976,16 +976,10 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
         dom_count = count_homs(D, X)
         if max(cod_count, dom_count) > _ENUMERATION_LIMIT:
             passed = cod_count == dom_count
-            failures: tuple[dict, ...] = ()
+            failures = () if passed else \
+                (_search_unfillable(shape, X, index, dom_count, cod_count),)
             detail = (f"{dom_count} boundary morphisms, {cod_count} total morphisms; "
                       "restriction is injective, so equality decides the verdict")
-            if not passed:
-                witness = _search_unfillable(shape, X, index, dom_count, cod_count)
-                if witness is None:
-                    detail += (f"; the witness search stopped after "
-                               f"{_WITNESS_SEARCH_LIMIT} boundaries")
-                else:
-                    failures = (witness,)
             return LiftingReport(shape.name, mode, "count-comparison", passed,
                                  dom_count, failures, detail)
         if cod_count == dom_count:
@@ -1049,7 +1043,6 @@ def _describe_morphism(D: TruncatedEpsilonComplex, vmap: dict, emap: dict) -> di
     }
 
 
-_WITNESS_SEARCH_LIMIT = 200000
 # The witness search counts its way down while more boundary morphisms than
 # this extend the assignment it has reached, then scans them.
 _SCAN_BELOW = 1000
@@ -1068,7 +1061,7 @@ def _spanned(D: TruncatedEpsilonComplex, variables: list) -> TruncatedEpsilonCom
 
 
 def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
-                       index: _TargetIndex, dom_count: int, cod_count: int) -> dict | None:
+                       index: _TargetIndex, dom_count: int, cod_count: int) -> dict:
     """The first boundary morphism in ``hom_maps_iter`` order with no
     extension, on a determined problem whose ``dom_count`` boundary
     morphisms outnumber its ``cod_count`` morphisms.
@@ -1084,8 +1077,8 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     witness is the one a plain scan finds.  The last image gets the counts
     the others leave, uncounted, so a variable with one image costs
     nothing.  Once at most ``_SCAN_BELOW`` boundary morphisms agree with
-    the assignment, they are scanned in order.  Returns None when
-    ``_WITNESS_SEARCH_LIMIT`` boundaries all extend."""
+    the assignment, or every variable is pinned, they are scanned in
+    order; a scan that finds no witness means a pinned count was wrong."""
     C, D = shape.codomain, shape.domain
     variables = [("V", v) for v in D.vertices] + \
         [("E", e) for e in _edge_order(D, frozenset())]
@@ -1116,9 +1109,7 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                                  f"but no image of {name} leaves an unfillable boundary")
         dom_count, cod_count, vmap, emap, prefix = dom, cod, vm, em, grown
     extensions = _extender(C, D, index)
-    for count, (vm, em) in enumerate(_extender(D, prefix, index)(vmap, emap), 1):
-        if count > _WITNESS_SEARCH_LIMIT:
-            return None
+    for vm, em in _extender(D, prefix, index)(vmap, emap):
         if next(extensions(vm, em), None) is None:
             return {"boundary": _describe_morphism(D, vm, em), "extensions": 0}
     raise InvariantError(f"{shape.name} against {X.name}: the counts differ "

@@ -344,15 +344,17 @@ def _explicit_labeling(hob: HomObject, E: SumTable, F: SumTable,
     return labels
 
 
-def verify_mapping_theorem(E: SumTable, F: SumTable) -> bool:
+def verify_mapping_theorem(E: SumTable, F: SumTable,
+                           hob: HomObject | None = None) -> bool:
     """Whether the explicit labeling ``_explicit_labeling`` is an isomorphism
     from the nerve of the hom object onto the mapping complex C of the two
     nerves; no other isomorphism is searched for.  It is one exactly when
     it is a bijection onto C's edges that carries the multiplication, unit
     and counit of the hom object to C's triangles (as ``nerve`` reads
     them), identity edges and marked edges: the degenerate triangles of
-    each edge fix its endpoints, and the units fix the vertices."""
-    hob = hom_object_ea(E, F)
+    each edge fix its endpoints, and the units fix the vertices.  ``hob``
+    is the hom object of E and F, if the caller has built it."""
+    hob = hob or hom_object_ea(E, F)
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
     C = M.complex

@@ -254,9 +254,7 @@ def classify(F: RelFA) -> ClassificationFlags:
         right = check_lifting(shape_from_name("braiding-right"), N, mode="exists")
         braided = left.passed and right.passed
         if not braided:
-            bad = left if not left.passed else right
-            if bad.failures:
-                witnesses["braided"] = bad.failures[0]
+            witnesses["braided"] = (left if not left.passed else right).failures[0]
 
     return ClassificationFlags(
         name=F.name,

@@ -222,16 +222,21 @@ def test_criterion_7_pushout_product_lifting(capsys):
         for name, N in nerves:
             assert check_lifting(cup, N).passed, name
 
-        # Recorded half: frozen outcomes of the unsound cases.
+        # Recorded half: frozen outcomes of the unsound cases, each failing
+        # report with a witness.
+        def recorded(shape, name, N):
+            report = check_lifting(shape, N)
+            assert report.passed or report.failures, (shape.name, name)
+            return report.passed
+
         inner = box_inclusion(horn(2, 1), horn(2, 1))
-        inner_passing = sorted(name for name, N in nerves
-                               if check_lifting(inner, N).passed)
+        inner_passing = sorted(name for name, N in nerves if recorded(inner, name, N))
         assert inner_passing == sorted(group_names)
         unsound = {}
         for m, n in ((0, 2), (1, 1), (2, 0)):
             shape = box_inclusion(boundary(m), boundary(n))
             unsound[(m, n)] = sorted(name for name, N in nerves
-                                     if check_lifting(shape, N).passed)
+                                     if recorded(shape, name, N))
             assert unsound[(m, n)] == []
         with capsys.disabled():
             print(f"\n[acceptance]   recorded: horn(1,1) square holds only on "

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 from relfa import __version__
 from relfa.algebra import RelFA
-from relfa.catalog import boolean, chain
+from relfa.catalog import boolean, chain, wright_triangle
 from relfa.complexes import check_lifting, make_complex, shape_from_name
 from relfa.enumerate_small import enumerate_small
 from relfa.structio import load_structure, save_structure
@@ -241,6 +242,23 @@ def test_hom_lists_components(write_structure):
     assert results["mapping_complex_matches"] is True
 
 
+def test_hom_builds_the_hom_object_once(monkeypatch, capsys, write_structure):
+    from relfa import cli, mapping
+
+    calls = []
+    real = mapping.hom_object_ea
+
+    def spy(E, F):
+        calls.append((E.name, F.name))
+        return real(E, F)
+
+    monkeypatch.setattr(mapping, "hom_object_ea", spy)
+    b2 = write_structure(boolean(2), "b2.json")
+    assert cli.main(["--json", "hom", b2, b2]) == 0
+    assert calls == [("boolean(2)", "boolean(2)")]
+    assert json.loads(capsys.readouterr().out)["results"]["mapping_complex_matches"] is True
+
+
 def test_hom_rejects_tables_that_are_not_effect_algebras(write_structure):
     c1 = write_structure(chain(1), "c1.json")
     pea = write_structure(enumerate_small(5, "pseudo-effect-algebra")[4], "pea.json")
@@ -302,6 +320,27 @@ def test_lift_failure_has_a_rerunnable_certificate(chain2_file):
     rerun_args = cert["rerun"].split()[1:]
     again = run_cli(*rerun_args)
     assert again.returncode == 1
+
+
+def test_lift_rerun_command_repeats_the_report(write_structure):
+    """The rerun command of a failing box square parses as a shell command,
+    with parentheses in the shape and a space in the path, and gives the
+    same failures under either seed order."""
+    path = write_structure(wright_triangle(), "wright triangle.json")
+    failures = []
+    for flags in ([], ["--seed-order", "sorted"]):
+        proc, report = run_json("lift", "box(horn-2-1,horn-2-1)", path, *flags)
+        assert proc.returncode == 1
+        (cert,) = report["certificates"]
+        lexer = shlex.shlex(cert["rerun"], posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        words = list(lexer)
+        assert words[:2] == ["fa", "lift"]
+        again, rerun = run_json(*words[1:])
+        assert again.returncode == 1
+        assert rerun["certificates"][0]["failures"] == cert["failures"]
+        failures.append(cert["failures"])
+    assert failures[0] != failures[1]
 
 
 def test_lift_box_shapes_parse(chain2_file):

@@ -25,7 +25,6 @@ from relfa.catalog import (
     cyclic_group_algebra,
     wright_triangle,
 )
-from relfa.cli import main as fa_main
 from relfa.complexes import (
     SHAPE_NAMES,
     ComplexMorphism,
@@ -580,29 +579,6 @@ def test_pinned_counts_match_enumeration_between_small_complexes():
     assert pinned_marked == {"V", "E"}
 
 
-def test_witnessless_count_comparison_says_why(monkeypatch):
-    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
-    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 1)
-    N = nerve(to_relfa(chain(2)))
-    report = check_lifting(boundary(2), N)
-    assert report.method == "count-comparison"
-    assert not report.passed and report.failures == ()
-    assert "witness search stopped after 1 boundaries" in report.detail
-    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 200000)
-    found = check_lifting(boundary(2), N)
-    assert found.failures and "witness search" not in found.detail
-
-
-def test_fa_lift_prints_why_a_failure_has_no_witness(monkeypatch, capsys, write_structure):
-    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
-    monkeypatch.setattr(complexes, "_WITNESS_SEARCH_LIMIT", 1)
-    path = write_structure(chain(2), "chain2.json")
-    assert fa_main(["lift", "boundary-2", path]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "witness search stopped after 1 boundaries" in out
-
-
 def _first_unfillable(shape, X):
     """The first boundary morphism of hom_maps_iter(D, X) that no morphism
     out of the codomain restricts to."""
@@ -643,12 +619,13 @@ def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan
 
 
 # sha256 of `fa --json lift "box(horn-2-1,horn-2-1)" <file>` run in the
-# directory holding the file, computed with the plain backtracking search.
+# directory holding the file, computed with the plain backtracking search;
+# the certificate's rerun command quotes the shape for the shell.
 FROZEN_LIFT_REPORTS = {
     "wright-triangle.json": (wright_triangle,
-                             "e5014d1fc4b1a8b89e9b7d5818b9d72566430bc16c7cc70b3332e2b2a221713d"),
+                             "c24b8887cab80c18a148d619582b53b5466a08930425eef7806328404048c420"),
     "chain4.json": (lambda: chain(4),
-                    "0fcba56df155fc60fc2b856e4f3423f3bee26f12adbc0a8ca4759b408d6d9238"),
+                    "249b29e389682becaa03a7eae2d8046056361bccf1cd4f87cd69d3d090b286ac"),
 }
 
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from relfa.algebra import SumTable, relabel_relfa, relabel_table, to_relfa, validate
 from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra
 from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
+from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
-from relfa.nerve import nerve
+from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_frobenius
 from test_complexes import _enumerated_report
@@ -134,6 +135,31 @@ def test_structio_round_trip_is_the_identity(name, form, seed):
     obj = {"declared": B, "relational": relational, "nerve": nerve(relational)}[form]
     text = serialize_structure(obj)
     assert serialize_structure(parse_structure(text)) == text
+
+
+FROBENIUS_CANDIDATES = enumerate_small(4, "frobenius-candidates")
+
+
+def _criterion_1(A) -> tuple[bool, bool]:
+    """The Frobenius verdict of A and the recognition verdict of its nerve,
+    False when the nerve does not build, as criterion 1 reads them."""
+    try:
+        recognized = recognize_nerve(nerve(A)).passed
+    except ValueError:
+        recognized = False
+    return validate("frobenius", A).passed, recognized
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(FROBENIUS_CANDIDATES) - 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_criterion_1_survives_relabeling(index, seed):
+    """A Frobenius candidate under fresh names in a shuffled order keeps
+    both verdicts, and they still agree."""
+    A = FROBENIUS_CANDIDATES[index]
+    direct, recognized = _criterion_1(_relabelled(A, seed))
+    assert direct == recognized
+    assert (direct, recognized) == _criterion_1(A)
 
 
 # The horn(1,1) square and the three m+n = 2 boundary squares; on these
