@@ -8,7 +8,8 @@ byte-stable across runs.  A failing property attaches a certificate, and a
 report exits with status 1 exactly when it carries one; a lifting
 certificate embeds the full failing boundary assignment and, as
 ``rerun``, the shell command that repeats the check: ``fa lift`` with the
-shape, the file, ``--unique`` and ``--seed-order`` as given.  Input problems
+shape, the file (with ``./`` before a name that starts with ``-``),
+``--unique`` and ``--seed-order`` as given.  Input problems
 exit with status 2, and a bug in relfa (a violated internal invariant, or
 any exception but ValueError and OSError) with status 3.
 """
@@ -293,7 +294,8 @@ def cmd_lift(args, seed):
             "target": {"file": args.file, "name": C.name,
                        "sha256": digest["sha256"]},
             "failures": list(rep.failures),
-            "rerun": shlex.join(["fa", "lift", shape.name, args.file]
+            "rerun": shlex.join(["fa", "lift", shape.name, os.path.join(os.curdir, args.file)
+                                 if args.file.startswith("-") else args.file]
                                 + (["--unique"] if args.unique else [])
                                 + (["--seed-order", "sorted"] if seed == "sorted" else [])),
         })

@@ -305,32 +305,14 @@ def _assemble_candidate(elements, mu, eta, eps, name: str) -> RelFA | None:
 
 
 def _mutations(base: RelFA) -> list[RelFA]:
-    els = base.elements
-    out = []
-    all_triples = sorted((a, b, c) for a in els for b in els for c in els)
-    for t in all_triples:
-        if t in base.mu:
-            continue
-        cand = _assemble_candidate(els, base.mu | {t}, base.eta, base.epsilon,
-                                   f"{base.name}+mu:{','.join(t)}")
-        if cand is not None:
-            out.append(cand)
-    for t in sorted(base.mu):
-        cand = _assemble_candidate(els, base.mu - {t}, base.eta, base.epsilon,
-                                   f"{base.name}-mu:{','.join(t)}")
-        if cand is not None:
-            out.append(cand)
-    for u in els:
-        cand = _assemble_candidate(els, base.mu, base.eta ^ {u}, base.epsilon,
-                                   f"{base.name}~eta:{u}")
-        if cand is not None:
-            out.append(cand)
-    for u in els:
-        cand = _assemble_candidate(els, base.mu, base.eta, base.epsilon ^ {u},
-                                   f"{base.name}~eps:{u}")
-        if cand is not None:
-            out.append(cand)
-    return out
+    els, mu, eta, eps = base.elements, base.mu, base.eta, base.epsilon
+    variants = ([(f"+mu:{','.join(t)}", mu | {t}, eta, eps)
+                 for t in sorted(product(els, repeat=3)) if t not in mu]
+                + [(f"-mu:{','.join(t)}", mu - {t}, eta, eps) for t in sorted(mu)]
+                + [(f"~eta:{u}", mu, eta ^ {u}, eps) for u in els]
+                + [(f"~eps:{u}", mu, eta, eps ^ {u}) for u in els])
+    return [c for suffix, m, h, e in variants
+            if (c := _assemble_candidate(els, m, h, e, base.name + suffix)) is not None]
 
 
 @lru_cache(maxsize=None)

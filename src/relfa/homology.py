@@ -12,6 +12,7 @@ group of an effect algebra presented by relations [a] - [a+b] + [b].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .algebra import InvariantError, RelFA, SumTable, to_relfa
@@ -46,90 +47,58 @@ def smith_normal_form_full(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Smith normal form D = U M V with U, V unimodular, D diagonal with
     successive divisibility.  Pivots take the least absolute nonzero entry,
     ties resolved in row-major order.  U and V certify the result: the
-    product U M V and the divisibility are checked before returning."""
+    product U M V and the divisibility are checked before returning.  The
+    rows of A are those of [D | U] and V sits under D's columns, so each
+    operation updates each matrix once."""
     rows = len(M)
     cols = len(M[0]) if rows else 0
-    D = [list(r) for r in M]
-    U, V = identity_matrix(rows), identity_matrix(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in D:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        """row dst += c * row src"""
-        D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for r in D:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    def least_entry(t):
-        """The pivot position in the block from (t, t), or None if it is zero."""
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = D[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
-        return pivot
-
+    A = [list(r) + u for r, u in zip(M, identity_matrix(rows))]
+    V = identity_matrix(cols)
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = least_entry(t)
+    while t < min(rows, cols):
+        # The pivot: the least absolute nonzero entry of the block from (t, t).
+        pivot, best = None, 0
+        for i in range(t, rows):
+            row = A[i]
+            for j in range(t, cols):
+                a = row[j]
+                if a and (not best or abs(a) < best):
+                    pivot, best = (i, j), abs(a)
         if pivot is None:
             break
-        while True:
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            if D[t][t] < 0:
-                negate_row(t)
-            p = D[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t]:
-                    add_row(i, t, -(D[i][t] // p))
-                    if D[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j]:
-                    add_col(j, t, -(D[t][j] // p))
-                    if D[t][j]:
-                        dirty = True
-            if not dirty:
-                good = True
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if D[i][j] % p:
-                            add_row(t, i, 1)
-                            good = False
-                            break
-                    if not good:
-                        break
-                if good:
-                    break
-            pivot = least_entry(t)
-        t += 1
+        i, j = pivot
+        A[t], A[i] = A[i], A[t]
+        if j != t:
+            for r in itertools.chain(A, V):
+                r[t], r[j] = r[j], r[t]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+        top = A[t]
+        p = top[t]
+        remainder = False
+        for i in range(t + 1, rows):
+            if A[i][t]:
+                c = A[i][t] // p
+                A[i] = [a - c * b for a, b in zip(A[i], top)]
+                remainder = remainder or A[i][t] != 0
+        for j in range(t + 1, cols):
+            if top[j]:
+                c = top[j] // p
+                for r in itertools.chain(A, V):
+                    r[j] -= c * r[t]
+                remainder = remainder or top[j] != 0
+        if remainder:
+            continue
+        # A row the pivot does not divide is added to row t, and the pivot
+        # is picked again.  Every entry is a multiple of 1.
+        bad = next((i for i in range(t + 1, rows) if p > 1
+                    and any(A[i][j] % p for j in range(t + 1, cols))), None)
+        if bad is None:
+            t += 1
+        else:
+            A[t] = [a + b for a, b in zip(top, A[bad])]
 
+    D, U = [r[:cols] for r in A], [r[cols:] for r in A]
     if matmul(matmul(U, M), V) != D:
         raise InvariantError("Smith normal form: U * M * V differs from D")
     for i in range(min(rows, cols) - 1):

@@ -421,15 +421,9 @@ def eval_fibration_check(E: SumTable, F: SumTable) -> ValidationReport:
     checks = []
     for shape in FIBRATION_SHAPES:
         report = check_lifting(shape, ME.complex, "unique", over=p)
-        # The first failure's lifts, then all cell images of u and w, sorted.
-        first = report.failures[0] if report.failures else None
-        witness = None if first is None else (first["extensions"],) + tuple(
-            (tuple(sorted(c["vertices"].items())), tuple(sorted((c["edges"] | {
-                S.identity[v]: T.identity[x] for v, x in c["vertices"].items()}).items())))
-            for c, S, T in ((first["boundary"], shape.domain, ME.complex),
-                            (first["over"], shape.codomain, M1.complex)))
         checks.append(CheckResult(f"{shape.name}:unique-relative-lift", report.passed,
-                                  witness, report.detail))
+                                  report.failures[0] if report.failures else None,
+                                  report.detail))
     notes = (
         f"total complex: {len(ME.complex.vertices)} vertices, {len(ME.complex.edges)} edges",
         f"base complex: {len(M1.complex.vertices)} vertices, {len(M1.complex.edges)} edges",

@@ -161,20 +161,9 @@ class ClassificationFlags:
     cross_checks: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "commutative": self.commutative,
-            "cancellative": self.cancellative,
-            "eta_singleton": self.eta_singleton,
-            "epsilon_boxslash_is_eta": self.epsilon_boxslash_is_eta,
-            "effect_algebra": self.effect_algebra,
-            "orthoalgebra": self.orthoalgebra,
-            "orthomodular_poset": self.orthomodular_poset,
-            "braided": self.braided,
-            "witnesses": {k: list(v) if isinstance(v, tuple) else v
-                          for k, v in self.witnesses.items()},
-            "cross_checks": dict(self.cross_checks),
-        }
+        return {**vars(self), "cross_checks": dict(self.cross_checks),
+                "witnesses": {k: list(v) if isinstance(v, tuple) else v
+                              for k, v in self.witnesses.items()}}
 
 
 def _relational_join(F: RelFA, a: str, b: str) -> str | None:

@@ -6,12 +6,14 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import relfa
 from relfa import __version__
 from relfa.algebra import RelFA
 from relfa.catalog import boolean, chain, wright_triangle
@@ -322,25 +324,28 @@ def test_lift_failure_has_a_rerunnable_certificate(chain2_file):
     assert again.returncode == 1
 
 
-def test_lift_rerun_command_repeats_the_report(write_structure):
+def test_lift_rerun_command_repeats_the_report(write_structure, tmp_path, monkeypatch):
     """The rerun command of a failing box square parses as a shell command,
-    with parentheses in the shape and a space in the path, and gives the
-    same failures under either seed order."""
+    with parentheses in the shape, a space in the path or a file name that
+    starts with '-', and gives the same failures under either seed order."""
     path = write_structure(wright_triangle(), "wright triangle.json")
+    shutil.copy(path, tmp_path / "-c.json")
+    monkeypatch.setenv("PYTHONPATH", str(Path(relfa.__file__).parents[1]))
     failures = []
-    for flags in ([], ["--seed-order", "sorted"]):
-        proc, report = run_json("lift", "box(horn-2-1,horn-2-1)", path, *flags)
+    for args in ([path], [path, "--seed-order", "sorted"], ["--", "-c.json"]):
+        proc, report = run_json("lift", "box(horn-2-1,horn-2-1)", *args, cwd=tmp_path)
         assert proc.returncode == 1
         (cert,) = report["certificates"]
         lexer = shlex.shlex(cert["rerun"], posix=True, punctuation_chars=True)
         lexer.whitespace_split = True
         words = list(lexer)
         assert words[:2] == ["fa", "lift"]
-        again, rerun = run_json(*words[1:])
+        again, rerun = run_json(*words[1:], cwd=tmp_path)
         assert again.returncode == 1
         assert rerun["certificates"][0]["failures"] == cert["failures"]
         failures.append(cert["failures"])
     assert failures[0] != failures[1]
+    assert failures[2] == failures[0]
 
 
 def test_lift_box_shapes_parse(chain2_file):

@@ -4,7 +4,9 @@ of every emitted structure, isomorph rejection, and the candidate stream."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -19,6 +21,7 @@ from relfa.enumerate_small import (
     enumerate_small,
     transported_delta,
 )
+from relfa.structio import structure_to_doc
 
 
 def tables_isomorphic(s, t) -> bool:
@@ -191,6 +194,15 @@ def test_candidate_stream_counts():
     verdicts = [validate("frobenius", c).passed for c in stream]
     assert verdicts.count(True) == 24
     assert verdicts.count(False) == 387
+
+
+def test_candidate_stream_is_frozen():
+    """Names, structures and order of the size-4 stream, pinned by digest."""
+    stream = enumerate_small(4, "frobenius-candidates")
+    assert len(stream) == 411
+    docs = json.dumps([structure_to_doc(c) for c in stream], sort_keys=True)
+    assert hashlib.sha256(docs.encode()).hexdigest() == \
+        "a65f74c75173f93b07d1a2451a1d59ae55bb98bb89e5cd9c7af492f0f67df12a"
 
 
 def test_candidate_stream_is_cumulative_and_deterministic():

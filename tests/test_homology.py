@@ -3,6 +3,8 @@ against the directly presented universal group."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relfa
 from relfa.algebra import SumTable, to_relfa
@@ -65,6 +69,50 @@ def test_smith_normal_form_full_tracks_inverses():
     assert matmul(matmul(U, M), V) == D
     assert [D[0][0], D[1][1]] == [2, 10] and D[0][1] == D[1][0] == 0
     assert matmul(matmul(Uinv, D), Vinv) == M
+
+
+def _det(A):
+    """Exact integer determinant by cofactor expansion along the first row."""
+    if not A:
+        return 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in A[1:]])
+               for j, a in enumerate(A[0]) if a)
+
+
+def _invariant_factors(M):
+    """d_k / d_(k-1) for every k with d_k != 0, where d_k is the gcd of all
+    k x k minors of M and d_0 = 1; no elimination involved."""
+    rows, cols = len(M), len(M[0]) if M else 0
+    factors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for I in itertools.combinations(range(rows), k):
+            for J in itertools.combinations(range(cols), k):
+                d = math.gcd(d, _det([[M[i][j] for j in J] for i in I]))
+        if d == 0:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=4)))
+def test_smith_normal_form_agrees_with_the_minors(M):
+    """D is diagonal with non-negative entries each dividing the next,
+    U M V = D with det U and det V = +-1, and the nonzero diagonal is the
+    list of invariant factors read off the minors of M."""
+    D, U, V = smith_normal_form_full(M)
+    rows, cols = len(M), len(M[0]) if M else 0
+    assert [len(r) for r in D] == [cols] * rows
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diagonal = [D[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diagonal)
+    assert all(b == 0 if a == 0 else b % a == 0 for a, b in zip(diagonal, diagonal[1:]))
+    assert matmul(matmul(U, M), V) == D
+    assert _det(U) in (1, -1) and _det(V) in (1, -1)
+    assert [d for d in diagonal if d] == _invariant_factors(M)
 
 
 def test_presentation_formatting():
