@@ -15,6 +15,13 @@ associativity and braiding shapes, pushout products), absolute and relative
 lifting verdicts in exists and unique modes, and an exact morphism counting
 engine used to decide determined lifting problems by fiber counting.
 
+Every search runs in one order, the key order (``ComplexMorphism.key``):
+the domain's cells in declared order, their images by name.  Both forms of
+a lifting report name the same first failing boundary, the first in key
+order, and since a target's declared order never enters the search, no
+report of ``fa lift`` depends on the order in which its input declares its
+elements.
+
 Set-up is built once where its lifetime belongs: named shapes and simplices
 once per process; the face index and count input tables once per target
 object (``_target_index``); count and search plans once per domain signature.
@@ -181,27 +188,28 @@ class _TargetIndex:
     """Lookup tables for a codomain used by the morphism search and counts.
 
     ``d0_of[(d1, d2)]`` lists every edge completing the faces ``d1, d2`` to a
-    triangle, and likewise ``d1_of[(d0, d2)]`` and ``d2_of[(d0, d1)]``; each
-    list is in declared edge order, as is every ``by_endpoints`` list.
-    ``functional[slot]`` says whether the ``d{slot}_of`` table has at most one
-    entry per key.  ``marked_endpoints`` holds the endpoint pairs of marked
-    edges, and ``marked_id_vertices`` the vertices with a marked identity.
-    It copies the fields it reads and holds no reference to its target, so a
+    triangle, and likewise ``d1_of[(d0, d2)]`` and ``d2_of[(d0, d1)]``.
+    Every such list, every ``by_endpoints`` list, ``vertices`` and
+    ``marked_id_vertices`` (the vertices with a marked identity) are in
+    name order, so the morphism search tries candidates in key order
+    whatever order the target declares its cells in.  ``functional[slot]``
+    says whether the ``d{slot}_of`` table has at most one entry per key.
+    ``marked_endpoints`` holds the endpoint pairs of marked edges.  It
+    copies the fields it reads and holds no reference to its target, so a
     target caching its index forms no reference cycle."""
 
     def __init__(self, Y: TruncatedEpsilonComplex):
-        self.vertices, self.edges, self.identity = Y.vertices, Y.edges, Y.identity
+        self.vertices, self.edges, self.identity = sorted(Y.vertices), Y.edges, Y.identity
         self.src, self.tgt, self.triangles, self.marked = Y.src, Y.tgt, Y.triangles, Y.marked
         self.by_endpoints: dict[tuple[str, str], list[str]] = {}
-        for e in Y.edges:
+        for e in sorted(Y.edges):
             self.by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
         self.marked_endpoints = {(Y.src[e], Y.tgt[e]) for e in Y.marked}
-        self.marked_id_vertices = [w for w in Y.vertices if Y.identity[w] in Y.marked]
+        self.marked_id_vertices = [w for w in self.vertices if Y.identity[w] in Y.marked]
         self.d0_of: dict[tuple[str, str], list[str]] = {}
         self.d1_of: dict[tuple[str, str], list[str]] = {}
         self.d2_of: dict[tuple[str, str], list[str]] = {}
-        pos = {e: i for i, e in enumerate(Y.edges)}
-        for d0, d1, d2 in sorted(Y.triangles, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]])):
+        for d0, d1, d2 in sorted(Y.triangles):
             self.d1_of.setdefault((d0, d2), []).append(d1)
             self.d0_of.setdefault((d1, d2), []).append(d0)
             self.d2_of.setdefault((d0, d1), []).append(d2)
@@ -217,35 +225,7 @@ class _TargetIndex:
         return [self._input_tables[kind] for kind in kinds]
 
 
-def _edge_order(C: TruncatedEpsilonComplex, known: frozenset) -> list[str]:
-    """Static assignment order for the non-identity edges of C outside
-    ``known``, greedily preferring edges that close triangles with earlier
-    edges, identities or known edges (ties go to the edge declared first)."""
-    known = known | set(C.identity.values())
-    remaining = [e for e in C.nonidentity_edges() if e not in known]
-    open_edges = {t: set(t) - known for t in C.triangles}
-    tris_of: dict[str, list[tuple[str, str, str]]] = {e: [] for e in remaining}
-    score = dict.fromkeys(remaining, 0)
-    for t, rest in open_edges.items():
-        for e in rest:
-            tris_of[e].append(t)
-        if len(rest) == 1:
-            score[next(iter(rest))] += 1
-    order: list[str] = []
-    while remaining:
-        best = max(remaining, key=score.__getitem__)
-        order.append(best)
-        remaining.remove(best)
-        for t in tris_of[best]:
-            rest = open_edges[t]
-            rest.discard(best)
-            if len(rest) == 1:
-                score[next(iter(rest))] += 1
-    return order
-
-
-def _search_plan(X: TruncatedEpsilonComplex, order: list[str],
-                 look_ahead: bool) -> list[tuple]:
+def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     """Per edge of ``order``: its endpoints, whether it is marked, the face
     table lookup that yields its candidates, the remaining triangles it
     closes, and its look-ahead checks.
@@ -257,13 +237,12 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str],
     candidates from the target's ``d{slot}_of`` table.  An edge with no such
     triangle takes its candidates from ``by_endpoints``.
 
-    With ``look_ahead`` (forward checking, Haralick and Elliott 1980), an
-    edge that leaves a triangle with one open face, filling one slot and
-    later in ``order``, checks ``(slot, other, other, marked)``: the
-    ``d{slot}_of`` table must have an entry for the images of the other two
-    faces, a marked one if the open face is marked.  Such an entry has the
-    open face's endpoint images, since the target's triangles have
-    compatible faces.  Without ``look_ahead`` the checks are empty."""
+    Look-ahead is forward checking (Haralick and Elliott 1980): an edge that
+    leaves a triangle with one open face, filling one slot and later in
+    ``order``, checks ``(slot, other, other, marked)``: the ``d{slot}_of``
+    table must have an entry for the images of the other two faces, a marked
+    one if the open face is marked.  Such an entry has the open face's
+    endpoint images, since the target's triangles have compatible faces."""
     pos = {e: i for i, e in enumerate(order)}
     closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
     ahead: dict[str, list[tuple]] = {e: [] for e in order}
@@ -271,7 +250,7 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str],
         nonid = sorted((x for x in set(t) if x in pos), key=pos.__getitem__)
         if nonid:
             closers[nonid[-1]].append(t)
-        if look_ahead and len(nonid) > 1 and t.count(nonid[-1]) == 1:
+        if len(nonid) > 1 and t.count(nonid[-1]) == 1:
             slot = t.index(nonid[-1])
             ahead[nonid[-2]].append((slot, *t[:slot], *t[slot + 1:], t[slot] in X.marked))
     plan = []
@@ -289,20 +268,17 @@ _COUNT_PLANS = 256
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
-def _extension_plan(csig: tuple, dsig: tuple, key_order: bool) -> tuple:
+def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     """The target-free part of ``_extender`` for C and D with these
     signatures: the edge steps, the triangles of C outside D with every edge
     in D, the edges of D marked only in C, and per vertex of C outside D
     ``(vertex, identity, identity marked, [(source, target, marked)])`` for
     the edge steps whose endpoints that vertex completes.  The edge steps
-    follow ``_edge_order``, or with ``key_order`` the declared order of C's
-    non-identity edges, with look-ahead checks."""
+    follow the declared order of C's non-identity edges."""
     C, D = (TruncatedEpsilonComplex("", v, e, dict(s), dict(t), dict(i), tris, m)
             for v, e, s, t, i, tris, m in (csig, dsig))
     known = frozenset(D.edges)
-    order = [e for e in C.nonidentity_edges() if e not in known] if key_order \
-        else _edge_order(C, known)
-    plan = _search_plan(C, order, look_ahead=key_order)
+    plan = _search_plan(C, [e for e in C.nonidentity_edges() if e not in known])
     ready = sorted(t for t in C.triangles
                    if t not in D.triangles and all(x in known for x in t))
     newly_marked = [e for e in D.edges if e in C.marked and e not in D.marked]
@@ -317,17 +293,17 @@ def _extension_plan(csig: tuple, dsig: tuple, key_order: bool) -> tuple:
 
 
 def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
-              index: _TargetIndex, key_order: bool = False):
+              index: _TargetIndex):
     """The one morphism search.  Returns the generator function
     ``extensions(vmap, emap)`` yielding every extension along the subcomplex
     D of C of the morphism D -> Y with those vertex and edge images, where Y
     is the target of ``index``.
 
     What depends on C and D alone is compiled once per pair of signatures
-    and order (``_extension_plan``); a call binds it to the target's
-    candidate lists.  Edges of D marked only in C, and triangles of C
-    outside D with every edge in D, are checked once up front.  The search
-    then keeps one explicit stack of candidate iterators.  Vertices of C
+    (``_extension_plan``); a call binds it to the target's candidate lists.
+    Edges of D marked only in C, and triangles of C outside D with every
+    edge in D, are checked once up front.  The search then keeps one
+    explicit stack of candidate iterators.  Vertices of C
     outside D come first, in C's order: each tries Y's vertices (those with
     a marked identity if its own is marked) and keeps an image only if
     every non-identity edge of C outside D with both endpoints now assigned
@@ -336,25 +312,22 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     a triangle takes its candidates from the target's face table for the
     images of the triangle's other two faces (they have the edge's endpoint
     images, since ``make_complex`` admits only triangles with compatible
-    faces), and is then tested against the other triangles it closes.  A
-    pruned prefix has no extensions.
+    faces), is then tested against the other triangles it closes, and runs
+    its look-ahead checks (``_search_plan``).  A pruned prefix has no
+    extensions.
 
-    By default the edges follow ``_edge_order`` and candidates come in the
-    target's declared order, so the sequence is that of a plain
-    backtracking search over every vertex tuple and ``by_endpoints``.  With
-    ``key_order`` the edges follow C's declared order, every candidate list
-    is sorted by name and each edge step also runs its look-ahead checks
-    (``_search_plan``), so the extensions come in ``ComplexMorphism.key``
-    order.  Each extension is yielded as the pair ``(vmap, emap)`` of dicts
-    the search goes on updating: copy them to keep them."""
-    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature(), key_order)
+    There is one search order, the key order: the edges follow C's declared
+    order and the target's index lists every candidate by name, so the
+    extensions come in ``ComplexMorphism.key`` order, whatever order the
+    target declares its cells in.  Each extension is yielded as the pair
+    ``(vmap, emap)`` of dicts the search goes on updating: copy them to
+    keep them."""
+    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature())
     by_endpoints = index.by_endpoints
     vsteps = [(v, iv, index.marked_id_vertices if id_marked else index.vertices,
                [(s, t, index.marked_endpoints if marked else by_endpoints)
                 for s, t, marked in edges])
               for v, iv, id_marked, edges in vplan]
-    if key_order:
-        vsteps = [(v, iv, sorted(ws), edges) for v, iv, ws, edges in vsteps]
     nv, depth = len(vsteps), len(vsteps) + len(plan)
     tables = (index.d0_of, index.d1_of, index.d2_of)
     ytris, ymarked, yidentity = index.triangles, index.marked, index.identity
@@ -377,7 +350,7 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
                     vals = tables[slot].get((emap[a], emap[b]), ())
                 if marked:
                     vals = [y for y in vals if y in ymarked]
-                stack.append(iter(sorted(vals) if key_order else vals))
+                stack.append(iter(vals))
             else:
                 yield vmap, emap
             while stack:
@@ -422,19 +395,19 @@ _EMPTY = make_complex("empty", (), (), {}, {}, {}, (), ())
 
 
 def hom_maps_iter(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex):
-    """Yield every morphism X -> Y, in a deterministic search order: the
-    extensions of the empty morphism along the empty subcomplex of X, found
-    by the one morphism search ``_extender``: its plan is compiled once per
-    signature of X, and Y builds its face index once (``_target_index``)."""
+    """Yield every morphism X -> Y in ``ComplexMorphism.key`` order, which
+    depends on X's declared order and on the names of Y's cells, not on
+    Y's declared order: the extensions of the empty morphism along the
+    empty subcomplex of X, found by the one morphism search ``_extender``.
+    Its plan is compiled once per signature of X, and Y builds its face
+    index once (``_target_index``)."""
     for vmap, emap in _extender(X, _EMPTY, Y._target_index)({}, {}):
         yield ComplexMorphism(X, Y, dict(vmap), dict(emap))
 
 
 def hom_maps(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> list[ComplexMorphism]:
-    """All morphisms X -> Y, sorted by image tuple."""
-    out = list(hom_maps_iter(X, Y))
-    out.sort(key=lambda f: f.key())
-    return out
+    """All morphisms X -> Y, sorted by image tuple (``hom_maps_iter``)."""
+    return list(hom_maps_iter(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -934,9 +907,12 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     failing boundary, up to ``_MAX_FAILURES`` and in key order, with its
     number of extensions, and has an empty detail.  A
     ``count-comparison`` report gives both counts in its detail and, when
-    it fails, one failing boundary: the first in ``hom_maps_iter`` order,
-    found by descending on pinned counts (``_search_unfillable``), the same
-    witness a plain scan finds.  So every failing report has a witness.
+    it fails, one failing boundary, found by descending on pinned counts
+    (``_search_unfillable``).  Both forms name the same first failure: the
+    failing boundary that comes first in key order.  So every failing
+    report has a witness, and since key order follows the shape's declared
+    cells and the names of X's cells, no report depends on the order in
+    which X declares them.
 
     When the missing edges of the shape are forced through triangles
     functional in X (``_determined_missing_edges``), restriction of
@@ -946,11 +922,11 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     in enumeration form while the larger count is at most
     ``_ENUMERATION_LIMIT``.  Above that limit the counts decide either way
     (count-comparison form).  Every other problem, a failing determined
-    one included, scans the boundaries lazily in key order (``_extender``
-    with ``key_order``) and counts the extensions of each with the one
-    morphism search; in exists mode the count stops at the first
-    extension, since a failure there always has 0.  The scan stops testing
-    at the ``_MAX_FAILURES``-th failure and takes its boundary count from
+    one included, scans the boundaries lazily in key order (``_extender``)
+    and counts the extensions of each with the one morphism search; in
+    exists mode the count stops at the first extension, since a failure
+    there always has 0.  The scan stops testing at the
+    ``_MAX_FAILURES``-th failure and takes its boundary count from
     ``count_homs``, or from the count it has if it is determined.  No
     boundary list is built or sorted.
 
@@ -989,7 +965,7 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     exists = mode == "exists"
     failures_list: list[dict] = []
     boundaries = 0
-    for vmap, emap in _extender(D, _EMPTY, index, key_order=True)({}, {}):
+    for vmap, emap in _extender(D, _EMPTY, index)({}, {}):
         boundaries += 1
         n = 0
         for _ in extensions(vmap, emap):
@@ -1014,10 +990,10 @@ def _relative_lifting(shape: ShapeInclusion, p: ComplexMorphism, mode: str) -> L
     cv = [v for v in C.vertices if v not in D.vertices]
     ce = [e for e in C.nonidentity_edges() if e not in D.edges]
     lifts = _extender(C, D, index)
-    extend_base = _extender(C, D, p.codomain._target_index, key_order=True)
+    extend_base = _extender(C, D, p.codomain._target_index)
     failures: list[dict] = []
     squares = fillers = 0
-    for vmap, emap in _extender(D, _EMPTY, index, key_order=True)({}, {}):
+    for vmap, emap in _extender(D, _EMPTY, index)({}, {}):
         images: dict[tuple, int] = {}
         for vm, em in lifts(vmap, emap):
             w = tuple(pv[vm[v]] for v in cv) + tuple(pe[em[e]] for e in ce)
@@ -1062,26 +1038,26 @@ def _spanned(D: TruncatedEpsilonComplex, variables: list) -> TruncatedEpsilonCom
 
 def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
                        index: _TargetIndex, dom_count: int, cod_count: int) -> dict:
-    """The first boundary morphism in ``hom_maps_iter`` order with no
-    extension, on a determined problem whose ``dom_count`` boundary
-    morphisms outnumber its ``cod_count`` morphisms.
+    """The first boundary morphism in key order with no extension, on a
+    determined problem whose ``dom_count`` boundary morphisms outnumber its
+    ``cod_count`` morphisms: the witness the enumeration form of
+    ``check_lifting`` lists first.
 
     Restriction is injective, so of the boundary morphisms that agree with
     an assignment p of some domain variables, count(D|p) - count(C|p) have
     no extension (pinned counts, ``_run_count_plan``).  The search assigns
-    the variables in the order of ``hom_maps_iter(D, X)``: D's vertices,
-    then its non-identity edges in ``_edge_order``.  The images a variable
-    can take are those the one morphism search tries, extending the
-    assignment along the subcomplexes the variables span (``_spanned``).
-    The search takes the first image whose difference is positive, so the
-    witness is the one a plain scan finds.  The last image gets the counts
+    the variables in key order: D's vertices, then its non-identity edges,
+    each in declared order.  The images a variable can take are those the
+    one morphism search tries, by name, extending the assignment along the
+    subcomplexes the variables span (``_spanned``).  The search takes the
+    first image whose difference is positive, so the witness is the first
+    unfillable boundary in key order.  The last image gets the counts
     the others leave, uncounted, so a variable with one image costs
     nothing.  Once at most ``_SCAN_BELOW`` boundary morphisms agree with
     the assignment, or every variable is pinned, they are scanned in
     order; a scan that finds no witness means a pinned count was wrong."""
     C, D = shape.codomain, shape.domain
-    variables = [("V", v) for v in D.vertices] + \
-        [("E", e) for e in _edge_order(D, frozenset())]
+    variables = [("V", v) for v in D.vertices] + [("E", e) for e in D.nonidentity_edges()]
     plans = (_count_plan(D.signature()), _count_plan(C.signature()))
     tables = [index.input_tables(plan[0]) for plan in plans]
     vmap: dict[str, str] = {}

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import InvariantError, RelFA, SumTable, _require, derived_order, join
+from .algebra import RelFA, SumTable, derived_order, join
 from .complexes import check_lifting, shape_from_name
-from .nerve import element_endpoints, nerve
+from .nerve import nerve
 
 
 def perp_relation(F: RelFA) -> frozenset[tuple[str, str]]:
@@ -101,49 +101,6 @@ def is_cancellative(F: RelFA) -> tuple[bool, tuple | None]:
     if _cancellation_clash(F.mu) is None:
         return True, None
     return False, _cancellation_clash(sorted(F.mu))
-
-
-def inverse_analysis(F: RelFA, a: str) -> dict:
-    """The five inverse conditions for one element: a right inverse through
-    a unit, orthogonality to everything composable at the target,
-    orthogonality to some counit, and the two ⊡ saturation conditions.
-    The first three are equivalent in any Frobenius algebra; all five when
-    it is cancellative.  Both claims are verified on the spot: raises
-    ValueError unless F is a Frobenius algebra, and InvariantError when the
-    routes disagree."""
-    _require("frobenius", "a Frobenius algebra", F)
-    right_inverse = next(
-        (c for c in F.elements if any((a, c, r) in F.mu for r in F.eta)), None)
-    src, tgt = element_endpoints(F)
-    perp = perp_relation(F)
-    perp_all_at_target = all((b, a) in perp for b in F.elements if src[b] == tgt[a])
-    epsilon_perp = any((e, a) in perp for e in F.epsilon)
-    bx = boxslash_relation(F)
-    f_boxslash_a = all((f, a) in bx for f in F.elements)
-    epsilon_boxslash_a = all((e, a) in bx for e in F.epsilon)
-
-    first_three = {right_inverse is not None, perp_all_at_target, epsilon_perp}
-    if len(first_three) != 1:
-        raise InvariantError(
-            f"{F.name}: inverse conditions (i)-(iii) disagree at {a!r}")
-    if epsilon_boxslash_a and right_inverse is None:
-        raise InvariantError(
-            f"{F.name}: counit ⊡ saturation without a right inverse at {a!r}")
-    cancellative, _ = is_cancellative(F)
-    if cancellative:
-        if len({right_inverse is not None, f_boxslash_a, epsilon_boxslash_a}) != 1:
-            raise InvariantError(
-                f"{F.name}: inverse conditions (i)-(v) disagree at {a!r} "
-                "despite cancellativity")
-    return {
-        "element": a,
-        "right_inverse": right_inverse,
-        "perp_all_at_target": perp_all_at_target,
-        "epsilon_perp": epsilon_perp,
-        "F_boxslash_a": f_boxslash_a,
-        "epsilon_boxslash_a": epsilon_boxslash_a,
-        "cancellative": cancellative,
-    }
 
 
 @dataclass(frozen=True)
@@ -257,24 +214,3 @@ def classify(F: RelFA) -> ClassificationFlags:
         braided=braided,
         witnesses=witnesses,
         cross_checks=cross_checks)
-
-
-def coherence_check(E: SumTable) -> tuple[bool, tuple | None]:
-    """Whether every pairwise orthogonal triple has a defined threefold sum
-    in both association orders.  Returns the verdict and the first failing
-    triple."""
-    for a in E.elements:
-        for b in E.elements:
-            if not E.defined(a, b):
-                continue
-            for c in E.elements:
-                if not (E.defined(a, c) and E.defined(b, c)):
-                    continue
-                ab = E.sum_of(a, b)
-                bc = E.sum_of(b, c)
-                left = E.sums.get((ab, c))
-                right = E.sums.get((a, bc))
-                if left is None or right is None or left != right:
-                    return False, (a, b, c)
-    return True, None
-

@@ -247,34 +247,14 @@ def test_morphism_check_rejects_each_broken_condition():
 # The forward-checked search against the plain backtracking search
 
 
-def _oracle_edge_order(X):
-    ids = set(X.identity.values())
-    remaining = list(X.nonidentity_edges())
-    placed = set(ids)
-    order = []
-    tri_list = list(X.triangles)
-    while remaining:
-        best, best_score = None, -1
-        for e in remaining:
-            score = 0
-            for t in tri_list:
-                if e in t and all(x in placed or x == e for x in t):
-                    score += 1
-            if score > best_score:
-                best, best_score = e, score
-        order.append(best)
-        placed.add(best)
-        remaining.remove(best)
-    return order
-
-
 def _oracle_hom_maps_iter(X, Y):
-    """Plain backtracking: every edge with the right endpoints is tried,
-    then tested against the triangles it closes."""
+    """Plain backtracking in declared order: every vertex tuple, then X's
+    non-identity edges in turn, each trying every edge of Y with the right
+    endpoints and testing it against the triangles it closes."""
     by_endpoints = {}
     for e in Y.edges:
         by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
-    edge_order = _oracle_edge_order(X)
+    edge_order = X.nonidentity_edges()
     ids = set(X.identity.values())
     tri_by_last = {e: [] for e in edge_order}
     pos = {e: i for i, e in enumerate(edge_order)}
@@ -354,13 +334,39 @@ def test_multivalued_target_has_no_functional_face_table():
 
 @pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
 def test_hom_maps_iter_yields_the_oracle_sequence(target):
+    """The morphism search finds the morphisms out of every shape's domain
+    and codomain in key order: the plain backtracking search's morphisms
+    sorted by key, on targets with one vertex or several, and with marked
+    identities."""
     _, Y, shape_names = target
     for name in shape_names:
         shape = shape_from_name(name)
         for X in (shape.domain, shape.codomain):
             got = _images(hom_maps_iter(X, Y))
-            assert got == _images(_oracle_hom_maps_iter(X, Y)), (name, X.name)
+            want = sorted(_oracle_hom_maps_iter(X, Y), key=ComplexMorphism.key)
+            assert got == _images(want), (name, X.name)
             assert len(got) == count_homs(X, Y), (name, X.name)
+
+
+@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
+def test_key_order_scan_yields_the_sorted_morphisms(target):
+    """The declaration order of the target does not change the search: with
+    its vertices and edges declared in reverse, the scan from the empty
+    boundary and hom_maps both yield the plain backtracking search's
+    morphisms sorted by key, the sequence found on the target as declared."""
+    _, Y, shape_names = target
+    reverse = make_complex(Y.name, Y.vertices[::-1], Y.edges[::-1], Y.src, Y.tgt,
+                           Y.identity, Y.triangles, Y.marked)
+    for name in shape_names:
+        shape = shape_from_name(name)
+        for X in (shape.domain, shape.codomain):
+            want = [f.key() for f in hom_maps(X, Y)]
+            oracle = sorted(_oracle_hom_maps_iter(X, reverse), key=ComplexMorphism.key)
+            assert [f.key() for f in oracle] == want, (name, X.name)
+            scan = complexes._extender(X, complexes._EMPTY, reverse._target_index)
+            got = [ComplexMorphism(X, reverse, vm, em).key() for vm, em in scan({}, {})]
+            assert got == want, (name, X.name)
+            assert [f.key() for f in hom_maps(X, reverse)] == want, (name, X.name)
 
 
 @pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
@@ -387,26 +393,6 @@ def test_extender_yields_the_codomain_morphisms_over_each_boundary(target):
             assert sorted(got) == sorted(grouped.pop(u.key(), [])), (name, u.key())
         assert not grouped, name
     assert {(True, False), (False, False), (False, True)} <= kinds
-
-
-@pytest.mark.parametrize("target", ORACLE_TARGETS, ids=lambda t: t[0])
-def test_key_order_scan_yields_the_sorted_morphisms(target):
-    """The key-order search finds the morphisms out of every shape's domain
-    and codomain already sorted: the sequence of keys is that of hom_maps,
-    on targets with one vertex or several, and with marked identities, as
-    declared and with their vertices and edges declared in reverse."""
-    _, Y, shape_names = target
-    reverse = make_complex(Y.name, Y.vertices[::-1], Y.edges[::-1], Y.src, Y.tgt,
-                           Y.identity, Y.triangles, Y.marked)
-    for name in shape_names:
-        shape = shape_from_name(name)
-        for X in (shape.domain, shape.codomain):
-            want = [f.key() for f in hom_maps(X, Y)]
-            for Z in (Y, reverse):
-                scan = complexes._extender(X, complexes._EMPTY, Z._target_index,
-                                           key_order=True)
-                got = [ComplexMorphism(X, Z, vm, em).key() for vm, em in scan({}, {})]
-                assert got == want, (name, X.name, Z.vertices)
 
 
 # sha256 over the JSON of 996 lifting reports, one line each (keys sorted):
@@ -580,12 +566,12 @@ def test_pinned_counts_match_enumeration_between_small_complexes():
 
 
 def _first_unfillable(shape, X):
-    """The first boundary morphism of hom_maps_iter(D, X) that no morphism
-    out of the codomain restricts to."""
+    """The first boundary morphism of hom_maps(D, X) that no morphism out of
+    the codomain restricts to."""
     C, D = shape.codomain, shape.domain
     restrictions = {ComplexMorphism(D, X, f.vertex_map, f.edge_map).key()
                     for f in hom_maps_iter(C, X)}
-    u = next(u for u in hom_maps_iter(D, X) if u.key() not in restrictions)
+    u = next(u for u in hom_maps(D, X) if u.key() not in restrictions)
     return {"boundary": {"vertices": {v: u.vertex_map[v] for v in D.vertices},
                          "edges": {e: u.edge_map[e] for e in D.nonidentity_edges()}},
             "extensions": 0}
@@ -595,7 +581,8 @@ def _first_unfillable(shape, X):
 def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan_below):
     """Every failing determined problem of the frozen report set, and the
     shapes that fail on two targets with several vertices, decided by the
-    counts and given the witness a plain scan finds."""
+    counts and given the witness a plain scan finds: the first failure the
+    enumeration form of the same problem lists."""
     monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
     monkeypatch.setattr(complexes, "_SCAN_BELOW", scan_below)
     several = (simplex(3),
@@ -614,16 +601,23 @@ def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan
             if key not in witnesses:
                 witnesses[key] = _first_unfillable(shape, X)
             assert report.failures == (witnesses[key],), (key, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(complexes, "_ENUMERATION_LIMIT", float("inf"))
+                enumerated = check_lifting(shape, X, mode)
+            assert enumerated.method == "enumeration", (key, mode)
+            assert enumerated.failures[0] == report.failures[0], (key, mode)
     assert len(witnesses) > 80
     assert {X.name for X in several} <= {name for _, name in witnesses}
 
 
 # sha256 of `fa --json lift "box(horn-2-1,horn-2-1)" <file>` run in the
-# directory holding the file, computed with the plain backtracking search;
-# the certificate's rerun command quotes the shape for the shell.
+# directory holding the file; the certificate's rerun command quotes the
+# shape for the shell.  The Wright triangle's report is in count-comparison
+# form, so its witness is the first unfillable boundary in key order, the
+# first failure of the enumeration form; chain(4)'s is in enumeration form.
 FROZEN_LIFT_REPORTS = {
     "wright-triangle.json": (wright_triangle,
-                             "c24b8887cab80c18a148d619582b53b5466a08930425eef7806328404048c420"),
+                             "b10d1eae9229b4231a81bfd5cf79a470ad3a2c7aa3a1278d26fd59267f995928"),
     "chain4.json": (lambda: chain(4),
                     "249b29e389682becaa03a7eae2d8046056361bccf1cd4f87cd69d3d090b286ac"),
 }

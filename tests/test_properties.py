@@ -4,13 +4,14 @@ not only for frozen examples."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relfa.algebra import SumTable, relabel_relfa, relabel_table, to_relfa, validate
-from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra
+from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra, wright_triangle
 from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
@@ -182,3 +183,34 @@ def test_enumeration_reports_match_the_oracle_on_relabelled_targets(name, seed):
         assert report.method == "enumeration" and not report.passed, shape_name
         assert report.to_dict() == _enumerated_report(shape, M, "exists").to_dict(), \
             shape_name
+
+
+REORDER_TABLES = {"wright-triangle": wright_triangle, "chain(4)": lambda: chain(4)}
+
+
+@functools.cache
+def _box_report(name: str, seed: int | None = None) -> dict:
+    """The exists report of box(horn-2-1,horn-2-1) against the nerve of a
+    table, as declared or, given a seed, with its elements and defined sums
+    declared in a shuffled order under the same names."""
+    A = REORDER_TABLES[name]()
+    if seed is not None:
+        rng = random.Random(seed)
+        elements, sums = list(A.elements), list(A.sums.items())
+        rng.shuffle(elements)
+        rng.shuffle(sums)
+        A = dataclasses.replace(A, elements=tuple(elements), sums=dict(sums))
+    return check_lifting(shape_from_name("box(horn-2-1,horn-2-1)"), nerve(to_relfa(A))).to_dict()
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(REORDER_TABLES)), seed=st.integers(0, 2**32 - 1))
+def test_lift_reports_do_not_depend_on_declaration_order(name, seed):
+    """A failing pushout-product square keeps its whole report, witness
+    included, when the target declares its elements in another order: the
+    count-comparison form on the Wright triangle and the enumeration form
+    on chain(4)."""
+    report = _box_report(name, seed)
+    assert report == _box_report(name)
+    assert report["method"] == {"wright-triangle": "count-comparison",
+                                "chain(4)": "enumeration"}[name]
