@@ -23,8 +23,9 @@ report of ``fa lift`` depends on the order in which its input declares its
 elements.
 
 Set-up is built once where its lifetime belongs: named shapes and simplices
-once per process; the face index and count input tables once per target
-object (``_target_index``); count and search plans once per domain signature.
+once per process; the face index, count input tables and exact counts (keyed
+by domain signature) once per target object (``_target_index``); count and
+search plans once per domain signature.  Pinned counts are not kept.
 """
 
 from __future__ import annotations
@@ -60,11 +61,16 @@ class TruncatedEpsilonComplex:
     def _target_index(self) -> _TargetIndex:
         return _TargetIndex(self)
 
-    def signature(self) -> tuple:
-        """Hashable identity of the complex: everything but its name."""
+    @functools.cached_property
+    def _signature(self) -> tuple:
         return (self.vertices, self.edges, tuple(self.src.items()),
                 tuple(self.tgt.items()), tuple(self.identity.items()),
                 self.triangles, self.marked)
+
+    def signature(self) -> tuple:
+        """Hashable identity of the complex: everything but its name, built
+        once per object."""
+        return self._signature
 
     def is_degenerate_triangle(self, t: tuple[str, str, str]) -> bool:
         d0, d1, d2 = t
@@ -194,9 +200,11 @@ class _TargetIndex:
     name order, so the morphism search tries candidates in key order
     whatever order the target declares its cells in.  ``functional[slot]``
     says whether the ``d{slot}_of`` table has at most one entry per key.
-    ``marked_endpoints`` holds the endpoint pairs of marked edges.  It
-    copies the fields it reads and holds no reference to its target, so a
-    target caching its index forms no reference cycle."""
+    ``marked_endpoints`` holds the endpoint pairs of marked edges.
+    ``counts`` keeps each exact count into the target (``count_homs``),
+    keyed by the domain's ``signature()``.  It copies the fields it reads
+    and holds no reference to its target, so a target caching its index
+    forms no reference cycle."""
 
     def __init__(self, Y: TruncatedEpsilonComplex):
         self.vertices, self.edges, self.identity = sorted(Y.vertices), Y.edges, Y.identity
@@ -216,6 +224,7 @@ class _TargetIndex:
         self.functional = tuple(all(len(v) <= 1 for v in table.values())
                                 for table in (self.d0_of, self.d1_of, self.d2_of))
         self._input_tables: dict[tuple, dict[tuple, int]] = {}
+        self.counts: dict[tuple, int] = {}
 
     def input_tables(self, kinds: tuple) -> list[dict[tuple, int]]:
         """The count input table (``_input_table``) of each kind, built once."""
@@ -589,9 +598,15 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     object by its ``_target_index``, so that triangles with the same pattern
     of repeated and identity slots share one.  The last join of each bucket sums the
     variable out as it goes, so the product table of a bucket is never
-    built."""
-    plan = _count_plan(X.signature())
-    return _run_count_plan(plan, Y._target_index.input_tables(plan[0]), {})
+    built.  The count is kept on the same index, keyed by X's signature, so
+    each domain is counted once per target object; the pinned counts of
+    ``_search_unfillable`` run their plans and are not kept."""
+    index, signature = Y._target_index, X.signature()
+    count = index.counts.get(signature)
+    if count is None:
+        plan = _count_plan(signature)
+        count = index.counts[signature] = _run_count_plan(plan, index.input_tables(plan[0]), {})
+    return count
 
 
 def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:

@@ -500,6 +500,41 @@ def test_count_plan_is_shared_by_equal_signatures():
         assert count_homs(twin, Y) == count_homs(X, Y) == len(hom_maps(X, Y))
 
 
+def test_counts_are_kept_per_target_object(monkeypatch):
+    """count_homs runs a plan once per domain structure and target object:
+    a repeat, or an equal but distinct domain, runs none, and an equal but
+    distinct target counts anew.  The pinned counts of the witness search
+    run their plans every time."""
+    runs = []
+    run = complexes._run_count_plan
+
+    def spy(plan, tables, pins):
+        runs.append(dict(pins))
+        return run(plan, tables, pins)
+
+    monkeypatch.setattr(complexes, "_run_count_plan", spy)
+    N = nerve(to_relfa(chain(2)))
+    C = shape_from_name("box(horn-2-1,horn-2-1)").codomain
+    n = count_homs(C, N)
+    assert runs == [{}]
+    assert count_homs(C, N) == n and runs == [{}]
+    squares = (product(simplex(2), simplex(2)), product(simplex(2), simplex(2)))
+    assert squares[0] is not squares[1] and squares[0].signature() == C.signature()
+    assert [count_homs(X, N) for X in squares] == [n, n] and runs == [{}]
+    again = nerve(to_relfa(chain(2)))
+    assert again is not N and again.signature() == N.signature()
+    assert count_homs(C, again) == n and runs == [{}, {}]
+
+    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
+    monkeypatch.setattr(complexes, "_SCAN_BELOW", 0)
+    shape = shape_from_name("boundary-2")
+    first = check_lifting(shape, N, "exists")
+    runs.clear()
+    report = check_lifting(shape, N, "exists")
+    assert report.method == "count-comparison" and report == first
+    assert runs and all(runs)
+
+
 def _image(f, var):
     kind, name = var
     return (f.vertex_map if kind == "V" else f.edge_map)[name]

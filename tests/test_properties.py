@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from relfa.algebra import SumTable, relabel_relfa, relabel_table, to_relfa, validate
 from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra, wright_triangle
-from relfa.complexes import check_lifting, count_homs, hom_maps, shape_from_name
+from relfa.complexes import SHAPE_NAMES, check_lifting, count_homs, hom_maps, shape_from_name
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
 from relfa.nerve import nerve, recognize_nerve
@@ -121,6 +121,34 @@ def test_counts_survive_relabeling_the_target(name, seed):
         shape = shape_from_name(shape_name)
         for X in (shape.domain, shape.codomain):
             assert count_homs(X, M) == count_homs(X, N), (shape_name, X.name)
+
+
+COUNT_TARGETS = ("chain(2)", "boolean(2)", "group_algebra(Z/3)", "wright-triangle")
+COUNT_DOMAINS = tuple(X for shape in map(shape_from_name, SHAPE_NAMES)
+                      for X in (shape.domain, shape.codomain)) \
+    + (shape_from_name("box(horn-2-0,horn-2-0)").codomain,)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(COUNT_TARGETS), seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.integers(0, len(COUNT_DOMAINS) - 1), min_size=1, max_size=30))
+def test_kept_counts_match_fresh_counts(name, seed, picks):
+    """Counting a random sequence of shape domains and codomains on one
+    relabelled target object, counts kept from earlier calls included,
+    gives the count on a fresh copy of the target and the number of
+    enumerated morphisms, so no kept count leaks between targets or
+    between domains."""
+    def target():
+        B = _relabelled(CATALOG[name], seed)
+        return nerve(to_relfa(B) if isinstance(B, SumTable) else B)
+
+    M = target()
+    for k in picks:
+        X = COUNT_DOMAINS[k]
+        n = count_homs(X, M)
+        assert n == count_homs(X, target()), X.name
+        if n <= 2000:
+            assert n == len(hom_maps(X, M)), X.name
 
 
 @settings(max_examples=40, deadline=None)
