@@ -177,18 +177,6 @@ class ComplexMorphism:
             if self.edge_map[m] not in Y.marked:
                 raise ValueError(f"marked edge {m!r} maps to unmarked edge")
 
-    def compose(self, other: "ComplexMorphism") -> "ComplexMorphism":
-        """self after other; the codomain of other must be the domain of
-        self, as an object or as an equal structure."""
-        if other.codomain is not self.domain and \
-                other.codomain.signature() != self.domain.signature():
-            raise ValueError("composition mismatch")
-        return ComplexMorphism(
-            other.domain, self.codomain,
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-            {e: self.edge_map[f] for e, f in other.edge_map.items()},
-        )
-
 
 class _TargetIndex:
     """Lookup tables for a codomain used by the morphism search and counts.
@@ -239,6 +227,12 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     table lookup that yields its candidates, the remaining triangles it
     closes, and its look-ahead checks.
 
+    Only X's non-degenerate triangles enter the plan.  A degenerate triangle
+    (e, e, id) or (id, e, e) holds for every candidate of e: the candidate
+    has the images of e's endpoints, and ``make_complex`` gives the target
+    the degenerate triangles of all its edges.  Its only edge of ``order``,
+    if any, fills two slots, so it is never a lookup or a look-ahead check.
+
     An edge closes the triangles whose other edges come earlier in ``order``
     or are outside it (identities and known edges).  The first of them (in
     sorted order) in which the edge fills exactly one slot is the lookup
@@ -255,7 +249,7 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     pos = {e: i for i, e in enumerate(order)}
     closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
     ahead: dict[str, list[tuple]] = {e: [] for e in order}
-    for t in sorted(X.triangles):
+    for t in X.nondegenerate_triangles():
         nonid = sorted((x for x in set(t) if x in pos), key=pos.__getitem__)
         if nonid:
             closers[nonid[-1]].append(t)
@@ -483,26 +477,29 @@ def _count_plan(signature: tuple) -> tuple:
     factors_of: dict[tuple, set[int]] = {var: set() for var in
                                          [("V", v) for v in vertices] + evars}
     holders: dict[tuple, list] = {var: [] for var in factors_of}
+    neighbours: dict[tuple, set[tuple]] = {var: set() for var in factors_of}
     for fid, scope in enumerate(scopes):
         for pos, v in enumerate(scope):
             factors_of[v].add(fid)
             holders[v].append((fid, pos))
-
-    def scope_after(var):
-        s = set()
-        for fid in factors_of[var]:
-            s.update(scopes[fid])
-        s.discard(var)
-        return len(s)
+            neighbours[v].update(scope)
+    for var, near in neighbours.items():
+        near.discard(var)
 
     steps = []
     while factors_of:
-        var = min(factors_of, key=lambda v: (scope_after(v), v))
+        var = min(factors_of, key=lambda v: (len(neighbours[v]), v))
         bucket = sorted(factors_of.pop(var))
+        near = neighbours.pop(var)
         for fid in bucket:
             for v in scopes[fid]:
                 if v != var:
                     factors_of[v].discard(fid)
+        # The bucket's factors give way to one over ``near``, so each
+        # variable of ``near`` gains the others as neighbours and loses var.
+        for v in near:
+            neighbours[v] |= near
+            neighbours[v] -= {v, var}
         first, acc, joins = bucket[0], scopes[bucket[0]], []
         for n, fid in enumerate(bucket[1:], 2):
             right = scopes[fid]
@@ -587,12 +584,14 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     need no factor: ``make_complex`` gives every complex the degenerate
     triangles of all its edges, and its endpoint check admits no triangle
     (y, y, id_w) or (id_w, y, y) with any other w, so they hold exactly
-    when the edge factors do.  The elimination order repeatedly takes the
-    variable whose factors span the fewest other variables (ties to the
-    least).  It is the order a factor for every vertex and triangle would
-    give, since the variables of each factor left out lie within a kept
-    one's.  The plan also holds each bucket and the picker positions of
-    each join.
+    when the edge factors do; the morphism search leaves them out of its
+    plans for the same reason (``_search_plan``).  The elimination order
+    repeatedly takes the variable whose factors span the fewest other
+    variables, its neighbours (ties to the least); each variable's
+    neighbours are kept up to date as the buckets are eliminated.  It is
+    the order a factor for every vertex and triangle would give, since the
+    variables of each factor left out lie within a kept one's.  The plan
+    also holds each bucket and the picker positions of each join.
 
     The plan reads one input table per kind of factor, built once per target
     object by its ``_target_index``, so that triangles with the same pattern

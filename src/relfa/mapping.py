@@ -181,6 +181,14 @@ def _times(phi: ComplexMorphism, psi: ComplexMorphism,
     return ComplexMorphism(dom, cod, vmap, emap)
 
 
+def _composite_key(h: ComplexMorphism, phi: ComplexMorphism) -> tuple:
+    """The ``key()`` of h after phi, read from the two maps' dicts without
+    building the composite."""
+    vm, em = h.vertex_map, h.edge_map
+    return tuple(vm[phi.vertex_map[v]] for v in phi.domain.vertices) + \
+        tuple(em[phi.edge_map[e]] for e in phi.domain.nonidentity_edges())
+
+
 # ---------------------------------------------------------------------------
 # The mapping complex
 
@@ -205,7 +213,9 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
 
     Level n is the morphism set Hom(simplex(n) x X, Y); faces and identities
     come from composing with the prism maps, and an edge is marked exactly
-    when its representing map sends marked prism edges to marked edges."""
+    when its representing map sends marked prism edges to marked edges.  A
+    face is found by the key of the composite (``_composite_key``); no
+    composite morphism is built."""
     p0, p1, p2 = (product(simplex(n), X) for n in range(3))
     v_homs = hom_maps(p0, Y)
     e_homs = hom_maps(p1, Y)
@@ -225,10 +235,10 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
     prism_faces = [_times(_simplex_map(1, 2, g), id_X, p1, p2)
                    for g in ((1, 2), (0, 2), (0, 1))]
 
-    src = {e: vid[h.compose(at0).key()] for e, h in edge_refs.items()}
-    tgt = {e: vid[h.compose(at1).key()] for e, h in edge_refs.items()}
-    identity = {v: eid[h.compose(collapse).key()] for v, h in vertex_refs.items()}
-    triangles = [tuple(eid[h.compose(fm).key()] for fm in prism_faces)
+    src = {e: vid[_composite_key(h, at0)] for e, h in edge_refs.items()}
+    tgt = {e: vid[_composite_key(h, at1)] for e, h in edge_refs.items()}
+    identity = {v: eid[_composite_key(h, collapse)] for v, h in vertex_refs.items()}
+    triangles = [tuple(eid[_composite_key(h, fm)] for fm in prism_faces)
                  for h in t_homs]
     marked = [e for e, h in edge_refs.items()
               if all(h.edge_map[f"01|{m}"] in Y.marked for m in X.marked)]
@@ -398,8 +408,8 @@ def restriction_map(ME: MappingComplex, M1: MappingComplex,
     d0m, d1m = (_times(_identity(S), incl, product(S, incl.domain),
                        product(S, incl.codomain))
                 for S in (simplex(0), simplex(1)))
-    vmap = {v: M1.vertex_index[r.compose(d0m).key()] for v, r in ME.vertex_refs.items()}
-    emap = {e: M1.edge_index[r.compose(d1m).key()] for e, r in ME.edge_refs.items()}
+    vmap = {v: M1.vertex_index[_composite_key(r, d0m)] for v, r in ME.vertex_refs.items()}
+    emap = {e: M1.edge_index[_composite_key(r, d1m)] for e, r in ME.edge_refs.items()}
     p = ComplexMorphism(ME.complex, M1.complex, vmap, emap)
     p.check()
     return p

@@ -21,7 +21,9 @@ from relfa.complexes import (
     hom_maps,
     hom_maps_iter,
     make_complex,
+    product,
     shape_from_name,
+    simplex,
 )
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import (
@@ -309,6 +311,52 @@ def _relative_lifting_check(shape: ShapeInclusion, p: ComplexMorphism,
         detail=f"{squares} squares, {len(v_keys)} candidate fillers")
 
 
+def _compose(f: ComplexMorphism, g: ComplexMorphism) -> ComplexMorphism:
+    """f after g; the codomain of g must be the domain of f, as an object or
+    as an equal structure."""
+    if g.codomain is not f.domain and g.codomain.signature() != f.domain.signature():
+        raise ValueError("composition mismatch")
+    return ComplexMorphism(g.domain, f.codomain,
+                           {v: f.vertex_map[w] for v, w in g.vertex_map.items()},
+                           {e: f.edge_map[x] for e, x in g.edge_map.items()})
+
+
+def test_compose_needs_the_codomain_as_object_or_equal_structure():
+    vertex = ComplexMorphism(simplex(0), simplex(1), {"0": "0"}, {"00": "00"})
+    assert _compose(mapping._identity(simplex(1)), vertex).key() == vertex.key()
+    marked = simplex(1, marked_top=True, name=simplex(1).name)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        _compose(mapping._identity(marked), vertex)
+
+
+@pytest.mark.parametrize("pair", [(chain(1), chain(2)), (chain(2), boolean(2)),
+                                  (boolean(2), chain(1))],
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_composite_key_is_the_key_of_the_composite(pair):
+    """The face keys mapping_complex and restriction_map read without a
+    composite are the keys of the composites, for every morphism out of the
+    prisms and every prism face, collapse and restriction map."""
+    E, F = pair
+    X, Y = nerve(to_relfa(E)), nerve(to_relfa(F))
+    p0, p1, p2 = (product(simplex(n), X) for n in range(3))
+    id_X = mapping._identity(X)
+    faces = [(p1, mapping._times(mapping._simplex_map(0, 1, (i,)), id_X, p0, p1))
+             for i in (0, 1)]
+    faces.append((p0, mapping._times(mapping._simplex_map(1, 0, (0, 0)), id_X, p1, p0)))
+    faces += [(p2, mapping._times(mapping._simplex_map(1, 2, g), id_X, p1, p2))
+              for g in ((1, 2), (0, 2), (0, 1))]
+    one = chain(1)
+    N1 = nerve(to_relfa(one))
+    incl = mapping.unit_inclusion_map(one, E, N1, X)
+    faces += [(P, mapping._times(mapping._identity(S), incl, product(S, N1), P))
+              for S, P in ((simplex(0), p0), (simplex(1), p1))]
+    for P, phi in faces:
+        homs = hom_maps(P, Y)
+        assert homs, P.name
+        for h in homs:
+            assert mapping._composite_key(h, phi) == _compose(h, phi).key()
+
+
 def _restriction_key(f, A):
     """The key of f restricted to the subcomplex A of its domain."""
     return ComplexMorphism(A, f.codomain, f.vertex_map, f.edge_map).key()
@@ -318,12 +366,12 @@ def _oracle_relative_lift_witness(shape, p):
     """The failing square first in key order, found by scanning the sorted
     boundary morphisms and, for each, the sorted base morphisms."""
     A, B = shape.domain, shape.codomain
-    lifts = Counter((_restriction_key(v, A), p.compose(v).key())
+    lifts = Counter((_restriction_key(v, A), _compose(p, v).key())
                     for v in hom_maps(B, p.domain))
     ws = hom_maps(B, p.codomain)
     for u in hom_maps(A, p.domain):
         for w in ws:
-            if _restriction_key(w, A) == p.compose(u).key():
+            if _restriction_key(w, A) == _compose(p, u).key():
                 n = lifts[(u.key(), w.key())]
                 if n != 1:
                     return (n, _images(u), _images(w))
