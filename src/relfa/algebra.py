@@ -103,12 +103,6 @@ class SumTable:
                 if x not in seen:
                     raise ValueError(f"{self.name}: sum entry ({a},{b})->{c} references unknown element {x!r}")
 
-    def sum_of(self, a: str, b: str) -> str | None:
-        return self.sums.get((a, b))
-
-    def defined(self, a: str, b: str) -> bool:
-        return (a, b) in self.sums
-
 
 class EffectAlgebraTable(SumTable):
     """Sum table expected to satisfy the effect algebra axioms."""
@@ -193,15 +187,13 @@ def relabel_table(t: SumTable, mapping: dict[str, str], name: str | None = None)
 
 
 def _table_checks_common(t: SumTable, commutative: bool) -> list[CheckResult]:
-    els = t.elements
+    els, sums = t.elements, t.sums
     checks: list[CheckResult] = []
 
     if commutative:
         witness = None
         for a, b in itertools.product(els, els):
-            ab = t.sum_of(a, b)
-            ba = t.sum_of(b, a)
-            if (ab is None) != (ba is None) or ab != ba:
+            if sums.get((a, b)) != sums.get((b, a)):
                 witness = (a, b)
                 break
         checks.append(CheckResult(
@@ -210,11 +202,8 @@ def _table_checks_common(t: SumTable, commutative: bool) -> list[CheckResult]:
 
     witness = None
     for a, b, c in itertools.product(els, els, els):
-        ab = t.sum_of(a, b)
-        bc = t.sum_of(b, c)
-        left = t.sum_of(ab, c) if ab is not None else None
-        right = t.sum_of(a, bc) if bc is not None else None
-        if (left is None) != (right is None) or left != right:
+        # An undefined inner sum reads as None, and no sum has None as a term.
+        if sums.get((sums.get((a, b)), c)) != sums.get((a, sums.get((b, c)))):
             witness = (a, b, c)
             break
     checks.append(CheckResult(
@@ -223,7 +212,7 @@ def _table_checks_common(t: SumTable, commutative: bool) -> list[CheckResult]:
 
     witness = None
     for a in els:
-        if t.sum_of(t.zero, a) != a or t.sum_of(a, t.zero) != a:
+        if sums.get((t.zero, a)) != a or sums.get((a, t.zero)) != a:
             witness = (a,)
             break
     checks.append(CheckResult(
@@ -234,7 +223,7 @@ def _table_checks_common(t: SumTable, commutative: bool) -> list[CheckResult]:
     for a in els:
         if a == t.zero:
             continue
-        if t.defined(a, t.one) or t.defined(t.one, a):
+        if (a, t.one) in sums or (t.one, a) in sums:
             witness = (a,)
             break
     checks.append(CheckResult(
@@ -256,7 +245,7 @@ def _validate_effect_algebra(t: SumTable) -> ValidationReport:
 
 def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
     checks = _table_checks_common(t, commutative=False)
-    els = t.elements
+    els, sums = t.elements, t.sums
 
     witness = next(((a, tuple(left), tuple(right))
                     for a, (left, right) in _partners(t).items()
@@ -267,11 +256,11 @@ def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
 
     witness = None
     for a, b in itertools.product(els, els):
-        ab = t.sum_of(a, b)
+        ab = sums.get((a, b))
         if ab is None:
             continue
-        if not any(t.sum_of(b1, a) == ab for b1 in els) or \
-           not any(t.sum_of(b, a1) == ab for a1 in els):
+        if not any(sums.get((b1, a)) == ab for b1 in els) or \
+           not any(sums.get((b, a1)) == ab for a1 in els):
             witness = (a, b)
             break
     checks.append(CheckResult(
@@ -285,7 +274,7 @@ def _validate_pseudo_effect_algebra(t: SumTable) -> ValidationReport:
         order = derived_order(t)
         for a, b in itertools.product(els, els):
             below = (b, supp[a][0]) in order
-            if t.defined(b, a) != below:
+            if ((b, a) in sums) != below:
                 witness = (a, b)
                 break
         extra = CheckResult(
@@ -442,23 +431,9 @@ def _require(kind: str, noun: str, *structures) -> None:
 
 
 def derived_order(t: SumTable) -> frozenset[tuple[str, str]]:
-    """Pairs (a, b) with a <= b, where a <= b iff a + c = b for some c."""
-    out = set()
-    for a in t.elements:
-        for b in t.elements:
-            if any(t.sum_of(a, c) == b for c in t.elements):
-                out.add((a, b))
-    return frozenset(out)
-
-
-def join(t: SumTable, a: str, b: str, order=None) -> str | None:
-    """Least upper bound of a and b, or None if it does not exist."""
-    order = order if order is not None else derived_order(t)
-    ubs = [u for u in t.elements if (a, u) in order and (b, u) in order]
-    for u in ubs:
-        if all((u, v) in order for v in ubs):
-            return u
-    return None
+    """Pairs (a, b) with a <= b, where a <= b iff a + c = b for some c:
+    the pairs (a, a + c) of the defined sums."""
+    return frozenset((a, s) for (a, _), s in t.sums.items())
 
 
 def _partners(t: SumTable) -> dict[str, tuple[list[str], list[str]]]:
@@ -466,7 +441,7 @@ def _partners(t: SumTable) -> dict[str, tuple[list[str], list[str]]]:
     (a + b = 1), both in carrier order."""
     partners: dict[str, tuple[list[str], list[str]]] = {a: ([], []) for a in t.elements}
     for a, b in itertools.product(t.elements, t.elements):
-        if t.sum_of(a, b) == t.one:
+        if t.sums.get((a, b)) == t.one:
             partners[b][0].append(a)
             partners[a][1].append(b)
     return partners

@@ -83,14 +83,13 @@ class TruncatedEpsilonComplex:
     def nondegenerate_triangles(self) -> list[tuple[str, str, str]]:
         return sorted(t for t in self.triangles if not self.is_degenerate_triangle(t))
 
-    def counts(self) -> dict[str, int]:
-        return {
-            "vertices": len(self.vertices),
-            "edges": len(self.edges),
-            "triangles": len(self.triangles),
-            "nondegenerate_triangles": len(self.nondegenerate_triangles()),
-            "marked": len(self.marked),
-        }
+
+def _from_signature(signature: tuple) -> TruncatedEpsilonComplex:
+    """The nameless complex with this ``signature()``: the one decoder of
+    the signatures that key the compiled plans."""
+    vertices, edges, src, tgt, identity, triangles, marked = signature
+    return TruncatedEpsilonComplex("", vertices, edges, dict(src), dict(tgt),
+                                   dict(identity), triangles, marked)
 
 
 def make_complex(name, vertices, edges, src, tgt, identity, triangles, marked) -> TruncatedEpsilonComplex:
@@ -278,8 +277,7 @@ def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     ``(vertex, identity, identity marked, [(source, target, marked)])`` for
     the edge steps whose endpoints that vertex completes.  The edge steps
     follow the declared order of C's non-identity edges."""
-    C, D = (TruncatedEpsilonComplex("", v, e, dict(s), dict(t), dict(i), tris, m)
-            for v, e, s, t, i, tris, m in (csig, dsig))
+    C, D = _from_signature(csig), _from_signature(dsig)
     known = frozenset(D.edges)
     plan = _search_plan(C, [e for e in C.nonidentity_edges() if e not in known])
     ready = sorted(t for t in C.triangles
@@ -430,7 +428,8 @@ def _picker(positions: list[int]):
 @functools.lru_cache(maxsize=_COUNT_PLANS)
 def _count_plan(signature: tuple) -> tuple:
     """Compile the count of the morphisms out of the complex with this
-    ``signature()``: the factors, the elimination order and every join
+    ``signature()``, read back by ``_from_signature`` as in
+    ``_extension_plan``: the factors, the elimination order and every join
     depend on the domain alone.
 
     Returns ``(kinds, inputs, steps, holders)``: the kinds of input table
@@ -442,10 +441,10 @@ def _count_plan(signature: tuple) -> tuple:
     joined in turn with each factor of ``joins``, given as ``(factor,
     shared_left, shared_right, rest, head)`` (see ``_join``), and the
     ``head`` of the last join leaves the variable out."""
-    vertices, edges, src, tgt, identity, triangles, marked = signature
-    src, tgt, identity = dict(src), dict(tgt), dict(identity)
+    X = _from_signature(signature)
+    src, tgt, identity, marked = X.src, X.tgt, X.identity, X.marked
     idvert = {e: v for v, e in identity.items()}
-    evars = [("E", e) for e in edges if e not in idvert]
+    evars = [("E", e) for e in X.nonidentity_edges()]
     on_edges = {("V", src[e]) for _, e in evars} | {("V", tgt[e]) for _, e in evars}
 
     kinds: dict[tuple, int] = {}
@@ -456,7 +455,7 @@ def _count_plan(signature: tuple) -> tuple:
         scopes.append(scope)
         inputs.append(kinds.setdefault(kind, len(kinds)))
 
-    for v in vertices:
+    for v in X.vertices:
         if ("V", v) not in on_edges or identity[v] in marked:
             add((("V", v),), ("vertex", identity[v] in marked))
     for var in evars:
@@ -465,17 +464,14 @@ def _count_plan(signature: tuple) -> tuple:
             add((var, ("V", src[e])), ("loop", e in marked))
         else:
             add((var, ("V", src[e]), ("V", tgt[e])), ("edge", e in marked))
-    for tri in sorted(triangles):
-        d0, d1, d2 = tri
-        if (d0 == d1 and d2 == identity[src[d0]]) or (d1 == d2 and d0 == identity[tgt[d1]]):
-            continue
+    for tri in X.nondegenerate_triangles():
         slot_vars = [("V", idvert[x]) if x in idvert else ("E", x) for x in tri]
         scope = tuple(dict.fromkeys(slot_vars))
         add(scope, ("triangle", tuple(v[0] for v in scope),
                     tuple(scope.index(v) for v in slot_vars)))
 
     factors_of: dict[tuple, set[int]] = {var: set() for var in
-                                         [("V", v) for v in vertices] + evars}
+                                         [("V", v) for v in X.vertices] + evars}
     holders: dict[tuple, list] = {var: [] for var in factors_of}
     neighbours: dict[tuple, set[tuple]] = {var: set() for var in factors_of}
     for fid, scope in enumerate(scopes):
@@ -577,15 +573,16 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
 
     The plan depends on X alone and is compiled once per ``signature()``;
     ``_count_plan`` keeps the last ``_COUNT_PLANS``.  Its variables are the
-    vertices and non-identity edges of X.  Its factors are one per
+    vertices and ``nonidentity_edges()`` of X.  Its factors are one per
     non-identity edge (image edge and endpoints, marked if the edge is),
-    one per non-degenerate triangle, and one per vertex that is on no
-    non-identity edge or whose identity is marked.  Degenerate triangles
-    need no factor: ``make_complex`` gives every complex the degenerate
-    triangles of all its edges, and its endpoint check admits no triangle
-    (y, y, id_w) or (id_w, y, y) with any other w, so they hold exactly
-    when the edge factors do; the morphism search leaves them out of its
-    plans for the same reason (``_search_plan``).  The elimination order
+    one per triangle of ``nondegenerate_triangles()``, and one per vertex
+    that is on no non-identity edge or whose identity is marked.  Degenerate
+    triangles (``is_degenerate_triangle``) need no factor: ``make_complex``
+    gives every complex the degenerate triangles of all its edges, and its
+    endpoint check admits no triangle (y, y, id_w) or (id_w, y, y) with any
+    other w, so they hold exactly when the edge factors do; the morphism
+    search leaves them out of its plans for the same reason
+    (``_search_plan``).  The elimination order
     repeatedly takes the variable whose factors span the fewest other
     variables, its neighbours (ties to the least); each variable's
     neighbours are kept up to date as the buckets are eliminated.  It is
@@ -644,7 +641,7 @@ def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:
 
 
 @functools.lru_cache
-def simplex(n: int, marked_top: bool = False, name: str | None = None) -> TruncatedEpsilonComplex:
+def simplex(n: int, marked_top: bool = False) -> TruncatedEpsilonComplex:
     """The n-simplex, top edge marked if ``marked_top``; built once, shared."""
     if not 0 <= n <= 3:
         raise ValueError("simplex dimension must be between 0 and 3")
@@ -662,8 +659,8 @@ def simplex(n: int, marked_top: bool = False, name: str | None = None) -> Trunca
             for k in range(j, n + 1):
                 triangles.append((f"{j}{k}", f"{i}{k}", f"{i}{j}"))
     marked = {f"0{n}"} if marked_top and n >= 1 else set()
-    default = (f"sigma{n}" if marked_top else f"delta{n}")
-    return make_complex(name or default, vertices, edges, src, tgt, identity, triangles, marked)
+    name = f"sigma{n}" if marked_top else f"delta{n}"
+    return make_complex(name, vertices, edges, src, tgt, identity, triangles, marked)
 
 
 def subcomplex_on_faces(C: TruncatedEpsilonComplex, faces, name: str) -> TruncatedEpsilonComplex:

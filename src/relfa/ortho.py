@@ -3,18 +3,19 @@
 The relation a ⊡ b internalizes "a and b mesh below every common bound":
 whenever d decomposes through a on one side and b on the other, a middle
 element must make the two decompositions agree.  For effect algebras it
-coincides with "a ⊕ b is defined and equals the join", which is the
-independent oracle used by the tests.  Classification reads off
-commutativity, cancellation, the counit condition and unit count, decides
-the effect algebra characterization from them, and then the orthoalgebra,
-orthomodular poset, and braiding refinements.
+coincides with "a ⊕ b is defined and equals the join", the independent
+oracle that ``tests/test_ortho.py`` keeps, with the join read off the
+derived order.  Classification reads off commutativity, cancellation, the
+counit condition and unit count, decides the effect algebra
+characterization from them, and then the orthoalgebra, orthomodular poset,
+and braiding refinements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import RelFA, SumTable, derived_order, join
+from .algebra import RelFA
 from .complexes import check_lifting, shape_from_name
 from .nerve import nerve
 
@@ -48,19 +49,6 @@ def boxslash_relation(F: RelFA) -> frozenset[tuple[str, str]]:
                     violating.add((a, b))
     return frozenset((a, b) for a in F.elements for b in F.elements
                      if (a, b) not in violating)
-
-
-def boxslash_order_oracle(E: SumTable) -> frozenset[tuple[str, str]]:
-    """Order-theoretic account of ⊡ on an effect algebra: a ⊡ b exactly
-    when a ⊕ b is defined and is the join of a and b."""
-    order = derived_order(E)
-    out = set()
-    for a in E.elements:
-        for b in E.elements:
-            s = E.sums.get((a, b))
-            if s is not None and join(E, a, b, order=order) == s:
-                out.add((a, b))
-    return frozenset(out)
 
 
 def epsilon_boxslash(F: RelFA, boxslash: frozenset[tuple[str, str]] | None = None) -> list[str]:

@@ -37,7 +37,9 @@ from relfa.mapping import (
     verify_mapping_theorem,
 )
 from relfa.nerve import nerve, recognize_nerve
-from relfa.ortho import boxslash_order_oracle, boxslash_relation, classify
+from relfa.ortho import boxslash_relation, classify
+from test_complexes import complex_counts
+from test_ortho import boxslash_order_oracle
 
 
 @contextmanager
@@ -164,7 +166,7 @@ def test_criterion_5_mapping_space_theorem(capsys):
         M = mapping_complex(N, N).complex
         H = nerve(hom_object_ea(chain(1), chain(1)).algebra)
         for side in (M, H):
-            counts = side.counts()
+            counts = complex_counts(side)
             assert counts["vertices"] == 2
             assert counts["edges"] == 3
             assert counts["marked"] == 2

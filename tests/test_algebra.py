@@ -11,13 +11,11 @@ from relfa.algebra import (
     VALIDATE_KINDS,
     CheckResult,
     EffectAlgebraTable,
-    PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
     ValidationReport,
     derived_order,
     height_order,
-    join,
     relabel_relfa,
     relabel_table,
     supplements,
@@ -28,11 +26,13 @@ from relfa.catalog import boolean, chain, construct_catalog
 from relfa.enumerate_small import enumerate_small, transported_delta
 from relfa.mapping import mapping_complex
 from relfa.nerve import _transport_delta, nerve, nerve_to_algebra, rotations
+from test_mapping import cyclic_pea
+from test_ortho import join
 
 
-def table(name, elements, zero, one, pairs, cls=EffectAlgebraTable):
-    return cls(name, tuple(elements), zero, one,
-               {(a, b): c for a, b, c in pairs})
+def table(name, elements, zero, one, pairs):
+    return EffectAlgebraTable(name, tuple(elements), zero, one,
+                              {(a, b): c for a, b, c in pairs})
 
 
 def test_validate_kinds_are_fixed():
@@ -99,15 +99,6 @@ def two_supplements():
                   ("a", "a", "1")])
 
 
-def cyclic():
-    """Three atoms with a + b = b + c = c + a = 1."""
-    pairs = [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1")]
-    for x in "abc":
-        pairs += [("0", x, x), (x, "0", x)]
-    pairs += [("a", "b", "1"), ("b", "c", "1"), ("c", "a", "1")]
-    return table("cyclic", "0abc1", "0", "1", pairs, cls=PseudoEffectAlgebraTable)
-
-
 def test_unique_supplement_failure():
     t = two_supplements()
     ea = next(c for c in validate("effect-algebra", t).checks if c.name == "unique-supplement")
@@ -118,7 +109,7 @@ def test_unique_supplement_failure():
 
 
 def test_noncommutative_table_fails_ea_but_passes_pea():
-    t = cyclic()
+    t = cyclic_pea(3)
     assert validate("pseudo-effect-algebra", t).passed
     ea = validate("effect-algebra", t)
     assert not ea.passed
@@ -134,11 +125,30 @@ def test_derived_order_and_join_on_boolean_square():
     assert join(b, "0", "a") == "a"
 
 
+def oracle_derived_order(t: SumTable) -> frozenset[tuple[str, str]]:
+    """The derived order by its definition: a <= b iff a + c = b for some
+    c, over every triple of the carrier."""
+    return frozenset((a, b) for a in t.elements for b in t.elements
+                     if any(t.sums.get((a, c)) == b for c in t.elements))
+
+
+def test_derived_order_is_its_definition(not_a_pea):
+    """The order read off the sum table is the triple scan's, on every
+    catalog table, every enumerated table of size <= 5 and a table that is
+    not a pseudo effect algebra."""
+    tables = [s for s in construct_catalog().values() if isinstance(s, SumTable)]
+    tables += [t for kind in ("effect-algebra", "pseudo-effect-algebra")
+               for n in range(1, 6) for t in enumerate_small(n, kind)]
+    tables.append(not_a_pea)
+    for t in tables:
+        assert derived_order(t) == oracle_derived_order(t), t.name
+
+
 def test_supplements_effect_and_pseudo():
     # In an effect algebra both entries are the supplement a'.
     assert supplements(chain(2)) == {"0": ("2", "2"), "1": ("1", "1"), "2": ("0", "0")}
     # c + a = 1 = a + b: a has left supplement c and right supplement b.
-    assert supplements(cyclic())["a"] == ("c", "b")
+    assert supplements(cyclic_pea(3))["a"] == ("c", "b")
     with pytest.raises(ValueError, match="'a' lacks unique supplements"):
         supplements(two_supplements())
 
@@ -369,5 +379,5 @@ def test_to_relfa_delta_matches_triple_loop():
         right = {a: supp[1] for a, supp in supplements(t).items()}
         expected = frozenset(
             (z, x, y) for z, x, y in itertools.product(t.elements, repeat=3)
-            if t.sum_of(right[x], right[y]) == right[z])
+            if t.sums.get((right[x], right[y])) == right[z])
         assert to_relfa(t).delta == expected, t.name

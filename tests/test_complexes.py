@@ -3,6 +3,7 @@ and the lifting decision procedure."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -52,17 +53,28 @@ from relfa.mapping import mapping_complex
 from relfa.nerve import RECOGNITION_SHAPES, nerve, rotations
 
 
+def complex_counts(C) -> dict[str, int]:
+    """The number of cells of C at each level."""
+    return {
+        "vertices": len(C.vertices),
+        "edges": len(C.edges),
+        "triangles": len(C.triangles),
+        "nondegenerate_triangles": len(C.nondegenerate_triangles()),
+        "marked": len(C.marked),
+    }
+
+
 def test_simplex_counts_are_frozen():
-    assert simplex(0).counts() == {
+    assert complex_counts(simplex(0)) == {
         "vertices": 1, "edges": 1, "triangles": 1,
         "nondegenerate_triangles": 0, "marked": 0}
-    assert simplex(1).counts() == {
+    assert complex_counts(simplex(1)) == {
         "vertices": 2, "edges": 3, "triangles": 4,
         "nondegenerate_triangles": 0, "marked": 0}
-    assert simplex(2).counts() == {
+    assert complex_counts(simplex(2)) == {
         "vertices": 3, "edges": 6, "triangles": 10,
         "nondegenerate_triangles": 1, "marked": 0}
-    assert simplex(1, marked_top=True).counts()["marked"] == 1
+    assert complex_counts(simplex(1, marked_top=True))["marked"] == 1
 
 
 def test_make_complex_adds_degenerate_triangles():
@@ -112,7 +124,7 @@ def test_box_shape_names_resolve_recursively():
     shape = shape_from_name("box(horn-2-0,boundary-1)")
     direct = box_inclusion(horn(2, 0), boundary(1))
     assert shape.name == direct.name
-    assert shape.codomain.counts() == direct.codomain.counts()
+    assert complex_counts(shape.codomain) == complex_counts(direct.codomain)
     nested = shape_from_name("box(box(horn-2-0,boundary-1),vertex-0-in-edge)")
     assert "box(" in nested.name
     # A name resolves only if it is in SHAPE_NAMES or a box of such names.
@@ -128,7 +140,7 @@ def test_box_shape_names_resolve_recursively():
 
 def test_product_counts():
     P = product(simplex(1), simplex(1))
-    assert P.counts() == {
+    assert complex_counts(P) == {
         "vertices": 4, "edges": 9, "triangles": 16,
         "nondegenerate_triangles": 2, "marked": 0}
 
@@ -530,6 +542,32 @@ def test_count_plans_are_frozen():
     assert digest == COUNT_PLANS_SHA256
 
 
+def test_plans_decode_signatures_in_one_place(monkeypatch):
+    """The count plan and the extension plan read their domains back from
+    signatures through one decoder, which gives back the complex's
+    signature, non-identity edges and non-degenerate triangles on every
+    frozen plan domain."""
+    for X in _plan_domains():
+        Z = complexes._from_signature(X.signature())
+        assert Z.signature() == X.signature(), X.name
+        assert Z.nonidentity_edges() == X.nonidentity_edges(), X.name
+        assert Z.nondegenerate_triangles() == X.nondegenerate_triangles(), X.name
+    decoded = []
+    decode = complexes._from_signature
+
+    def spy(signature):
+        decoded.append(signature)
+        return decode(signature)
+
+    monkeypatch.setattr(complexes, "_from_signature", spy)
+    _clear_plan_caches()
+    shape = shape_from_name("horn-2-1")
+    C, D = shape.codomain.signature(), shape.domain.signature()
+    complexes._count_plan(C)
+    complexes._extension_plan(C, D)
+    assert decoded == [C, C, D]
+
+
 def test_search_plans_name_no_degenerate_triangle():
     """No lookup, check or look-ahead of a search plan rests on a degenerate
     triangle, in the plans of hom_maps_iter and of every shape's extension
@@ -793,7 +831,7 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name():
     hollow = boundary(2).domain
     flat = make_complex("delta2", hollow.vertices, hollow.edges, hollow.src, hollow.tgt,
                         hollow.identity, hollow.triangles, hollow.marked)
-    unmarked = simplex(1, name="sigma1")
+    unmarked = dataclasses.replace(simplex(1), name="sigma1")
     twins = ((simplex(2), flat), (simplex(1, marked_top=True), unmarked))
     Y = _catalog_nerve("chain(2)")
     for real, twin in twins:

@@ -10,14 +10,22 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relfa.algebra import SumTable, relabel_relfa, relabel_table, to_relfa, validate
+from relfa.algebra import (
+    PseudoEffectAlgebraTable,
+    SumTable,
+    derived_order,
+    relabel_relfa,
+    relabel_table,
+    to_relfa,
+    validate,
+)
 from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra, wright_triangle
 from relfa.complexes import SHAPE_NAMES, check_lifting, count_homs, hom_maps, shape_from_name
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
 from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import parse_structure, serialize_structure
-from test_algebra import catalog_algebras, oracle_frobenius
+from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report
 
 PROPERTY_ALGEBRAS = {
@@ -242,3 +250,21 @@ def test_lift_reports_do_not_depend_on_declaration_order(name, seed):
     assert report == _box_report(name)
     assert report["method"] == {"wright-triangle": "count-comparison",
                                 "chain(4)": "enumeration"}[name]
+
+
+@st.composite
+def partial_tables(draw):
+    """A sum table on 1 to 5 elements with arbitrary defined sums: it need
+    not satisfy any axiom."""
+    n = draw(st.integers(1, 5))
+    elements = tuple(f"x{i}" for i in range(n))
+    cell = st.sampled_from(elements)
+    sums = draw(st.dictionaries(st.tuples(cell, cell), cell))
+    return PseudoEffectAlgebraTable("partial", elements, elements[0], elements[-1], sums)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=partial_tables())
+def test_derived_order_is_its_definition_on_partial_tables(t):
+    """The order read off the sum table is the triple scan's on any table."""
+    assert derived_order(t) == oracle_derived_order(t)
