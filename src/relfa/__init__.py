@@ -13,7 +13,9 @@ enumeration of small structures; and a JSON exchange format with a builtin
 catalog, all behind the ``fa`` command line tool.
 
 The package namespace holds the library API the README shows; everything
-else is imported from its submodule, e.g. ``relfa.catalog.chain``.
+else is imported from its submodule: ``from relfa.catalog import chain``,
+``from relfa.nerve import cross_validate``.  Use that form: ``relfa.nerve``
+is the function ``nerve``, not the module, so attribute access fails there.
 """
 
 __version__ = "0.1.0"

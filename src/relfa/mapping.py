@@ -1,12 +1,12 @@
 """Mapping complexes between edge-marked complexes.
 
-Levels of ``[X, Y]`` are computed as morphism sets out of prism products
-``simplex(n) x X``; the module also provides the partial-monoid morphism
-calculus used to describe those levels for nerves of effect algebras
-(``pm_morphisms``, ``conjugate``, ``hom_object_ea``), the mapping theorem
-checked by relabelling the hom object along the explicit labeling and
-comparing it relation by relation with the mapping complex, the
-evaluation-map fibration checks, and the enriched composition morphism."""
+The vertices and edges of ``[X, Y]`` are maps out of the prisms
+``simplex(n) x X`` and its triangles are read off its edges.  The module
+also provides the partial-monoid morphism calculus describing those levels
+for nerves of effect algebras (``pm_morphisms``, ``conjugate``,
+``hom_object_ea``), the mapping theorem checked relation by relation on
+the relabelled hom object, the evaluation-map fibration checks, and the
+enriched composition morphism."""
 
 from __future__ import annotations
 
@@ -211,15 +211,18 @@ class MappingComplex:
 def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> MappingComplex:
     """The complex of maps X -> Y, one level at a time.
 
-    Level n is the morphism set Hom(simplex(n) x X, Y); faces and identities
-    come from composing with the prism maps, and an edge is marked exactly
-    when its representing map sends marked prism edges to marked edges.  A
-    face is found by the key of the composite (``_composite_key``); no
-    composite morphism is built."""
-    p0, p1, p2 = (product(simplex(n), X) for n in range(3))
+    Levels 0 and 1 are the morphism sets Hom(simplex(n) x X, Y), with
+    endpoints and identities read by the key of the composite with a prism
+    map (``_composite_key``; no composite is built); an edge is marked
+    exactly when its map sends marked prism edges to marked edges.  Level 2
+    is read off level 1: every vertex and edge of simplex(2) x X lies in one
+    of its three 1-prism faces, and the only triangles outside them are
+    (12|x0, 02|x1, 01|x2) for the triangles (x0, x1, x2) of X.  So a map out
+    of the 2-prism is a triple (d0, d1, d2) of edges with matching endpoints
+    whose 01|x images carry every triangle of X to one of Y."""
+    p0, p1 = product(simplex(0), X), product(simplex(1), X)
     v_homs = hom_maps(p0, Y)
     e_homs = hom_maps(p1, Y)
-    t_homs = hom_maps(p2, Y)
 
     vertex_refs = {f"h{i}": h for i, h in enumerate(v_homs)}
     edge_refs = {f"e{i}": h for i, h in enumerate(e_homs)}
@@ -232,32 +235,39 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
     at0 = _times(_simplex_map(0, 1, (0,)), id_X, p0, p1)
     at1 = _times(_simplex_map(0, 1, (1,)), id_X, p0, p1)
     collapse = _times(_simplex_map(1, 0, (0, 0)), id_X, p1, p0)
-    prism_faces = [_times(_simplex_map(1, 2, g), id_X, p1, p2)
-                   for g in ((1, 2), (0, 2), (0, 1))]
 
     src = {e: vid[_composite_key(h, at0)] for e, h in edge_refs.items()}
     tgt = {e: vid[_composite_key(h, at1)] for e, h in edge_refs.items()}
     identity = {v: eid[_composite_key(h, collapse)] for v, h in vertex_refs.items()}
-    triangles = [tuple(eid[_composite_key(h, fm)] for fm in prism_faces)
-                 for h in t_homs]
     marked = [e for e, h in edge_refs.items()
               if all(h.edge_map[f"01|{m}"] in Y.marked for m in X.marked)]
+
+    x_triangles = [tuple(map(X.edges.index, t)) for t in X.triangles]
+    along = {e: tuple(h.edge_map[f"01|{x}"] for x in X.edges)
+             for e, h in edge_refs.items()}
+    out, between = {}, {}
+    for e in edge_refs:
+        out.setdefault(src[e], []).append(e)
+        between.setdefault((src[e], tgt[e]), []).append(e)
+    ytri, triangles = Y.triangles, []
+    for d2 in edge_refs:
+        a2 = along[d2]
+        for d0 in out[tgt[d2]]:
+            a0 = along[d0]
+            for d1 in between.get((src[d2], tgt[d0]), ()):
+                a1 = along[d1]
+                if all((a0[i], a1[j], a2[k]) in ytri for i, j, k in x_triangles):
+                    triangles.append((d0, d1, d2))
 
     C = make_complex(f"[{X.name},{Y.name}]", list(vertex_refs), list(edge_refs),
                      src, tgt, identity, triangles, marked)
 
-    # The triangle and marked levels must match the morphism counts out of
-    # the 2-prism and the marked 1-prism.  Vertices and edges are one cell
-    # per morphism by construction.
-    levels = (
-        ("triangles", len(C.triangles), len(t_homs)),
-        ("marked edges", len(C.marked),
-         len(hom_maps(product(simplex(1, marked_top=True), X), Y))),
-    )
-    for level, built, counted in levels:
-        if built != counted:
-            raise InvariantError(
-                f"{C.name}: {built} {level} built but {counted} morphisms counted")
+    # The marked level must match the morphism count out of the marked
+    # 1-prism.  Vertices and edges are one cell per morphism by construction.
+    counted = len(hom_maps(product(simplex(1, marked_top=True), X), Y))
+    if len(C.marked) != counted:
+        raise InvariantError(
+            f"{C.name}: {len(C.marked)} marked edges built but {counted} morphisms counted")
     return MappingComplex(C, vertex_refs, edge_refs, vid, eid)
 
 

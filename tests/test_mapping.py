@@ -10,8 +10,8 @@ from collections import Counter
 import pytest
 
 from relfa import mapping
-from relfa.algebra import CheckResult, PseudoEffectAlgebraTable, to_relfa, validate
-from relfa.catalog import boolean, chain, zk_interval
+from relfa.algebra import CheckResult, PseudoEffectAlgebraTable, SumTable, to_relfa, validate
+from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle, zk_interval
 from relfa.complexes import (
     SHAPE_NAMES,
     ComplexMorphism,
@@ -390,6 +390,63 @@ def _evaluation_map(E, F):
 CRITERION_6_PAIRS = [(E, F) for E in (chain(1), chain(2), boolean(2), chain(3))
                      for F in (chain(1), chain(2), boolean(2), chain(3))
                      if len(E.elements) * len(F.elements) <= 16]
+
+
+def _nerve(algebra):
+    return nerve(to_relfa(algebra) if isinstance(algebra, SumTable) else algebra)
+
+
+def prism_triangles(X, Y, M) -> tuple[int, set]:
+    """The triangle level of M = [X, Y] by the literal route: every morphism
+    out of the 2-prism simplex(2) x X, named by the edges (d0, d1, d2) its
+    three 1-prism faces restrict to.  Returns the number of morphisms and
+    the set of named triangles."""
+    p1, p2 = product(simplex(1), X), product(simplex(2), X)
+    id_X = mapping._identity(X)
+    faces = [mapping._times(mapping._simplex_map(1, 2, g), id_X, p1, p2)
+             for g in ((1, 2), (0, 2), (0, 1))]
+    t_homs = hom_maps(p2, Y)
+    return len(t_homs), {tuple(M.edge_index[mapping._composite_key(h, fm)] for fm in faces)
+                         for h in t_homs}
+
+
+MULTI_VERTEX_FROB2 = next(A for A in enumerate_small(2, "frobenius")
+                          if len(_nerve(A).vertices) > 1)
+PRISM_ORACLE_PAIRS = CRITERION_6_PAIRS + FIBRATION_PEA_PAIRS + [
+    (chain(2), cyclic_group_algebra(3)), (cyclic_group_algebra(3), cyclic_group_algebra(3)),
+    (MULTI_VERTEX_FROB2, MULTI_VERTEX_FROB2), (chain(1), MULTI_VERTEX_FROB2),
+    (MULTI_VERTEX_FROB2, chain(2)), (chain(1), wright_triangle())]
+
+
+@pytest.mark.parametrize("pair", PRISM_ORACLE_PAIRS,
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_mapping_triangles_are_the_maps_out_of_the_2_prism(pair):
+    """The triangles mapping_complex reads off its edges are exactly the
+    morphisms out of the 2-prism, one triangle per morphism."""
+    X, Y = (_nerve(algebra) for algebra in pair)
+    M = mapping_complex(X, Y)
+    counted, triangles = prism_triangles(X, Y, M)
+    assert M.complex.triangles == triangles
+    assert len(M.complex.triangles) == counted
+
+
+def test_mapping_complex_searches_no_2_prism(monkeypatch):
+    """mapping_complex never enumerates the morphisms out of a 2-prism."""
+    domains = []
+
+    def spy(X, Y):
+        domains.append(X.signature())
+        return hom_maps(X, Y)
+
+    monkeypatch.setattr(mapping, "hom_maps", spy)
+    for pair in [(chain(1), chain(2)), (boolean(2), chain(3)),
+                 (MULTI_VERTEX_FROB2, MULTI_VERTEX_FROB2)]:
+        X, Y = (_nerve(algebra) for algebra in pair)
+        domains.clear()
+        M = mapping_complex(X, Y)
+        assert M.complex.triangles
+        assert product(simplex(1), X).signature() in domains
+        assert product(simplex(2), X).signature() not in domains
 
 
 @pytest.mark.parametrize("pair", CRITERION_6_PAIRS + FIBRATION_PEA_PAIRS,

@@ -20,13 +20,22 @@ from relfa.algebra import (
     validate,
 )
 from relfa.catalog import boolean, chain, construct_catalog, cyclic_group_algebra, wright_triangle
-from relfa.complexes import SHAPE_NAMES, check_lifting, count_homs, hom_maps, shape_from_name
+from relfa.complexes import (
+    SHAPE_NAMES,
+    check_lifting,
+    count_homs,
+    hom_maps,
+    make_complex,
+    shape_from_name,
+)
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
+from relfa.mapping import mapping_complex
 from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report
+from test_mapping import _nerve, prism_triangles
 
 PROPERTY_ALGEBRAS = {
     "chain(2)": to_relfa(chain(2)), "chain(3)": to_relfa(chain(3)),
@@ -129,6 +138,39 @@ def test_counts_survive_relabeling_the_target(name, seed):
         shape = shape_from_name(shape_name)
         for X in (shape.domain, shape.codomain):
             assert count_homs(X, M) == count_homs(X, N), (shape_name, X.name)
+
+
+def _relabelled_cells(Y, seed: int):
+    """Y with fresh names for its vertices and edges, each declared in a
+    shuffled order."""
+    rng = random.Random(seed)
+    cells = Y.vertices + Y.edges
+    r = {c: f"c{k}" for c, k in zip(cells, rng.sample(range(1000), len(cells)))}
+    vertices, edges = [r[v] for v in Y.vertices], [r[e] for e in Y.edges]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return make_complex(Y.name, vertices, edges,
+                        {r[e]: r[Y.src[e]] for e in Y.edges}, {r[e]: r[Y.tgt[e]] for e in Y.edges},
+                        {r[v]: r[Y.identity[v]] for v in Y.vertices},
+                        [tuple(r[x] for x in t) for t in Y.triangles], [r[m] for m in Y.marked])
+
+
+MAPPING_PAIRS = sorted((a, b) for a in CATALOG for b in CATALOG
+                       if len(CATALOG[a].elements) * len(CATALOG[b].elements) <= 30)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.sampled_from(MAPPING_PAIRS), seed=st.integers(0, 2**32 - 1))
+def test_mapping_triangles_match_the_prism_oracle_on_relabelled_targets(pair, seed):
+    """Under fresh cell names and a shuffled declaration order of Y, the
+    triangles of [X, Y] read off its edges are still the morphisms out of
+    the 2-prism, and there are as many as before."""
+    X, Y = (_nerve(CATALOG[name]) for name in pair)
+    Z = _relabelled_cells(Y, seed)
+    M = mapping_complex(X, Z)
+    counted, triangles = prism_triangles(X, Z, M)
+    assert M.complex.triangles == triangles
+    assert counted == len(triangles) == len(mapping_complex(X, Y).complex.triangles)
 
 
 COUNT_TARGETS = ("chain(2)", "boolean(2)", "group_algebra(Z/3)", "wright-triangle")
