@@ -1,12 +1,13 @@
 """Mapping complexes between edge-marked complexes.
 
 The vertices and edges of ``[X, Y]`` are maps out of the prisms
-``simplex(n) x X`` and its triangles are read off its edges.  The module
-also provides the partial-monoid morphism calculus describing those levels
-for nerves of effect algebras (``pm_morphisms``, ``conjugate``,
-``hom_object_ea``), the mapping theorem checked relation by relation on
-the relabelled hom object, the evaluation-map fibration checks, and the
-enriched composition morphism."""
+``simplex(n) x X``, each named by the images of its prism faces, and its
+triangles are read off its edges.  The module also provides the
+partial-monoid morphism calculus describing those levels for nerves of
+effect algebras (``pm_morphisms``, ``conjugate``, ``hom_object_ea``), the
+mapping theorem checked relation by relation on the relabelled hom object,
+the evaluation-map fibration checks, and the enriched composition
+morphism."""
 
 from __future__ import annotations
 
@@ -153,44 +154,17 @@ def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:
 
 
 # ---------------------------------------------------------------------------
-# Simplex and prism bookkeeping
-
-
-def _simplex_map(m: int, n: int, images: tuple[int, ...]) -> ComplexMorphism:
-    """The map of simplices sending vertex i to images[i] (monotone)."""
-    dom, cod = simplex(m), simplex(n)
-    vmap = {str(i): str(images[i]) for i in range(m + 1)}
-    emap = {f"{i}{j}": f"{images[i]}{images[j]}"
-            for i in range(m + 1) for j in range(i, m + 1)}
-    return ComplexMorphism(dom, cod, vmap, emap)
-
-
-def _identity(X: TruncatedEpsilonComplex) -> ComplexMorphism:
-    return ComplexMorphism(X, X, {v: v for v in X.vertices}, {e: e for e in X.edges})
-
-
-def _times(phi: ComplexMorphism, psi: ComplexMorphism,
-           dom: TruncatedEpsilonComplex, cod: TruncatedEpsilonComplex) -> ComplexMorphism:
-    """The product morphism phi x psi, cell by cell, between the products
-    dom = phi.domain x psi.domain and cod = phi.codomain x psi.codomain
-    (passed in, so that callers holding them build each product once)."""
-    vmap = {f"{u}|{x}": f"{phi.vertex_map[u]}|{psi.vertex_map[x]}"
-            for u in phi.domain.vertices for x in psi.domain.vertices}
-    emap = {f"{a}|{e}": f"{phi.edge_map[a]}|{psi.edge_map[e]}"
-            for a in phi.domain.edges for e in psi.domain.edges}
-    return ComplexMorphism(dom, cod, vmap, emap)
-
-
-def _composite_key(h: ComplexMorphism, phi: ComplexMorphism) -> tuple:
-    """The ``key()`` of h after phi, read from the two maps' dicts without
-    building the composite."""
-    vm, em = h.vertex_map, h.edge_map
-    return tuple(vm[phi.vertex_map[v]] for v in phi.domain.vertices) + \
-        tuple(em[phi.edge_map[e]] for e in phi.domain.nonidentity_edges())
-
-
-# ---------------------------------------------------------------------------
 # The mapping complex
+
+
+# The edges of simplex(1): a cell of [X, Y] is named by the images of the
+# prism edges ``ij|x`` at these levels.
+_LEVELS = ("00", "01", "11")
+
+
+def _face(h: ComplexMorphism, level: str, edges) -> tuple[str, ...]:
+    """The images under h of the prism edges ``level|x``, x in ``edges``."""
+    return tuple(h.edge_map[f"{level}|{x}"] for x in edges)
 
 
 @dataclass(frozen=True)
@@ -198,8 +172,10 @@ class MappingComplex:
     """The complex [X, Y] of maps X -> Y with its cells tied to the
     morphisms representing them.  ``vertex_refs`` sends a vertex to its map
     simplex(0) x X -> Y and ``edge_refs`` an edge to its map out of the
-    1-prism simplex(1) x X; ``vertex_index`` and ``edge_index`` are the
-    inverse lookups, from a morphism's ``key()`` to its cell."""
+    1-prism simplex(1) x X.  ``vertex_index`` and ``edge_index`` are the
+    inverse lookups by face key: a vertex is keyed by the images of its
+    ``00|x`` cells and an edge by the triple of its ``00|x``, ``01|x`` and
+    ``11|x`` images, for x in ``X.edges`` (identities included)."""
 
     complex: TruncatedEpsilonComplex
     vertex_refs: dict[str, ComplexMorphism]
@@ -211,40 +187,32 @@ class MappingComplex:
 def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> MappingComplex:
     """The complex of maps X -> Y, one level at a time.
 
-    Levels 0 and 1 are the morphism sets Hom(simplex(n) x X, Y), with
-    endpoints and identities read by the key of the composite with a prism
-    map (``_composite_key``; no composite is built); an edge is marked
-    exactly when its map sends marked prism edges to marked edges.  Level 2
+    Levels 0 and 1 are the morphism sets Hom(simplex(n) x X, Y), each cell
+    keyed by its faces (see ``MappingComplex``); the keys are injective
+    because Y's identity edges are distinct.  An edge keyed (s, a, t) runs
+    from the vertex keyed s to the vertex keyed t, the identity of the
+    vertex keyed t is the edge keyed (t, t, t), and the edge is marked
+    exactly when a sends the marked edges of X to marked edges.  Level 2
     is read off level 1: every vertex and edge of simplex(2) x X lies in one
     of its three 1-prism faces, and the only triangles outside them are
     (12|x0, 02|x1, 01|x2) for the triangles (x0, x1, x2) of X.  So a map out
     of the 2-prism is a triple (d0, d1, d2) of edges with matching endpoints
     whose 01|x images carry every triangle of X to one of Y."""
-    p0, p1 = product(simplex(0), X), product(simplex(1), X)
-    v_homs = hom_maps(p0, Y)
-    e_homs = hom_maps(p1, Y)
+    vertex_refs = {f"h{i}": h for i, h in enumerate(hom_maps(product(simplex(0), X), Y))}
+    edge_refs = {f"e{i}": h for i, h in enumerate(hom_maps(product(simplex(1), X), Y))}
+    vid = {_face(h, "00", X.edges): v for v, h in vertex_refs.items()}
+    eid = {tuple(_face(h, ij, X.edges) for ij in _LEVELS): e for e, h in edge_refs.items()}
+    if len(vid) != len(vertex_refs) or len(eid) != len(edge_refs):
+        raise InvariantError("mapping complex: two morphisms share a face key")
 
-    vertex_refs = {f"h{i}": h for i, h in enumerate(v_homs)}
-    edge_refs = {f"e{i}": h for i, h in enumerate(e_homs)}
-    vid = {h.key(): v for v, h in vertex_refs.items()}
-    eid = {h.key(): e for e, h in edge_refs.items()}
-    if len(vid) != len(v_homs) or len(eid) != len(e_homs):
-        raise InvariantError("mapping complex: two morphisms share a key")
+    src = {e: vid[s] for (s, _, _), e in eid.items()}
+    tgt = {e: vid[t] for (_, _, t), e in eid.items()}
+    identity = {v: eid[(t, t, t)] for t, v in vid.items()}
+    along = {e: a for (_, a, _), e in eid.items()}
+    at = {x: i for i, x in enumerate(X.edges)}
+    marked = [e for e, a in along.items() if all(a[at[m]] in Y.marked for m in X.marked)]
 
-    id_X = _identity(X)
-    at0 = _times(_simplex_map(0, 1, (0,)), id_X, p0, p1)
-    at1 = _times(_simplex_map(0, 1, (1,)), id_X, p0, p1)
-    collapse = _times(_simplex_map(1, 0, (0, 0)), id_X, p1, p0)
-
-    src = {e: vid[_composite_key(h, at0)] for e, h in edge_refs.items()}
-    tgt = {e: vid[_composite_key(h, at1)] for e, h in edge_refs.items()}
-    identity = {v: eid[_composite_key(h, collapse)] for v, h in vertex_refs.items()}
-    marked = [e for e, h in edge_refs.items()
-              if all(h.edge_map[f"01|{m}"] in Y.marked for m in X.marked)]
-
-    x_triangles = [tuple(map(X.edges.index, t)) for t in X.triangles]
-    along = {e: tuple(h.edge_map[f"01|{x}"] for x in X.edges)
-             for e, h in edge_refs.items()}
+    x_triangles = [tuple(at[x] for x in t) for t in X.triangles]
     out, between = {}, {}
     for e in edge_refs:
         out.setdefault(src[e], []).append(e)
@@ -261,13 +229,6 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
 
     C = make_complex(f"[{X.name},{Y.name}]", list(vertex_refs), list(edge_refs),
                      src, tgt, identity, triangles, marked)
-
-    # The marked level must match the morphism count out of the marked
-    # 1-prism.  Vertices and edges are one cell per morphism by construction.
-    counted = len(hom_maps(product(simplex(1, marked_top=True), X), Y))
-    if len(C.marked) != counted:
-        raise InvariantError(
-            f"{C.name}: {len(C.marked)} marked edges built but {counted} morphisms counted")
     return MappingComplex(C, vertex_refs, edge_refs, vid, eid)
 
 
@@ -335,28 +296,20 @@ def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:
     return HomObject(algebra, tuple(comps))
 
 
-def _explicit_labeling(hob: HomObject, E: SumTable, F: SumTable,
-                       NE: TruncatedEpsilonComplex, NF: TruncatedEpsilonComplex,
+def _explicit_labeling(hob: HomObject, F: SumTable, NE: TruncatedEpsilonComplex,
                        M: MappingComplex) -> dict[str, str] | None:
     """The explicit labeling of the hom object by edges of the mapping
-    complex: the element x of the component of h names the edge whose
-    1-prism map sends a to h(a) at both ends and to h(a) + x along the
-    prism.  None when such a sum is undefined or no edge has that key."""
-    p1 = product(simplex(1), NE)
-    unit_e, unit_f = NE.vertices[0], NF.vertices[0]
-    ends = {f"0|{unit_e}": unit_f, f"1|{unit_e}": unit_f}
+    complex: the element x of the component of h names the edge keyed
+    ((h(a))_a, (h(a) + x)_a, (h(a))_a) over the elements a of E, which are
+    the edges of NE.  None when no edge has such a key; an undefined sum
+    leaves None in the key, which no edge has."""
     labels: dict[str, str] = {}
     for comp in hob.components:
         h = comp.morphism.image
+        ends = tuple(h[a] for a in NE.edges)
         for x in comp.carrier:
-            emap: dict[str, str] = {}
-            for a in E.elements:
-                shifted = F.sums.get((h[a], x))
-                if shifted is None:
-                    return None
-                emap[f"00|{a}"] = emap[f"11|{a}"] = h[a]
-                emap[f"01|{a}"] = shifted
-            edge = M.edge_index.get(ComplexMorphism(p1, NF, ends, emap).key())
+            shifted = tuple(F.sums.get((h[a], x)) for a in NE.edges)
+            edge = M.edge_index.get((ends, shifted, ends))
             if edge is None:
                 return None
             labels[comp.prefix + x] = edge
@@ -377,7 +330,7 @@ def verify_mapping_theorem(E: SumTable, F: SumTable,
     NE, NF = nerve(to_relfa(E)), nerve(to_relfa(F))
     M = mapping_complex(NE, NF)
     C = M.complex
-    labels = _explicit_labeling(hob, E, F, NE, NF, M)
+    labels = _explicit_labeling(hob, F, NE, M)
     if labels is None or sorted(labels.values()) != sorted(C.edges):
         return False
     G = relabel_relfa(hob.algebra, labels)
@@ -413,12 +366,12 @@ def unit_inclusion_map(one: SumTable, E: SumTable,
 
 def restriction_map(ME: MappingComplex, M1: MappingComplex,
                     incl: ComplexMorphism) -> ComplexMorphism:
-    """Precomposition with a map of sources, cellwise."""
-    d0m, d1m = (_times(_identity(S), incl, product(S, incl.domain),
-                       product(S, incl.codomain))
-                for S in (simplex(0), simplex(1)))
-    vmap = {v: M1.vertex_index[_composite_key(r, d0m)] for v, r in ME.vertex_refs.items()}
-    emap = {e: M1.edge_index[_composite_key(r, d1m)] for e, r in ME.edge_refs.items()}
+    """Precomposition with a map of sources, cellwise: the face key of a
+    cell's restriction is its face key read along the inclusion."""
+    along = [incl.edge_map[x] for x in incl.domain.edges]
+    vmap = {v: M1.vertex_index[_face(r, "00", along)] for v, r in ME.vertex_refs.items()}
+    emap = {e: M1.edge_index[tuple(_face(r, ij, along) for ij in _LEVELS)]
+            for e, r in ME.edge_refs.items()}
     p = ComplexMorphism(ME.complex, M1.complex, vmap, emap)
     p.check()
     return p
@@ -462,32 +415,19 @@ def enriched_compose(E: SumTable, F: SumTable, G: SumTable) -> ComplexMorphism:
     """The composition morphism [N(F),N(G)] x [N(E),N(F)] -> [N(E),N(G)].
 
     A pair of cells composes along the diagonal of the indexing simplex:
-    the image cell sends a prism cell first through the inner map, then
-    reindexes over the same simplex cell through the outer map.  The result
-    is returned as a checked morphism of edge-marked complexes."""
+    at each level ij, the inner cell's ``ij`` face is read through the
+    outer cell's ``ij`` face, and the result is the cell with that face key.
+    It is returned as a checked morphism of edge-marked complexes."""
     Ne, Nf, Ng = nerve(to_relfa(E)), nerve(to_relfa(F)), nerve(to_relfa(G))
     MFG = mapping_complex(Nf, Ng)
     MEF = mapping_complex(Ne, Nf)
     MEG = mapping_complex(Ne, Ng)
-    dom = product(MFG.complex, MEF.complex)
-    vmap: dict[str, str] = {}
-    emap: dict[str, str] = {}
-    levels = (
-        (MFG.vertex_refs, MEF.vertex_refs, MEG.vertex_index, vmap,
-         ("0",), ("00",)),
-        (MFG.edge_refs, MEF.edge_refs, MEG.edge_index, emap,
-         ("0", "1"), ("00", "01", "11")),
-    )
-    for outer_refs, inner_refs, index, cells, vlabels, elabels in levels:
-        for g, gr in outer_refs.items():
-            for h, hr in inner_refs.items():
-                vm = {f"{i}|{x}": gr.vertex_map[f"{i}|{hr.vertex_map[f'{i}|{x}']}"]
-                      for i in vlabels for x in Ne.vertices}
-                em = {f"{ij}|{e}": gr.edge_map[f"{ij}|{hr.edge_map[f'{ij}|{e}']}"]
-                      for ij in elabels for e in Ne.edges}
-                cells[f"{g}|{h}"] = index[ComplexMorphism(hr.domain, Ng, vm, em).key()]
-
-    out = ComplexMorphism(dom, MEG.complex, vmap, emap)
+    vmap = {f"{g}|{h}": MEG.vertex_index[_face(gr, "00", _face(hr, "00", Ne.edges))]
+            for g, gr in MFG.vertex_refs.items() for h, hr in MEF.vertex_refs.items()}
+    emap = {f"{g}|{h}": MEG.edge_index[tuple(_face(gr, ij, _face(hr, ij, Ne.edges))
+                                             for ij in _LEVELS)]
+            for g, gr in MFG.edge_refs.items() for h, hr in MEF.edge_refs.items()}
+    out = ComplexMorphism(product(MFG.complex, MEF.complex), MEG.complex, vmap, emap)
     out.check()
     return out
 

@@ -250,6 +250,49 @@ def test_cyclic_pea_is_a_pea_and_not_commutative(n):
     assert [c.name for c in report.checks if not c.passed] == ["commutativity"]
 
 
+ENRICHED_TRIPLES = [(chain(1),) * 3, (chain(1), chain(2), chain(2)),
+                    (chain(2), chain(1), boolean(2)), (cyclic_pea(3),) * 3,
+                    (chain(1),) + (enumerate_small(5, "pseudo-effect-algebra")[4],) * 2]
+
+
+@pytest.mark.parametrize("triple", ENRICHED_TRIPLES,
+                         ids=lambda triple: "->".join(T.name for T in triple))
+def test_enriched_composition_is_composition_of_maps(triple):
+    """enriched_compose sends a pair of vertices to the vertex of g after h,
+    for the sum-preserving maps g and h they are, and a pair of edges to the
+    edge the literal route names: the prism map that sends each prism cell
+    first through the inner edge's map, then over the same simplex cell
+    through the outer edge's map, looked up by its key()."""
+    E, F, G = triple
+    Ne, Nf, Ng = (nerve(to_relfa(T)) for T in triple)
+    arrow = enriched_compose(E, F, G)
+    MFG, MEF, MEG = (mapping_complex(S, T) for S, T in ((Nf, Ng), (Ne, Nf), (Ne, Ng)))
+
+    def maps(M, S, T):
+        # The sum-preserving map each vertex of M = [N(S), N(T)] is.
+        images = {v: tuple(h.edge_map[f"00|{a}"] for a in S.elements)
+                  for v, h in M.vertex_refs.items()}
+        assert sorted(images.values()) == [h.key() for h in pm_morphisms(S, T)]
+        return images
+
+    fg, ef, eg = maps(MFG, F, G), maps(MEF, E, F), maps(MEG, E, G)
+    at = {b: i for i, b in enumerate(F.elements)}
+    for g, gk in fg.items():
+        for h, hk in ef.items():
+            assert eg[arrow.vertex_map[f"{g}|{h}"]] == tuple(gk[at[b]] for b in hk)
+
+    index = _by_key(MEG.edge_refs)
+    for g, gr in MFG.edge_refs.items():
+        for h, hr in MEF.edge_refs.items():
+            vm = {f"{i}|{x}": gr.vertex_map[f"{i}|{hr.vertex_map[f'{i}|{x}']}"]
+                  for i in ("0", "1") for x in Ne.vertices}
+            em = {f"{ij}|{e}": gr.edge_map[f"{ij}|{hr.edge_map[f'{ij}|{e}']}"]
+                  for ij in ("00", "01", "11") for e in Ne.edges}
+            composite = ComplexMorphism(hr.domain, Ng, vm, em)
+            composite.check()
+            assert arrow.edge_map[f"{g}|{h}"] == index[composite.key()]
+
+
 def _images(f: ComplexMorphism) -> tuple:
     return (tuple(sorted(f.vertex_map.items())),
             tuple(sorted(f.edge_map.items())))
@@ -322,40 +365,97 @@ def _compose(f: ComplexMorphism, g: ComplexMorphism) -> ComplexMorphism:
                            {e: f.edge_map[x] for e, x in g.edge_map.items()})
 
 
+def _simplex_map(m: int, n: int, images: tuple[int, ...]) -> ComplexMorphism:
+    """The map of simplices sending vertex i to images[i] (monotone)."""
+    dom, cod = simplex(m), simplex(n)
+    vmap = {str(i): str(images[i]) for i in range(m + 1)}
+    emap = {f"{i}{j}": f"{images[i]}{images[j]}"
+            for i in range(m + 1) for j in range(i, m + 1)}
+    return ComplexMorphism(dom, cod, vmap, emap)
+
+
+def _identity(X) -> ComplexMorphism:
+    return ComplexMorphism(X, X, {v: v for v in X.vertices}, {e: e for e in X.edges})
+
+
+def _times(phi: ComplexMorphism, psi: ComplexMorphism, dom, cod) -> ComplexMorphism:
+    """The product morphism phi x psi, cell by cell, between the products
+    dom = phi.domain x psi.domain and cod = phi.codomain x psi.codomain."""
+    vmap = {f"{u}|{x}": f"{phi.vertex_map[u]}|{psi.vertex_map[x]}"
+            for u in phi.domain.vertices for x in psi.domain.vertices}
+    emap = {f"{a}|{e}": f"{phi.edge_map[a]}|{psi.edge_map[e]}"
+            for a in phi.domain.edges for e in psi.domain.edges}
+    return ComplexMorphism(dom, cod, vmap, emap)
+
+
+def _by_key(refs: dict) -> dict:
+    """The literal index of a mapping complex level: key() to cell."""
+    return {h.key(): c for c, h in refs.items()}
+
+
 def test_compose_needs_the_codomain_as_object_or_equal_structure():
     vertex = ComplexMorphism(simplex(0), simplex(1), {"0": "0"}, {"00": "00"})
-    assert _compose(mapping._identity(simplex(1)), vertex).key() == vertex.key()
+    assert _compose(_identity(simplex(1)), vertex).key() == vertex.key()
     marked = dataclasses.replace(simplex(1, marked_top=True), name=simplex(1).name)
     with pytest.raises(ValueError, match="composition mismatch"):
-        _compose(mapping._identity(marked), vertex)
+        _compose(_identity(marked), vertex)
+
+
+def _from_faces(P, Y, X, faces: dict) -> ComplexMorphism:
+    """The checked morphism P -> Y out of a prism P = simplex(n) x X that
+    sends ij|x to faces[ij][k] for the k-th edge x of X; each vertex goes to
+    the vertex whose identity edge its identity edge goes to."""
+    emap = {f"{ij}|{x}": y for ij, images in faces.items() for x, y in zip(X.edges, images)}
+    of_identity = {e: u for u, e in Y.identity.items()}
+    f = ComplexMorphism(P, Y, {v: of_identity[emap[P.identity[v]]] for v in P.vertices}, emap)
+    f.check()
+    return f
 
 
 @pytest.mark.parametrize("pair", [(chain(1), chain(2)), (chain(2), boolean(2)),
                                   (boolean(2), chain(1))],
                          ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
-def test_composite_key_is_the_key_of_the_composite(pair):
-    """The face keys mapping_complex and restriction_map read without a
-    composite are the keys of the composites, for every morphism out of the
-    prisms and every prism face, collapse and restriction map."""
+def test_face_keys_name_the_cells_the_composites_name(pair):
+    """Every face key of [X, Y] names the cell the literal route names: the
+    morphism a vertex_index or edge_index key spells out has the key() of
+    that cell's morphism, and the endpoints, identities and restriction
+    cells read by face key are the cells named by the key() of the
+    composite with the prism face, collapse or restriction map."""
     E, F = pair
     X, Y = nerve(to_relfa(E)), nerve(to_relfa(F))
-    p0, p1, p2 = (product(simplex(n), X) for n in range(3))
-    id_X = mapping._identity(X)
-    faces = [(p1, mapping._times(mapping._simplex_map(0, 1, (i,)), id_X, p0, p1))
-             for i in (0, 1)]
-    faces.append((p0, mapping._times(mapping._simplex_map(1, 0, (0, 0)), id_X, p1, p0)))
-    faces += [(p2, mapping._times(mapping._simplex_map(1, 2, g), id_X, p1, p2))
-              for g in ((1, 2), (0, 2), (0, 1))]
+    M = mapping_complex(X, Y)
+    C = M.complex
+    p0, p1 = (product(simplex(n), X) for n in range(2))
+    assert sorted(M.vertex_index.values()) == sorted(C.vertices)
+    assert sorted(M.edge_index.values()) == sorted(C.edges)
+    for key, v in M.vertex_index.items():
+        assert _from_faces(p0, Y, X, {"00": key}).key() == M.vertex_refs[v].key()
+    for key, e in M.edge_index.items():
+        faces = dict(zip(("00", "01", "11"), key))
+        assert _from_faces(p1, Y, X, faces).key() == M.edge_refs[e].key()
+
+    vid, eid = _by_key(M.vertex_refs), _by_key(M.edge_refs)
+    id_X = _identity(X)
+    at0, at1 = (_times(_simplex_map(0, 1, (i,)), id_X, p0, p1) for i in (0, 1))
+    collapse = _times(_simplex_map(1, 0, (0, 0)), id_X, p1, p0)
+    for e, h in M.edge_refs.items():
+        assert C.src[e] == vid[_compose(h, at0).key()]
+        assert C.tgt[e] == vid[_compose(h, at1).key()]
+    for v, h in M.vertex_refs.items():
+        assert C.identity[v] == eid[_compose(h, collapse).key()]
+
     one = chain(1)
     N1 = nerve(to_relfa(one))
+    M1 = mapping_complex(N1, Y)
     incl = mapping.unit_inclusion_map(one, E, N1, X)
-    faces += [(P, mapping._times(mapping._identity(S), incl, product(S, N1), P))
-              for S, P in ((simplex(0), p0), (simplex(1), p1))]
-    for P, phi in faces:
-        homs = hom_maps(P, Y)
-        assert homs, P.name
-        for h in homs:
-            assert mapping._composite_key(h, phi) == _compose(h, phi).key()
+    p = mapping.restriction_map(M, M1, incl)
+    for S, P, refs, base, cells in ((simplex(0), p0, M.vertex_refs, M1.vertex_refs,
+                                     p.vertex_map),
+                                    (simplex(1), p1, M.edge_refs, M1.edge_refs, p.edge_map)):
+        phi, index = _times(_identity(S), incl, product(S, N1), P), _by_key(base)
+        assert refs
+        for c, h in refs.items():
+            assert cells[c] == index[_compose(h, phi).key()]
 
 
 def _restriction_key(f, A):
@@ -399,15 +499,19 @@ def _nerve(algebra):
 def prism_triangles(X, Y, M) -> tuple[int, set]:
     """The triangle level of M = [X, Y] by the literal route: every morphism
     out of the 2-prism simplex(2) x X, named by the edges (d0, d1, d2) its
-    three 1-prism faces restrict to.  Returns the number of morphisms and
-    the set of named triangles."""
+    three 1-prism faces restrict to, each found by the key() of the
+    composite.  Asserts on the way that the marked edges of M are the
+    morphisms out of the marked 1-prism, one edge per morphism.  Returns
+    the number of morphisms out of the 2-prism and the set of named
+    triangles."""
     p1, p2 = product(simplex(1), X), product(simplex(2), X)
-    id_X = mapping._identity(X)
-    faces = [mapping._times(mapping._simplex_map(1, 2, g), id_X, p1, p2)
-             for g in ((1, 2), (0, 2), (0, 1))]
+    eid = _by_key(M.edge_refs)
+    marked = [eid[h.key()] for h in hom_maps(product(simplex(1, marked_top=True), X), Y)]
+    assert len(marked) == len(M.complex.marked) and set(marked) == M.complex.marked
+    id_X = _identity(X)
+    faces = [_times(_simplex_map(1, 2, g), id_X, p1, p2) for g in ((1, 2), (0, 2), (0, 1))]
     t_homs = hom_maps(p2, Y)
-    return len(t_homs), {tuple(M.edge_index[mapping._composite_key(h, fm)] for fm in faces)
-                         for h in t_homs}
+    return len(t_homs), {tuple(eid[_compose(h, fm).key()] for fm in faces) for h in t_homs}
 
 
 MULTI_VERTEX_FROB2 = next(A for A in enumerate_small(2, "frobenius")
@@ -431,22 +535,45 @@ def test_mapping_triangles_are_the_maps_out_of_the_2_prism(pair):
 
 
 def test_mapping_complex_searches_no_2_prism(monkeypatch):
-    """mapping_complex never enumerates the morphisms out of a 2-prism."""
-    domains = []
+    """mapping_complex enumerates the morphisms out of simplex(0) x X and
+    simplex(1) x X and out of no other domain: not the 2-prism, not the
+    marked 1-prism.  eval_fibration_check and verify_mapping_theorem build
+    products only inside mapping_complex."""
+    domains, outside, depth = [], [], [0]
+    real_product, real_complex = mapping.product, mapping.mapping_complex
 
-    def spy(X, Y):
+    def hom_spy(X, Y):
         domains.append(X.signature())
         return hom_maps(X, Y)
 
-    monkeypatch.setattr(mapping, "hom_maps", spy)
+    def product_spy(X, Y):
+        if not depth[0]:
+            outside.append((X.name, Y.name))
+        return real_product(X, Y)
+
+    def complex_spy(X, Y):
+        depth[0] += 1
+        try:
+            return real_complex(X, Y)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(mapping, "hom_maps", hom_spy)
+    monkeypatch.setattr(mapping, "product", product_spy)
+    monkeypatch.setattr(mapping, "mapping_complex", complex_spy)
     for pair in [(chain(1), chain(2)), (boolean(2), chain(3)),
                  (MULTI_VERTEX_FROB2, MULTI_VERTEX_FROB2)]:
         X, Y = (_nerve(algebra) for algebra in pair)
         domains.clear()
-        M = mapping_complex(X, Y)
-        assert M.complex.triangles
-        assert product(simplex(1), X).signature() in domains
-        assert product(simplex(2), X).signature() not in domains
+        M = mapping.mapping_complex(X, Y)
+        assert M.complex.triangles and M.complex.marked
+        assert domains == [product(simplex(n), X).signature() for n in (0, 1)]
+    for pair in [(chain(1), chain(2)), (boolean(2), chain(2))]:
+        domains.clear()
+        assert eval_fibration_check(*pair).passed and verify_mapping_theorem(*pair)
+        # Three mapping complexes, two enumerations each, and no other.
+        assert len(domains) == 6
+        assert outside == []
 
 
 @pytest.mark.parametrize("pair", CRITERION_6_PAIRS + FIBRATION_PEA_PAIRS,
