@@ -24,7 +24,8 @@ elements.
 
 Set-up is built once where its lifetime belongs: named shapes and simplices
 once per process; the face index, count input tables and exact counts (keyed
-by domain signature) once per target object (``_target_index``); count and
+by domain signature) once per target object (``_target_index``); count
+plans once per domain signature and kind of target (one vertex or not),
 search plans once per domain signature.  Pinned counts are not kept.
 """
 
@@ -188,6 +189,8 @@ class _TargetIndex:
     whatever order the target declares its cells in.  ``functional[slot]``
     says whether the ``d{slot}_of`` table has at most one entry per key.
     ``marked_endpoints`` holds the endpoint pairs of marked edges.
+    ``one_vertex`` says whether the target has exactly one vertex, which
+    picks the count plans (``_count_plan``) run against it.
     ``counts`` keeps each exact count into the target (``count_homs``),
     keyed by the domain's ``signature()``.  It copies the fields it reads
     and holds no reference to its target, so a target caching its index
@@ -201,6 +204,7 @@ class _TargetIndex:
             self.by_endpoints.setdefault((Y.src[e], Y.tgt[e]), []).append(e)
         self.marked_endpoints = {(Y.src[e], Y.tgt[e]) for e in Y.marked}
         self.marked_id_vertices = [w for w in self.vertices if Y.identity[w] in Y.marked]
+        self.one_vertex = len(self.vertices) == 1
         self.d0_of: dict[tuple[str, str], list[str]] = {}
         self.d1_of: dict[tuple[str, str], list[str]] = {}
         self.d2_of: dict[tuple[str, str], list[str]] = {}
@@ -265,7 +269,8 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     return plan
 
 
-# Compiled plans kept: count plans by domain signature, search plans by pair.
+# Compiled plans kept: count plans by domain signature and kind of target,
+# search plans by pair.
 _COUNT_PLANS = 256
 
 
@@ -426,11 +431,19 @@ def _picker(positions: list[int]):
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
-def _count_plan(signature: tuple) -> tuple:
+def _count_plan(signature: tuple, one_vertex: bool = False) -> tuple:
     """Compile the count of the morphisms out of the complex with this
     ``signature()``, read back by ``_from_signature`` as in
-    ``_extension_plan``: the factors, the elimination order and every join
-    depend on the domain alone.
+    ``_extension_plan``, into a target with one vertex or into any target:
+    the factors, the elimination order and every join depend on the domain
+    and on that flag alone.
+
+    Into any target, the variables are the vertices and non-identity edges
+    of the domain.  Into a target with one vertex every vertex goes to it,
+    so only the non-identity edges are variables: a triangle's identity
+    slots become a filter (the slot's image is an identity) instead of a
+    column, and a vertex with a marked identity a factor over no variables,
+    read as the number of the target's vertices with a marked identity.
 
     Returns ``(kinds, inputs, steps, holders)``: the kinds of input table
     the plan reads, the kind of each input factor (the factors the steps
@@ -456,22 +469,29 @@ def _count_plan(signature: tuple) -> tuple:
         inputs.append(kinds.setdefault(kind, len(kinds)))
 
     for v in X.vertices:
-        if ("V", v) not in on_edges or identity[v] in marked:
+        if one_vertex:
+            if identity[v] in marked:
+                add((), ("vertex", True))
+        elif ("V", v) not in on_edges or identity[v] in marked:
             add((("V", v),), ("vertex", identity[v] in marked))
     for var in evars:
         e = var[1]
-        if src[e] == tgt[e]:
+        if one_vertex:
+            add((var,), ("image", e in marked))
+        elif src[e] == tgt[e]:
             add((var, ("V", src[e])), ("loop", e in marked))
         else:
             add((var, ("V", src[e]), ("V", tgt[e])), ("edge", e in marked))
     for tri in X.nondegenerate_triangles():
         slot_vars = [("V", idvert[x]) if x in idvert else ("E", x) for x in tri]
-        scope = tuple(dict.fromkeys(slot_vars))
+        if one_vertex:
+            slot_vars = [None if v[0] == "V" else v for v in slot_vars]
+        scope = tuple(v for v in dict.fromkeys(slot_vars) if v is not None)
         add(scope, ("triangle", tuple(v[0] for v in scope),
-                    tuple(scope.index(v) for v in slot_vars)))
+                    tuple(None if v is None else scope.index(v) for v in slot_vars)))
 
-    factors_of: dict[tuple, set[int]] = {var: set() for var in
-                                         [("V", v) for v in X.vertices] + evars}
+    variables = evars if one_vertex else [("V", v) for v in X.vertices] + evars
+    factors_of: dict[tuple, set[int]] = {var: set() for var in variables}
     holders: dict[tuple, list] = {var: [] for var in factors_of}
     neighbours: dict[tuple, set[tuple]] = {var: set() for var in factors_of}
     for fid, scope in enumerate(scopes):
@@ -520,11 +540,16 @@ def _count_plan(signature: tuple) -> tuple:
 
 def _input_table(kind: tuple, Y) -> dict[tuple, int]:
     """The 0/1 table of one kind of input factor over the target Y, a
-    complex or its ``_TargetIndex``."""
+    complex or its ``_TargetIndex``.  The kinds of the plans into a target
+    with one vertex (``_count_plan``) have no vertex columns: ``image``
+    lists the image edges alone, and a triangle slot numbered None holds
+    only an identity."""
     if kind[0] == "vertex":
         return {(w,): 1 for w in Y.vertices if not kind[1] or Y.identity[w] in Y.marked}
     if kind[0] != "triangle":
         allowed = [ye for ye in Y.edges if not kind[1] or ye in Y.marked]
+        if kind[0] == "image":
+            return {(ye,): 1 for ye in allowed}
         if kind[0] == "loop":
             return {(ye, Y.src[ye]): 1 for ye in allowed if Y.src[ye] == Y.tgt[ye]}
         return {(ye, Y.src[ye], Y.tgt[ye]): 1 for ye in allowed}
@@ -533,10 +558,12 @@ def _input_table(kind: tuple, Y) -> dict[tuple, int]:
     for ytri in Y.triangles:
         vals: list = [None] * len(scope_kinds)
         for slot, yval in zip(slots, ytri):
-            if scope_kinds[slot] == "V":
+            if slot is None or scope_kinds[slot] == "V":
                 yv = Y.src[yval]
                 if Y.identity.get(yv) != yval:
                     break
+                if slot is None:
+                    continue
                 yval = yv
             if vals[slot] is None:
                 vals[slot] = yval
@@ -571,12 +598,17 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     the triangle constraint graph.  Agrees with len(hom_maps(X, Y)) and
     stays feasible when enumeration would not.
 
-    The plan depends on X alone and is compiled once per ``signature()``;
-    ``_count_plan`` keeps the last ``_COUNT_PLANS``.  Its variables are the
-    vertices and ``nonidentity_edges()`` of X.  Its factors are one per
-    non-identity edge (image edge and endpoints, marked if the edge is),
-    one per triangle of ``nondegenerate_triangles()``, and one per vertex
-    that is on no non-identity edge or whose identity is marked.  Degenerate
+    The plan depends on X and on whether Y has one vertex
+    (``_TargetIndex.one_vertex``), and is compiled once per pair of
+    ``signature()`` and that flag; ``_count_plan`` keeps the last
+    ``_COUNT_PLANS``.  Its variables are the vertices and
+    ``nonidentity_edges()`` of X, or into a target with one vertex, where
+    every vertex has the same image, the non-identity edges alone.  Its
+    factors are one per non-identity edge (image edge and endpoints, or the
+    image edge alone, marked if the edge is), one per triangle of
+    ``nondegenerate_triangles()``, and one per vertex that is on no
+    non-identity edge or whose identity is marked (into a target with one
+    vertex, only the second kind, a factor over no variables).  Degenerate
     triangles (``is_degenerate_triangle``) need no factor: ``make_complex``
     gives every complex the degenerate triangles of all its edges, and its
     endpoint check admits no triangle (y, y, id_w) or (id_w, y, y) with any
@@ -600,7 +632,7 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     index, signature = Y._target_index, X.signature()
     count = index.counts.get(signature)
     if count is None:
-        plan = _count_plan(signature)
+        plan = _count_plan(signature, index.one_vertex)
         count = index.counts[signature] = _run_count_plan(plan, index.input_tables(plan[0]), {})
     return count
 
@@ -610,11 +642,12 @@ def _run_count_plan(plan: tuple, tables: list, pins: dict) -> int:
     ``_input_table`` fills them in, counting the morphisms that agree with
     ``pins``: a dict from variables, ``("V", vertex)`` or ``("E", edge)``,
     to their images.  Every input factor that holds a pinned variable keeps
-    only the entries with that image."""
+    only the entries with that image.  A plan into a target with one vertex
+    holds no vertex variable: a pin on one is forced, and skipped."""
     _, inputs, steps, holders = plan
     slots: list = [tables[k] for k in inputs]
     for var, image in pins.items():
-        for fid, pos in holders[var]:
+        for fid, pos in holders.get(var, ()):
             slots[fid] = {k: c for k, c in slots[fid].items() if k[pos] == image}
     for first, joins, keep in steps:
         acc = slots[first]
@@ -1056,7 +1089,9 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
 
     Restriction is injective, so of the boundary morphisms that agree with
     an assignment p of some domain variables, count(D|p) - count(C|p) have
-    no extension (pinned counts, ``_run_count_plan``).  The search assigns
+    no extension (pinned counts, ``_run_count_plan``, of the plans that
+    ``count_homs`` picks for X: into a target with one vertex they have no
+    vertex variables, and vertex pins are skipped).  The search assigns
     the variables in key order: D's vertices, then its non-identity edges,
     each in declared order.  The images a variable can take are those the
     one morphism search tries, by name, extending the assignment along the
@@ -1069,7 +1104,8 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     order; a scan that finds no witness means a pinned count was wrong."""
     C, D = shape.codomain, shape.domain
     variables = [("V", v) for v in D.vertices] + [("E", e) for e in D.nonidentity_edges()]
-    plans = (_count_plan(D.signature()), _count_plan(C.signature()))
+    plans = (_count_plan(D.signature(), index.one_vertex),
+             _count_plan(C.signature(), index.one_vertex))
     tables = [index.input_tables(plan[0]) for plan in plans]
     vmap: dict[str, str] = {}
     emap: dict[str, str] = {}

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -510,8 +511,12 @@ PLAN_SQUARES = REPORT_SQUARES[:-1] + (
     "box(boundary-1,boundary-2)", "box(boundary-2,boundary-1)")
 PRISM_SOURCES = (chain(1), chain(2), chain(3), boolean(2), zk_interval((2, 1)))
 # sha256 of the plan structure of those 67 signatures, computed before each
-# variable's neighbours were kept from step to step.
+# variable's neighbours were kept from step to step: the plans for any target,
+# with a variable per vertex.
 COUNT_PLANS_SHA256 = "1bbe5b2ab9d5b4ca3e36b2663a4273e798a64043fdf54fa63307ed63c55e4035"
+# The same for the plans into a target with one vertex, which have edge
+# variables alone, computed when those plans were introduced.
+ONE_VERTEX_PLANS_SHA256 = "9a6f588319b0daba0c127f0230eac709a5cbb26f66d9a88449db0d8ff3937f6a"
 
 
 def _prisms(sources, top=2):
@@ -523,23 +528,39 @@ def _plan_domains():
     return [X for s in shapes for X in (s.domain, s.codomain)] + _prisms(PRISM_SOURCES)
 
 
-def test_count_plans_are_frozen():
-    """The compiled count plans stay what they were: per step its first
-    factor, the factor of each join and the index tuples of every picker,
-    with the input kinds and the holders of each variable."""
+def _plan_structure(plan):
+    """A compiled count plan as plain data: per step its first factor, the
+    factor of each join and the index tuples of every picker, with the
+    input kinds and the holders of each variable."""
     def indices(picker):
         return None if picker is None else picker.__reduce__()[1]
 
-    structures = []
-    for signature in dict.fromkeys(X.signature() for X in _plan_domains()):
-        kinds, inputs, steps, holders = complexes._count_plan(signature)
-        structures.append((kinds, inputs, tuple(
-            (first, tuple((fid, *map(indices, pickers)) for fid, *pickers in joins),
-             indices(keep))
-            for first, joins, keep in steps), tuple(holders.items())))
+    kinds, inputs, steps, holders = plan
+    return (kinds, inputs, tuple(
+        (first, tuple((fid, *map(indices, pickers)) for fid, *pickers in joins),
+         indices(keep))
+        for first, joins, keep in steps), tuple(holders.items()))
+
+
+def _plans_digest(one_vertex):
+    structures = [_plan_structure(complexes._count_plan(signature, one_vertex))
+                  for signature in dict.fromkeys(X.signature() for X in _plan_domains())]
     assert len(structures) == 67
-    digest = hashlib.sha256(repr(structures).encode()).hexdigest()
-    assert digest == COUNT_PLANS_SHA256
+    return hashlib.sha256(repr(structures).encode()).hexdigest()
+
+
+def test_count_plans_are_frozen():
+    """The compiled count plans stay what they were."""
+    assert _plans_digest(False) == COUNT_PLANS_SHA256
+
+
+def test_one_vertex_count_plans_are_frozen():
+    """The count plans into a target with one vertex stay what they were,
+    and have edge variables alone."""
+    assert _plans_digest(True) == ONE_VERTEX_PLANS_SHA256
+    for X in _plan_domains():
+        holders = complexes._count_plan(X.signature(), True)[3]
+        assert list(holders) == [("E", e) for e in X.nonidentity_edges()], X.name
 
 
 def test_plans_decode_signatures_in_one_place(monkeypatch):
@@ -646,23 +667,82 @@ def test_counts_are_kept_per_target_object(monkeypatch):
     assert runs and all(runs)
 
 
+def test_count_plans_follow_the_number_of_target_vertices(monkeypatch):
+    """count_homs and the witness search run plans with no vertex variable
+    into a nerve with one vertex, and into a target with two vertices the
+    plans for any target, with a variable per vertex."""
+    plans = []
+    run = complexes._run_count_plan
+
+    def spy(plan, tables, pins):
+        plans.append(plan)
+        return run(plan, tables, pins)
+
+    monkeypatch.setattr(complexes, "_run_count_plan", spy)
+    frob2 = next(A for A in enumerate_small(2, "frobenius") if len(nerve(A).vertices) > 1)
+    domains = [shape_from_name(name).codomain
+               for name in ("horn-2-1", "ehorn-2-0", "box(horn-2-1,horn-1-0)")]
+    domains.append(nerve(cyclic_group_algebra(2)))
+    for Y in (nerve(cyclic_group_algebra(3)), nerve(frob2)):
+        one_vertex = len(Y.vertices) == 1
+        plans.clear()
+        for X in domains:
+            count_homs(X, Y)
+        assert len(plans) == len(domains), Y.name
+        for X, plan in zip(domains, plans):
+            has_vertices = [("V", v) in plan[3] for v in X.vertices]
+            assert has_vertices == [not one_vertex] * len(X.vertices), (X.name, Y.name)
+            assert _plan_structure(plan) == \
+                _plan_structure(complexes._count_plan(X.signature(), one_vertex))
+        assert len(Y.vertices) == (1 if one_vertex else 2)
+
+    monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
+    monkeypatch.setattr(complexes, "_SCAN_BELOW", 0)
+    plans.clear()
+    report = check_lifting(shape_from_name("boundary-2"), nerve(to_relfa(chain(2))), "exists")
+    assert report.method == "count-comparison" and report.failures
+    assert len(plans) > 2
+    assert not any(var[0] == "V" for plan in plans for var in plan[3])
+
+
+def test_counting_into_a_one_vertex_nerve_joins_no_vertex_bucket(monkeypatch):
+    """Deterministic work: counting the 5^8 morphisms out of
+    simplex(2) x simplex(2) into N(Z/5) joins no table above 5^5 entries.
+    With a variable per vertex, eliminating a vertex joined its six edges
+    into one table of 5^6 entries."""
+    sizes = []
+    join = complexes._join
+
+    def spy(*args):
+        out = join(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(complexes, "_join", spy)
+    X = shape_from_name("box(horn-2-0,horn-2-0)").codomain
+    assert count_homs(X, nerve(cyclic_group_algebra(5))) == 5 ** 8
+    assert sizes and max(sizes) <= 5 ** 5
+
+
 def _image(f, var):
     kind, name = var
     return (f.vertex_map if kind == "V" else f.edge_map)[name]
 
 
-def _pinned_count(X, Y, pins):
-    plan = complexes._count_plan(X.signature())
+def _pinned_count(X, Y, pins, one_vertex=None):
+    """The count of X -> Y under ``pins`` by the plan count_homs runs, or by
+    the plan for a target with one vertex or not as ``one_vertex`` says."""
+    if one_vertex is None:
+        one_vertex = Y._target_index.one_vertex
+    plan = complexes._count_plan(X.signature(), one_vertex)
     tables = [complexes._input_table(kind, Y) for kind in plan[0]]
     return complexes._run_count_plan(plan, tables, pins)
 
 
-def _check_pinned_counts(X, Y, rng, pinned_marked):
-    """Pinned counts of X -> Y against the morphisms that agree with the
-    pins: 0 to 3 random variables pinned to the images of a random
-    morphism and to random cells of Y, and each marked variable (a marked
+def _pin_sets(X, Y, rng, homs, pinned_marked):
+    """0 to 3 random variables pinned to the images of a random morphism of
+    ``homs`` and to random cells of Y, and each marked variable (a marked
     edge, or a vertex with a marked identity) alone at every cell of Y."""
-    homs = hom_maps(X, Y)
     variables = [("V", v) for v in X.vertices] + [("E", e) for e in X.nonidentity_edges()]
     cells = {"V": Y.vertices, "E": Y.edges}
     pin_sets = []
@@ -677,7 +757,14 @@ def _check_pinned_counts(X, Y, rng, pinned_marked):
         if (X.identity[name] if kind == "V" else name) in X.marked:
             pin_sets += [{var: cell} for cell in cells[kind]]
             pinned_marked.add(kind)
-    for pins in pin_sets:
+    return pin_sets
+
+
+def _check_pinned_counts(X, Y, rng, pinned_marked):
+    """Pinned counts of X -> Y, by the plan count_homs runs, against the
+    morphisms that agree with the pins (``_pin_sets``)."""
+    homs = hom_maps(X, Y)
+    for pins in _pin_sets(X, Y, rng, homs, pinned_marked):
         expected = sum(all(_image(f, var) == image for var, image in pins.items())
                        for f in homs)
         assert _pinned_count(X, Y, pins) == expected, (X.name, Y.name, pins)
@@ -708,6 +795,36 @@ def test_pinned_counts_match_enumeration_between_small_complexes():
     for X in small:
         for Y in small:
             _check_pinned_counts(X, Y, rng, pinned_marked)
+    assert pinned_marked == {"V", "E"}
+
+
+def test_one_vertex_plans_count_as_the_vertex_variable_plans():
+    """Into a target with one vertex, the plan without vertex variables
+    gives the count of the plan with them, which holds on any target:
+    unpinned and under the pins of ``_pin_sets``, whose vertex pins the
+    plan skips.  The domains are those of the frozen plans and nerve(Z/2),
+    whose vertex has a marked identity, so that it maps nowhere into a nerve
+    whose identity is unmarked; the targets are the one-vertex oracle
+    targets and the catalog nerves.  Of those pairs, the ones with at most
+    10^10 edge assignments are checked: every domain meets a target, and
+    the larger squares and prisms take up to minutes with vertex
+    variables."""
+    Z2 = nerve(cyclic_group_algebra(2))
+    assert count_homs(Z2, nerve(to_relfa(chain(2)))) == 0
+    domains = list({X.signature(): X for X in _plan_domains() + [Z2]}.values())
+    targets = {Y.signature(): Y for _, Y, _ in ORACLE_TARGETS if len(Y.vertices) == 1}
+    targets |= {Y.signature(): Y for Y in map(_catalog_nerve, sorted(construct_catalog()))}
+    rng = random.Random(0)
+    pinned_marked = set()
+    for Y in targets.values():
+        assert Y._target_index.one_vertex, Y.name
+        for X in domains:
+            if len(Y.edges) ** len(X.nonidentity_edges()) > 10 ** 10:
+                continue
+            homs = list(itertools.islice(hom_maps_iter(X, Y), 50))
+            for pins in [{}] + _pin_sets(X, Y, rng, homs, pinned_marked):
+                assert _pinned_count(X, Y, pins, True) == _pinned_count(X, Y, pins, False), \
+                    (X.name, Y.name, pins)
     assert pinned_marked == {"V", "E"}
 
 
