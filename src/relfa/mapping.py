@@ -1,8 +1,8 @@
 """Mapping complexes between edge-marked complexes.
 
-The vertices and edges of ``[X, Y]`` are maps out of the prisms
-``simplex(n) x X``, each named by the images of its prism faces, and its
-triangles are read off its edges.  The module also provides the
+The edges of ``[X, Y]`` are the maps out of the prism ``simplex(1) x X``,
+each kept as the images of its prism faces; its vertices are read off its
+identity edges and its triangles off its edges.  The module also provides the
 partial-monoid morphism calculus describing those levels for nerves of
 effect algebras (``pm_morphisms``, ``conjugate``, ``hom_object_ea``), the
 mapping theorem checked relation by relation on the relabelled hom object,
@@ -157,53 +157,45 @@ def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:
 # The mapping complex
 
 
-# The edges of simplex(1): a cell of [X, Y] is named by the images of the
-# prism edges ``ij|x`` at these levels.
-_LEVELS = ("00", "01", "11")
-
-
-def _face(h: ComplexMorphism, level: str, edges) -> tuple[str, ...]:
-    """The images under h of the prism edges ``level|x``, x in ``edges``."""
-    return tuple(h.edge_map[f"{level}|{x}"] for x in edges)
-
-
 @dataclass(frozen=True)
 class MappingComplex:
-    """The complex [X, Y] of maps X -> Y with its cells tied to the
-    morphisms representing them.  ``vertex_refs`` sends a vertex to its map
-    simplex(0) x X -> Y and ``edge_refs`` an edge to its map out of the
-    1-prism simplex(1) x X.  ``vertex_index`` and ``edge_index`` are the
-    inverse lookups by face key: a vertex is keyed by the images of its
-    ``00|x`` cells and an edge by the triple of its ``00|x``, ``01|x`` and
-    ``11|x`` images, for x in ``X.edges`` (identities included)."""
+    """The complex [X, Y] of maps X -> Y, each cell kept as its face key: an
+    edge is the triple of the images of the prism edges ``00|x``, ``01|x``
+    and ``11|x`` under its map out of simplex(1) x X, for x in ``X.edges``
+    (identities included), and a vertex is the ``00|x`` images of its
+    identity edge.  ``vertex_index`` and ``edge_index`` send keys to cells."""
 
     complex: TruncatedEpsilonComplex
-    vertex_refs: dict[str, ComplexMorphism]
-    edge_refs: dict[str, ComplexMorphism]
     vertex_index: dict[tuple, str]
     edge_index: dict[tuple, str]
 
 
 def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> MappingComplex:
-    """The complex of maps X -> Y, one level at a time.
+    """The complex of maps X -> Y, read off one morphism search.
 
-    Levels 0 and 1 are the morphism sets Hom(simplex(n) x X, Y), each cell
-    keyed by its faces (see ``MappingComplex``); the keys are injective
-    because Y's identity edges are distinct.  An edge keyed (s, a, t) runs
-    from the vertex keyed s to the vertex keyed t, the identity of the
-    vertex keyed t is the edge keyed (t, t, t), and the edge is marked
-    exactly when a sends the marked edges of X to marked edges.  Level 2
-    is read off level 1: every vertex and edge of simplex(2) x X lies in one
-    of its three 1-prism faces, and the only triangles outside them are
+    The edges e0, e1, ... are the morphisms simplex(1) x X -> Y in order,
+    each kept as its face key (see ``MappingComplex``); the keys are
+    injective because Y's identity edges are distinct.  Every vertex is a
+    face of its own identity edge, so the vertices h0, h1, ... are the keys
+    s of the edges keyed (s, s, s), in the order of those edges, which is
+    the order of the maps out of simplex(0) x X.  An edge keyed (s, a, t)
+    runs from the vertex keyed s to the vertex keyed t, and it is marked
+    exactly when a sends the marked edges of X to marked edges.  Level 2 is
+    read off level 1: every vertex and edge of simplex(2) x X lies in one of
+    its three 1-prism faces, and the only triangles outside them are
     (12|x0, 02|x1, 01|x2) for the triangles (x0, x1, x2) of X.  So a map out
     of the 2-prism is a triple (d0, d1, d2) of edges with matching endpoints
     whose 01|x images carry every triangle of X to one of Y."""
-    vertex_refs = {f"h{i}": h for i, h in enumerate(hom_maps(product(simplex(0), X), Y))}
-    edge_refs = {f"e{i}": h for i, h in enumerate(hom_maps(product(simplex(1), X), Y))}
-    vid = {_face(h, "00", X.edges): v for v, h in vertex_refs.items()}
-    eid = {tuple(_face(h, ij, X.edges) for ij in _LEVELS): e for e, h in edge_refs.items()}
-    if len(vid) != len(vertex_refs) or len(eid) != len(edge_refs):
+    # product lists the prism edges 00|x, then 01|x, then 11|x, in X's order.
+    prism, n = product(simplex(1), X), len(X.edges)
+    keys = []
+    for h in hom_maps(prism, Y):
+        images = tuple(h.edge_map[c] for c in prism.edges)
+        keys.append((images[:n], images[n:2 * n], images[2 * n:]))
+    eid = {key: f"e{i}" for i, key in enumerate(keys)}
+    if len(eid) != len(keys):
         raise InvariantError("mapping complex: two morphisms share a face key")
+    vid = {s: f"h{i}" for i, s in enumerate(s for s, a, t in eid if s == a == t)}
 
     src = {e: vid[s] for (s, _, _), e in eid.items()}
     tgt = {e: vid[t] for (_, _, t), e in eid.items()}
@@ -214,12 +206,11 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
 
     x_triangles = [tuple(at[x] for x in t) for t in X.triangles]
     out, between = {}, {}
-    for e in edge_refs:
+    for e in along:
         out.setdefault(src[e], []).append(e)
         between.setdefault((src[e], tgt[e]), []).append(e)
     ytri, triangles = Y.triangles, []
-    for d2 in edge_refs:
-        a2 = along[d2]
+    for d2, a2 in along.items():
         for d0 in out[tgt[d2]]:
             a0 = along[d0]
             for d1 in between.get((src[d2], tgt[d0]), ()):
@@ -227,9 +218,9 @@ def mapping_complex(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> M
                 if all((a0[i], a1[j], a2[k]) in ytri for i, j, k in x_triangles):
                     triangles.append((d0, d1, d2))
 
-    C = make_complex(f"[{X.name},{Y.name}]", list(vertex_refs), list(edge_refs),
+    C = make_complex(f"[{X.name},{Y.name}]", list(vid.values()), list(along),
                      src, tgt, identity, triangles, marked)
-    return MappingComplex(C, vertex_refs, edge_refs, vid, eid)
+    return MappingComplex(C, vid, eid)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +355,22 @@ def unit_inclusion_map(one: SumTable, E: SumTable,
     return f
 
 
+def _read(face: tuple, sources, at: dict) -> tuple:
+    """A face of a cell of [X, Y] read through a map of sources into X: its
+    images of the edges ``sources`` of X, each found at its position ``at``
+    in X.edges."""
+    return tuple(face[at[x]] for x in sources)
+
+
 def restriction_map(ME: MappingComplex, M1: MappingComplex,
                     incl: ComplexMorphism) -> ComplexMorphism:
     """Precomposition with a map of sources, cellwise: the face key of a
     cell's restriction is its face key read along the inclusion."""
     along = [incl.edge_map[x] for x in incl.domain.edges]
-    vmap = {v: M1.vertex_index[_face(r, "00", along)] for v, r in ME.vertex_refs.items()}
-    emap = {e: M1.edge_index[tuple(_face(r, ij, along) for ij in _LEVELS)]
-            for e, r in ME.edge_refs.items()}
+    at = {x: i for i, x in enumerate(incl.codomain.edges)}
+    vmap = {v: M1.vertex_index[_read(s, along, at)] for s, v in ME.vertex_index.items()}
+    emap = {e: M1.edge_index[tuple(_read(f, along, at) for f in key)]
+            for key, e in ME.edge_index.items()}
     p = ComplexMorphism(ME.complex, M1.complex, vmap, emap)
     p.check()
     return p
@@ -422,11 +421,11 @@ def enriched_compose(E: SumTable, F: SumTable, G: SumTable) -> ComplexMorphism:
     MFG = mapping_complex(Nf, Ng)
     MEF = mapping_complex(Ne, Nf)
     MEG = mapping_complex(Ne, Ng)
-    vmap = {f"{g}|{h}": MEG.vertex_index[_face(gr, "00", _face(hr, "00", Ne.edges))]
-            for g, gr in MFG.vertex_refs.items() for h, hr in MEF.vertex_refs.items()}
-    emap = {f"{g}|{h}": MEG.edge_index[tuple(_face(gr, ij, _face(hr, ij, Ne.edges))
-                                             for ij in _LEVELS)]
-            for g, gr in MFG.edge_refs.items() for h, hr in MEF.edge_refs.items()}
+    at = {b: i for i, b in enumerate(Nf.edges)}
+    vmap = {f"{g}|{h}": MEG.vertex_index[_read(gk, hk, at)]
+            for gk, g in MFG.vertex_index.items() for hk, h in MEF.vertex_index.items()}
+    emap = {f"{g}|{h}": MEG.edge_index[tuple(_read(gf, hf, at) for gf, hf in zip(gk, hk))]
+            for gk, g in MFG.edge_index.items() for hk, h in MEF.edge_index.items()}
     out = ComplexMorphism(product(MFG.complex, MEF.complex), MEG.complex, vmap, emap)
     out.check()
     return out
@@ -449,24 +448,24 @@ def hom_complex_invariants(E: SumTable, F: SumTable) -> dict:
     supp = supplements(F)
     order = derived_order(F)
     homs = {h.key(): h for h in pm_morphisms(E, F)}
+    at = {a: i for i, a in enumerate(NE.edges)}
+    # The image of bottom along each edge, read off its 01 face.
+    along_zero = {e: a[at[E.zero]] for (_, a, _), e in M.edge_index.items()}
 
     loops_are_intervals = True
     marked_is_supplement = True
-    for v in C.vertices:
-        r = M.vertex_refs[v]
-        image = {a: r.edge_map[f"00|{a}"] for a in E.elements}
-        if tuple(image[a] for a in E.elements) not in homs:
+    for s, v in M.vertex_index.items():
+        if tuple(s[at[a]] for a in E.elements) not in homs:
             loops_are_intervals = False
             break
-        top = supp[image[E.one]][1]
+        top = supp[s[at[E.one]]][1]
         interval = {x for x in F.elements if (x, top) in order}
         loops = [e for e in C.edges if C.src[e] == v and C.tgt[e] == v]
-        extracted = [M.edge_refs[e].edge_map[f"01|{E.zero}"] for e in loops]
+        extracted = [along_zero[e] for e in loops]
         if sorted(extracted) != sorted(interval):
             loops_are_intervals = False
         marked_loops = [e for e in loops if e in C.marked]
-        if len(marked_loops) != 1 or \
-                M.edge_refs[marked_loops[0]].edge_map[f"01|{E.zero}"] != top:
+        if len(marked_loops) != 1 or along_zero[marked_loops[0]] != top:
             marked_is_supplement = False
 
     recognition = recognize_nerve(C)
@@ -475,9 +474,7 @@ def hom_complex_invariants(E: SumTable, F: SumTable) -> dict:
     cancellative, _ = is_cancellative(rebuilt)
 
     unit_fixed = sorted(v for v in C.vertices if C.identity[v] in C.marked)
-    top_preserving = sorted(
-        v for v in C.vertices
-        if M.vertex_refs[v].edge_map[f"00|{E.one}"] == F.one)
+    top_preserving = sorted(v for s, v in M.vertex_index.items() if s[at[E.one]] == F.one)
 
     return {
         "vertices": len(C.vertices),

@@ -224,7 +224,9 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
     import relfa.homology as homology
     import relfa.mapping as mapping
     from relfa import InvariantError
+    from relfa.algebra import to_relfa
     from relfa.catalog import chain
+    from relfa.nerve import nerve
 
     print("optimize", sys.flags.optimize)
     homology.matmul = lambda A, B: [[1]]
@@ -237,6 +239,14 @@ _BROKEN_INVARIANTS = textwrap.dedent("""
         passed=structure.name == "chain(1)")
     try:
         mapping.hom_object_ea(chain(1), chain(1))
+    except InvariantError as exc:
+        print("mapping:", exc)
+    # One morphism out of the 1-prism found twice: two edges, one face key.
+    search = mapping.hom_maps
+    mapping.hom_maps = lambda X, Y: search(X, Y)[:1] * 2
+    N = nerve(to_relfa(chain(1)))
+    try:
+        mapping.mapping_complex(N, N)
     except InvariantError as exc:
         print("mapping:", exc)
 """)
@@ -253,4 +263,5 @@ def test_invariants_are_checked_under_python_O():
         "optimize 1",
         "homology: Smith normal form: U * M * V differs from D",
         "mapping: chain(1)[0,1] is not an effect algebra",
+        "mapping: mapping complex: two morphisms share a face key",
     ]

@@ -105,8 +105,8 @@ def test_mapping_complex_counts_for_the_two_chain():
     assert counts["edges"] == 3
     assert counts["marked"] == 2
     assert counts["triangles"] == 4
-    assert set(M.vertex_refs) == set(M.complex.vertices)
-    assert set(M.edge_refs) == set(M.complex.edges)
+    assert sorted(M.vertex_index.values()) == sorted(M.complex.vertices)
+    assert sorted(M.edge_index.values()) == sorted(M.complex.edges)
 
 
 def test_mapping_theorem_on_small_pairs():
@@ -266,24 +266,25 @@ def test_enriched_composition_is_composition_of_maps(triple):
     E, F, G = triple
     Ne, Nf, Ng = (nerve(to_relfa(T)) for T in triple)
     arrow = enriched_compose(E, F, G)
-    MFG, MEF, MEG = (mapping_complex(S, T) for S, T in ((Nf, Ng), (Ne, Nf), (Ne, Ng)))
+    (fg_vertices, fg_edges), (ef_vertices, ef_edges), (eg_vertices, eg_edges) = (
+        _refs(mapping_complex(S, T), prism_cells(S, T)) for S, T in ((Nf, Ng), (Ne, Nf), (Ne, Ng)))
 
-    def maps(M, S, T):
-        # The sum-preserving map each vertex of M = [N(S), N(T)] is.
+    def maps(vertices, S, T):
+        # The sum-preserving map each vertex of [N(S), N(T)] is.
         images = {v: tuple(h.edge_map[f"00|{a}"] for a in S.elements)
-                  for v, h in M.vertex_refs.items()}
+                  for v, h in vertices.items()}
         assert sorted(images.values()) == [h.key() for h in pm_morphisms(S, T)]
         return images
 
-    fg, ef, eg = maps(MFG, F, G), maps(MEF, E, F), maps(MEG, E, G)
+    fg, ef, eg = maps(fg_vertices, F, G), maps(ef_vertices, E, F), maps(eg_vertices, E, G)
     at = {b: i for i, b in enumerate(F.elements)}
     for g, gk in fg.items():
         for h, hk in ef.items():
             assert eg[arrow.vertex_map[f"{g}|{h}"]] == tuple(gk[at[b]] for b in hk)
 
-    index = _by_key(MEG.edge_refs)
-    for g, gr in MFG.edge_refs.items():
-        for h, hr in MEF.edge_refs.items():
+    index = _by_key(eg_edges)
+    for g, gr in fg_edges.items():
+        for h, hr in ef_edges.items():
             vm = {f"{i}|{x}": gr.vertex_map[f"{i}|{hr.vertex_map[f'{i}|{x}']}"]
                   for i in ("0", "1") for x in Ne.vertices}
             em = {f"{ij}|{e}": gr.edge_map[f"{ij}|{hr.edge_map[f'{ij}|{e}']}"]
@@ -393,6 +394,31 @@ def _by_key(refs: dict) -> dict:
     return {h.key(): c for c, h in refs.items()}
 
 
+def prism_cells(X, Y) -> tuple[dict, dict]:
+    """The vertex and edge levels of [X, Y] by the literal route: the
+    morphisms out of simplex(0) x X and out of simplex(1) x X, in hom_maps
+    order, each indexed by its face key (the images of its ``00|x`` cells,
+    or the triple of its ``00|x``, ``01|x`` and ``11|x`` images, for x in
+    X.edges)."""
+    def faces(h, levels):
+        return tuple(tuple(h.edge_map[f"{ij}|{x}"] for x in X.edges) for ij in levels)
+
+    vertices = hom_maps(product(simplex(0), X), Y)
+    edges = hom_maps(product(simplex(1), X), Y)
+    by_key = ({faces(h, ("00",))[0]: h for h in vertices},
+              {faces(h, ("00", "01", "11")): h for h in edges})
+    assert [len(level) for level in by_key] == [len(vertices), len(edges)]
+    return by_key
+
+
+def _refs(M, cells: tuple[dict, dict]) -> tuple[dict, dict]:
+    """The literal morphism of each vertex and each edge of M, found by face
+    key in ``prism_cells``."""
+    vertices, edges = cells
+    return ({M.vertex_index[key]: h for key, h in vertices.items()},
+            {M.edge_index[key]: h for key, h in edges.items()})
+
+
 def test_compose_needs_the_codomain_as_object_or_equal_structure():
     vertex = ComplexMorphism(simplex(0), simplex(1), {"0": "0"}, {"00": "00"})
     assert _compose(_identity(simplex(1)), vertex).key() == vertex.key()
@@ -426,32 +452,33 @@ def test_face_keys_name_the_cells_the_composites_name(pair):
     M = mapping_complex(X, Y)
     C = M.complex
     p0, p1 = (product(simplex(n), X) for n in range(2))
+    vertex_refs, edge_refs = _refs(M, prism_cells(X, Y))
     assert sorted(M.vertex_index.values()) == sorted(C.vertices)
     assert sorted(M.edge_index.values()) == sorted(C.edges)
     for key, v in M.vertex_index.items():
-        assert _from_faces(p0, Y, X, {"00": key}).key() == M.vertex_refs[v].key()
+        assert _from_faces(p0, Y, X, {"00": key}).key() == vertex_refs[v].key()
     for key, e in M.edge_index.items():
         faces = dict(zip(("00", "01", "11"), key))
-        assert _from_faces(p1, Y, X, faces).key() == M.edge_refs[e].key()
+        assert _from_faces(p1, Y, X, faces).key() == edge_refs[e].key()
 
-    vid, eid = _by_key(M.vertex_refs), _by_key(M.edge_refs)
+    vid, eid = _by_key(vertex_refs), _by_key(edge_refs)
     id_X = _identity(X)
     at0, at1 = (_times(_simplex_map(0, 1, (i,)), id_X, p0, p1) for i in (0, 1))
     collapse = _times(_simplex_map(1, 0, (0, 0)), id_X, p1, p0)
-    for e, h in M.edge_refs.items():
+    for e, h in edge_refs.items():
         assert C.src[e] == vid[_compose(h, at0).key()]
         assert C.tgt[e] == vid[_compose(h, at1).key()]
-    for v, h in M.vertex_refs.items():
+    for v, h in vertex_refs.items():
         assert C.identity[v] == eid[_compose(h, collapse).key()]
 
     one = chain(1)
     N1 = nerve(to_relfa(one))
     M1 = mapping_complex(N1, Y)
+    base_vertices, base_edges = _refs(M1, prism_cells(N1, Y))
     incl = mapping.unit_inclusion_map(one, E, N1, X)
     p = mapping.restriction_map(M, M1, incl)
-    for S, P, refs, base, cells in ((simplex(0), p0, M.vertex_refs, M1.vertex_refs,
-                                     p.vertex_map),
-                                    (simplex(1), p1, M.edge_refs, M1.edge_refs, p.edge_map)):
+    for S, P, refs, base, cells in ((simplex(0), p0, vertex_refs, base_vertices, p.vertex_map),
+                                    (simplex(1), p1, edge_refs, base_edges, p.edge_map)):
         phi, index = _times(_identity(S), incl, product(S, N1), P), _by_key(base)
         assert refs
         for c, h in refs.items():
@@ -505,7 +532,7 @@ def prism_triangles(X, Y, M) -> tuple[int, set]:
     the number of morphisms out of the 2-prism and the set of named
     triangles."""
     p1, p2 = product(simplex(1), X), product(simplex(2), X)
-    eid = _by_key(M.edge_refs)
+    eid = _by_key(_refs(M, prism_cells(X, Y))[1])
     marked = [eid[h.key()] for h in hom_maps(product(simplex(1, marked_top=True), X), Y)]
     assert len(marked) == len(M.complex.marked) and set(marked) == M.complex.marked
     id_X = _identity(X)
@@ -522,6 +549,30 @@ PRISM_ORACLE_PAIRS = CRITERION_6_PAIRS + FIBRATION_PEA_PAIRS + [
     (MULTI_VERTEX_FROB2, chain(2)), (chain(1), wright_triangle())]
 
 
+def prism_names(X, Y) -> tuple[list, list]:
+    """The vertices and edges of [X, Y] by the literal route, in order: the
+    face key of the i-th morphism out of simplex(0) x X with the name h{i},
+    and of the i-th morphism out of simplex(1) x X with the name e{i}."""
+    vertices, edges = prism_cells(X, Y)
+    return ([(key, f"h{i}") for i, key in enumerate(vertices)],
+            [(key, f"e{i}") for i, key in enumerate(edges)])
+
+
+@pytest.mark.parametrize("pair", PRISM_ORACLE_PAIRS,
+                         ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
+def test_mapping_vertices_are_the_maps_out_of_the_0_prism(pair):
+    """The vertices mapping_complex reads off its identity edges are exactly
+    the morphisms out of the 0-prism, in their order and with their names,
+    and its edges are the morphisms out of the 1-prism."""
+    X, Y = (_nerve(algebra) for algebra in pair)
+    M = mapping_complex(X, Y)
+    vertices, edges = prism_names(X, Y)
+    assert list(M.vertex_index.items()) == vertices
+    assert list(M.edge_index.items()) == edges
+    assert list(M.complex.vertices) == [v for _, v in vertices]
+    assert list(M.complex.edges) == [e for _, e in edges]
+
+
 @pytest.mark.parametrize("pair", PRISM_ORACLE_PAIRS,
                          ids=lambda pair: f"{pair[0].name}->{pair[1].name}")
 def test_mapping_triangles_are_the_maps_out_of_the_2_prism(pair):
@@ -535,11 +586,11 @@ def test_mapping_triangles_are_the_maps_out_of_the_2_prism(pair):
 
 
 def test_mapping_complex_searches_no_2_prism(monkeypatch):
-    """mapping_complex enumerates the morphisms out of simplex(0) x X and
-    simplex(1) x X and out of no other domain: not the 2-prism, not the
-    marked 1-prism.  eval_fibration_check and verify_mapping_theorem build
-    products only inside mapping_complex."""
-    domains, outside, depth = [], [], [0]
+    """mapping_complex enumerates the morphisms out of simplex(1) x X and
+    out of no other domain: not the 0-prism, not the 2-prism, not the
+    marked 1-prism.  It builds no other product, and eval_fibration_check
+    and verify_mapping_theorem build products only inside mapping_complex."""
+    domains, inside, outside, depth = [], [], [], [0]
     real_product, real_complex = mapping.product, mapping.mapping_complex
 
     def hom_spy(X, Y):
@@ -547,8 +598,7 @@ def test_mapping_complex_searches_no_2_prism(monkeypatch):
         return hom_maps(X, Y)
 
     def product_spy(X, Y):
-        if not depth[0]:
-            outside.append((X.name, Y.name))
+        (inside if depth[0] else outside).append((X.name, Y.name))
         return real_product(X, Y)
 
     def complex_spy(X, Y):
@@ -565,14 +615,16 @@ def test_mapping_complex_searches_no_2_prism(monkeypatch):
                  (MULTI_VERTEX_FROB2, MULTI_VERTEX_FROB2)]:
         X, Y = (_nerve(algebra) for algebra in pair)
         domains.clear()
+        inside.clear()
         M = mapping.mapping_complex(X, Y)
         assert M.complex.triangles and M.complex.marked
-        assert domains == [product(simplex(n), X).signature() for n in (0, 1)]
+        assert domains == [product(simplex(1), X).signature()]
+        assert inside == [(simplex(1).name, X.name)]
     for pair in [(chain(1), chain(2)), (boolean(2), chain(2))]:
         domains.clear()
         assert eval_fibration_check(*pair).passed and verify_mapping_theorem(*pair)
-        # Three mapping complexes, two enumerations each, and no other.
-        assert len(domains) == 6
+        # Three mapping complexes, one enumeration each, and no other.
+        assert len(domains) == 3
         assert outside == []
 
 

@@ -35,7 +35,7 @@ from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report
-from test_mapping import _nerve, prism_triangles
+from test_mapping import _nerve, prism_names, prism_triangles
 
 PROPERTY_ALGEBRAS = {
     "chain(2)": to_relfa(chain(2)), "chain(3)": to_relfa(chain(3)),
@@ -164,13 +164,16 @@ MAPPING_PAIRS = sorted((a, b) for a in CATALOG for b in CATALOG
 def test_mapping_triangles_match_the_prism_oracle_on_relabelled_targets(pair, seed):
     """Under fresh cell names and a shuffled declaration order of Y, the
     triangles of [X, Y] read off its edges are still the morphisms out of
-    the 2-prism, and there are as many as before."""
+    the 2-prism, and there are as many as before; its vertices, read off
+    its identity edges, are still the morphisms out of the 0-prism, in
+    their order and with their names."""
     X, Y = (_nerve(CATALOG[name]) for name in pair)
     Z = _relabelled_cells(Y, seed)
     M = mapping_complex(X, Z)
     counted, triangles = prism_triangles(X, Z, M)
     assert M.complex.triangles == triangles
     assert counted == len(triangles) == len(mapping_complex(X, Y).complex.triangles)
+    assert list(M.vertex_index.items()) == prism_names(X, Z)[0]
 
 
 COUNT_TARGETS = ("chain(2)", "boolean(2)", "group_algebra(Z/3)", "wright-triangle")
