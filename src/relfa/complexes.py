@@ -26,7 +26,11 @@ Set-up is built once where its lifetime belongs: named shapes and simplices
 once per process; the face index, count input tables and exact counts (keyed
 by domain signature) once per target object (``_target_index``); count
 plans once per domain signature and kind of target (one vertex or not),
-search plans once per domain signature.  Pinned counts are not kept.
+search plans once per pair of domain and subcomplex signatures.  A search
+plan is compiled to Python source, one nested loop per step, which names
+cells only by generated identifiers: the names are bound as arguments, so
+no element name of an input ever becomes source.  Pinned counts are not
+kept.
 """
 
 from __future__ import annotations
@@ -248,7 +252,11 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
     ``order``, checks ``(slot, other, other, marked)``: the ``d{slot}_of``
     table must have an entry for the images of the other two faces, a marked
     one if the open face is marked.  Such an entry has the open face's
-    endpoint images, since the target's triangles have compatible faces."""
+    endpoint images, since the target's triangles have compatible faces.
+
+    The rows name cells and are never run as they stand:
+    ``_compile_search`` makes each one loop, over its lookup, whose marking,
+    triangle and look-ahead tests are ``if ...: continue`` lines."""
     pos = {e: i for i, e in enumerate(order)}
     closers: dict[str, list[tuple[str, str, str]]] = {e: [] for e in order}
     ahead: dict[str, list[tuple]] = {e: [] for e in order}
@@ -272,16 +280,24 @@ def _search_plan(X: TruncatedEpsilonComplex, order: list[str]) -> list[tuple]:
 # Compiled plans kept: count plans by domain signature and kind of target,
 # search plans by pair.
 _COUNT_PLANS = 256
+# The most loops one generated search function nests: CPython refuses more
+# than 20 statically nested blocks in one function.
+_CHUNK = 16
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
 def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     """The target-free part of ``_extender`` for C and D with these
-    signatures: the edge steps, the triangles of C outside D with every edge
-    in D, the edges of D marked only in C, and per vertex of C outside D
-    ``(vertex, identity, identity marked, [(source, target, marked)])`` for
-    the edge steps whose endpoints that vertex completes.  The edge steps
-    follow the declared order of C's non-identity edges."""
+    signatures, compiled: ``(steps, source, factory)``.  The edge steps
+    (``_search_plan``) follow the declared order of C's non-identity edges
+    outside D.  Before them comes one vertex step per vertex of C outside
+    D, in C's order, which tests the edge steps whose endpoints that vertex
+    completes.  The triangles of C outside D with every edge in D, and the
+    edges of D marked only in C, are tested up front.
+
+    ``_compile_search`` turns all of it into the Python ``source`` of one
+    nested loop per step, and ``factory``, that source run with the cell
+    names bound, takes the target's lists and returns the search."""
     C, D = _from_signature(csig), _from_signature(dsig)
     known = frozenset(D.edges)
     plan = _search_plan(C, [e for e in C.nonidentity_edges() if e not in known])
@@ -295,7 +311,90 @@ def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     for _, s, t, marked, _, _, _ in plan:
         if max(step_of[s], step_of[t]) >= 0:
             vsteps[max(step_of[s], step_of[t])][3].append((s, t, marked))
-    return plan, ready, newly_marked, vsteps
+    return (plan, *_compile_search(plan, ready, newly_marked, vsteps))
+
+
+def _compile_search(plan: list, ready: list, newly_marked: list, vsteps: list) -> tuple:
+    """The ``(source, factory)`` of an ``_extension_plan``: one ``for`` loop
+    per step over its candidates, each test one ``if ...: continue`` line.
+
+    A cell of C is a local ``c{i}``: read once from the given maps if it is
+    in D, else its step's loop variable (a vertex's identity is looked up
+    after the vertex's tests).  At a full assignment the new cells go into
+    copies of the given maps, in step order, and the copies are yielded.
+    No cell name enters the source, which calls the name of a cell ``n{j}``,
+    an argument of the ``build`` that makes the factory.  The loops come in
+    generators of at most ``_CHUNK`` loops, each ending in ``yield from``
+    the next, which takes every cell bound before it as an argument."""
+    constants: dict[str, str] = {}
+    local: dict[tuple, str] = {}
+    born: dict[str, int] = {}
+    reads: list[str] = []
+    levels: list[tuple] = []
+
+    def const(name):
+        return constants.setdefault(name, f"n{len(constants)}")
+
+    def bind(cell, level):
+        local[cell] = ident = f"c{len(local)}"
+        born[ident] = level
+        return ident
+
+    def use(kind, *cells):
+        for name in cells:
+            if (kind, name) not in local:
+                reads.append(f"{bind((kind, name), 0)} = {kind.lower()}map[{const(name)}]")
+        return ", ".join(local[kind, name] for name in cells)
+
+    checks = [f"if {use('E', e)} not in marked:" for e in newly_marked]
+    checks += [f"if ({use('E', *t)}) not in triangles:" for t in ready]
+    for v, iv, id_marked, edges in vsteps:
+        w = bind(("V", v), len(levels))
+        tests = [f"if ({use('V', s, t)}) not in {'marked' if m else 'by'}_endpoints:"
+                 for s, t, m in edges]
+        after = [f"{bind(('E', iv), len(levels))} = identity[{w}]"]
+        levels.append((f"for {w} in {'marked_id_' if id_marked else ''}vertices:", tests, after))
+    for e, s, t, marked, lookup, closed, ahead in plan:
+        candidates = f"by_endpoints.get(({use('V', s, t)}), ())" if lookup is None else \
+            f"d{lookup[0]}_of.get(({use('E', *lookup[1:])}), ())"
+        y = bind(("E", e), len(levels))
+        tests = [f"if {y} not in marked:"] if marked else []
+        tests += [f"if ({use('E', *tri)}) not in triangles:" for tri in closed]
+        tests += [f"if marked.isdisjoint(d{slot}_of.get(({use('E', a, b)}), ())):" if m
+                  else f"if ({use('E', a, b)}) not in d{slot}_of:" for slot, a, b, m in ahead]
+        levels.append((f"for {y} in {candidates}:", tests, []))
+    cells = [("V", v) for v, *_ in vsteps] + [("E", iv) for _, iv, *_ in vsteps] + \
+        [("E", step[0]) for step in plan]
+    writes = [f"{kind.lower()}map[{const(name)}] = {local[kind, name]}" for kind, name in cells]
+
+    def chunk(start):
+        return f"chunk{start}({', '.join(['vmap', 'emap'] + [c for c in born if born[c] < start])})"
+
+    lines = [f"def build({', '.join(constants.values())}):",
+             "    def factory(vertices, marked_id_vertices, by_endpoints, marked_endpoints,",
+             "                d0_of, d1_of, d2_of, triangles, marked, identity):",
+             "        def extensions(vmap, emap):", *["            " + line for line in reads]]
+    for check in checks:
+        lines += ["            " + check, "                return"]
+    lines.append("            vmap, emap = dict(vmap), dict(emap)")
+    for start in range(0, max(len(levels), 1), _CHUNK):
+        if start:
+            lines.append(f"        def {chunk(start)}:")
+        indent = " " * 12
+        for loop, tests, after in levels[start:start + _CHUNK]:
+            lines.append(indent + loop)
+            indent += "    "
+            for test in tests:
+                lines += [indent + test, indent + "    continue"]
+            lines += [indent + line for line in after]
+        if start + _CHUNK < len(levels):
+            lines.append(f"{indent}yield from {chunk(start + _CHUNK)}")
+        else:
+            lines += [indent + line for line in writes] + [indent + "yield vmap, emap"]
+    source = "\n".join(lines + ["        return extensions", "    return factory", ""])
+    namespace: dict = {}
+    exec(compile(source, "<search plan>", "exec"), namespace)
+    return source, namespace.pop("build")(*constants)
 
 
 def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
@@ -306,10 +405,11 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     is the target of ``index``.
 
     What depends on C and D alone is compiled once per pair of signatures
-    (``_extension_plan``); a call binds it to the target's candidate lists.
-    Edges of D marked only in C, and triangles of C outside D with every
-    edge in D, are checked once up front.  The search then keeps one
-    explicit stack of candidate iterators.  Vertices of C
+    (``_extension_plan``) into nested loops, Python source that names no
+    cell (``_compile_search``); a call binds its factory to the target's
+    lists.  Edges of D marked only in C, and triangles of C outside D with
+    every edge in D, are checked once up front.  Then each step is one
+    loop over its candidates and each test one line.  Vertices of C
     outside D come first, in C's order: each tries Y's vertices (those with
     a marked identity if its own is marked) and keeps an image only if
     every non-identity edge of C outside D with both endpoints now assigned
@@ -326,75 +426,13 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     order and the target's index lists every candidate by name, so the
     extensions come in ``ComplexMorphism.key`` order, whatever order the
     target declares its cells in.  Each extension is yielded as the pair
-    ``(vmap, emap)`` of dicts the search goes on updating: copy them to
-    keep them."""
-    plan, ready, newly_marked, vplan = _extension_plan(C.signature(), D.signature())
-    by_endpoints = index.by_endpoints
-    vsteps = [(v, iv, index.marked_id_vertices if id_marked else index.vertices,
-               [(s, t, index.marked_endpoints if marked else by_endpoints)
-                for s, t, marked in edges])
-              for v, iv, id_marked, edges in vplan]
-    nv, depth = len(vsteps), len(vsteps) + len(plan)
-    tables = (index.d0_of, index.d1_of, index.d2_of)
-    ytris, ymarked, yidentity = index.triangles, index.marked, index.identity
-
-    def extensions(vmap: dict[str, str], emap: dict[str, str]):
-        if any(emap[e] not in ymarked for e in newly_marked) or \
-                any((emap[a], emap[b], emap[c]) not in ytris for a, b, c in ready):
-            return
-        vmap, emap = dict(vmap), dict(emap)
-        stack: list = []
-        while True:
-            if len(stack) < nv:
-                stack.append(iter(vsteps[len(stack)][2]))
-            elif len(stack) < depth:
-                _, s, t, marked, lookup, _, _ = plan[len(stack) - nv]
-                if lookup is None:
-                    vals = by_endpoints.get((vmap[s], vmap[t]), ())
-                else:
-                    slot, a, b = lookup
-                    vals = tables[slot].get((emap[a], emap[b]), ())
-                if marked:
-                    vals = [y for y in vals if y in ymarked]
-                stack.append(iter(vals))
-            else:
-                yield vmap, emap
-            while stack:
-                if len(stack) <= nv:
-                    v, iv, _, edges = vsteps[len(stack) - 1]
-                    for w in stack[-1]:
-                        vmap[v] = w
-                        for s, t, pairs in edges:
-                            if (vmap[s], vmap[t]) not in pairs:
-                                break
-                        else:
-                            emap[iv] = yidentity[w]
-                            break
-                    else:
-                        stack.pop()
-                        continue
-                    break
-                e, _, _, _, _, checks, ahead = plan[len(stack) - nv - 1]
-                for val in stack[-1]:
-                    emap[e] = val
-                    for tri in checks:
-                        if (emap[tri[0]], emap[tri[1]], emap[tri[2]]) not in ytris:
-                            break
-                    else:
-                        for slot, a, b, marked in ahead:
-                            vals = tables[slot].get((emap[a], emap[b]))
-                            if not vals or marked and ymarked.isdisjoint(vals):
-                                break
-                        else:
-                            break
-                else:
-                    stack.pop()
-                    continue
-                break
-            else:
-                break
-
-    return extensions
+    ``(vmap, emap)`` of the same two dicts, copies of the given maps that
+    each full assignment is written into just before it is yielded: copy
+    them to keep them."""
+    factory = _extension_plan(C.signature(), D.signature())[2]
+    return factory(index.vertices, index.marked_id_vertices, index.by_endpoints,
+                   index.marked_endpoints, index.d0_of, index.d1_of, index.d2_of,
+                   index.triangles, index.marked, index.identity)
 
 
 _EMPTY = make_complex("empty", (), (), {}, {}, {}, (), ())
@@ -444,6 +482,9 @@ def _count_plan(signature: tuple, one_vertex: bool = False) -> tuple:
     slots become a filter (the slot's image is an identity) instead of a
     column, and a vertex with a marked identity a factor over no variables,
     read as the number of the target's vertices with a marked identity.
+    There an unmarked edge in a non-degenerate triangle has no factor of its
+    own: its image factor would hold every edge of the target once, and the
+    triangle's table holds only the target's edges.
 
     Returns ``(kinds, inputs, steps, holders)``: the kinds of input table
     the plan reads, the kind of each input factor (the factors the steps
@@ -474,15 +515,18 @@ def _count_plan(signature: tuple, one_vertex: bool = False) -> tuple:
                 add((), ("vertex", True))
         elif ("V", v) not in on_edges or identity[v] in marked:
             add((("V", v),), ("vertex", identity[v] in marked))
+    triangles = X.nondegenerate_triangles()
+    in_triangle = {x for tri in triangles for x in tri}
     for var in evars:
         e = var[1]
         if one_vertex:
-            add((var,), ("image", e in marked))
+            if e in marked or e not in in_triangle:
+                add((var,), ("image", e in marked))
         elif src[e] == tgt[e]:
             add((var, ("V", src[e])), ("loop", e in marked))
         else:
             add((var, ("V", src[e]), ("V", tgt[e])), ("edge", e in marked))
-    for tri in X.nondegenerate_triangles():
+    for tri in triangles:
         slot_vars = [("V", idvert[x]) if x in idvert else ("E", x) for x in tri]
         if one_vertex:
             slot_vars = [None if v[0] == "V" else v for v in slot_vars]
@@ -604,9 +648,10 @@ def count_homs(X: TruncatedEpsilonComplex, Y: TruncatedEpsilonComplex) -> int:
     ``_COUNT_PLANS``.  Its variables are the vertices and
     ``nonidentity_edges()`` of X, or into a target with one vertex, where
     every vertex has the same image, the non-identity edges alone.  Its
-    factors are one per non-identity edge (image edge and endpoints, or the
-    image edge alone, marked if the edge is), one per triangle of
-    ``nondegenerate_triangles()``, and one per vertex that is on no
+    factors are one per non-identity edge (image edge and endpoints, marked
+    if the edge is; into a target with one vertex the image edge alone, for
+    an edge that is marked or in no non-degenerate triangle), one per
+    triangle of ``nondegenerate_triangles()``, and one per vertex that is on no
     non-identity edge or whose identity is marked (into a target with one
     vertex, only the second kind, a factor over no variables).  Degenerate
     triangles (``is_degenerate_triangle``) need no factor: ``make_complex``

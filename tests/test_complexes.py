@@ -515,8 +515,9 @@ PRISM_SOURCES = (chain(1), chain(2), chain(3), boolean(2), zk_interval((2, 1)))
 # with a variable per vertex.
 COUNT_PLANS_SHA256 = "1bbe5b2ab9d5b4ca3e36b2663a4273e798a64043fdf54fa63307ed63c55e4035"
 # The same for the plans into a target with one vertex, which have edge
-# variables alone, computed when those plans were introduced.
-ONE_VERTEX_PLANS_SHA256 = "9a6f588319b0daba0c127f0230eac709a5cbb26f66d9a88449db0d8ff3937f6a"
+# variables alone, computed when those plans stopped giving an unmarked edge
+# in a non-degenerate triangle its own factor.
+ONE_VERTEX_PLANS_SHA256 = "4327f4e44f340d8dac4b234848853d05364685a936dccddb546db3c48d43bc8d"
 
 
 def _prisms(sources, top=2):
@@ -941,10 +942,12 @@ def test_hom_maps_iter_is_the_same_after_the_plan_cache_is_cleared():
             assert _images(hom_maps_iter(X, Y)) == before, (name, X.name)
 
 
-def test_plans_and_indexes_are_keyed_by_structure_not_by_name():
+def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):
     """Domains, shapes and targets that share a name but differ in
     triangles or marking each get their own plan, index and verdict, in
-    either order."""
+    either order.  Equal structures under other names share one compiled
+    search: a second search compiles nothing, and clearing the plan caches
+    drops the compiled code."""
     hollow = boundary(2).domain
     flat = make_complex("delta2", hollow.vertices, hollow.edges, hollow.src, hollow.tgt,
                         hollow.identity, hollow.triangles, hollow.marked)
@@ -969,6 +972,31 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name():
                         Y.triangles, ())
     for X in (Y, bare, Y):
         assert check_lifting(shape_from_name("ehorn-1-0"), X, "unique").passed is (X is Y)
+
+    C, D = simplex(2), hollow
+    u = hom_maps(D, Y)[0]
+    _clear_plan_caches()
+    compiled = []
+    for builtin in (compile, exec):
+        def spy(*args, builtin=builtin):
+            compiled.append(builtin.__name__)
+            return builtin(*args)
+        monkeypatch.setattr(complexes, builtin.__name__, spy, raising=False)
+
+    def extensions(C, D):
+        return [dict(em) for _, em in
+                complexes._extender(C, D, Y._target_index)(u.vertex_map, u.edge_map)]
+
+    first = extensions(C, D)
+    assert compiled == ["compile", "exec"]
+    factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature())[2])
+    renamed = [dataclasses.replace(Z, name=f"renamed {Z.name}") for Z in (C, D)]
+    assert extensions(*renamed) == first
+    assert compiled == ["compile", "exec"]
+    _clear_plan_caches()
+    assert factory() is None
+    assert extensions(C, D) == first
+    assert compiled == ["compile", "exec"] * 2
 
 
 def test_named_shapes_are_built_once():

@@ -9,8 +9,15 @@ from collections import Counter
 
 import pytest
 
-from relfa import mapping
-from relfa.algebra import CheckResult, PseudoEffectAlgebraTable, SumTable, to_relfa, validate
+from relfa import complexes, mapping
+from relfa.algebra import (
+    CheckResult,
+    EffectAlgebraTable,
+    PseudoEffectAlgebraTable,
+    SumTable,
+    to_relfa,
+    validate,
+)
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle, zk_interval
 from relfa.complexes import (
     SHAPE_NAMES,
@@ -39,7 +46,7 @@ from relfa.mapping import (
     verify_mapping_theorem,
 )
 from relfa.nerve import nerve
-from test_complexes import complex_counts
+from test_complexes import _clear_plan_caches, _oracle_hom_maps_iter, complex_counts
 
 
 def test_morphism_counts_are_frozen():
@@ -571,6 +578,55 @@ def test_mapping_vertices_are_the_maps_out_of_the_0_prism(pair):
     assert list(M.edge_index.items()) == edges
     assert list(M.complex.vertices) == [v for _, v in vertices]
     assert list(M.complex.edges) == [e for _, e in edges]
+
+
+# Element names that are Python source or break it: quotes, a backslash, a
+# newline, a format field and a call.
+HOSTILE_NAMES = ("q'u\"ote", "back\\slash", "new\nline", "{x}", "__import__('os')")
+
+
+def test_cell_names_never_enter_the_search_source(monkeypatch):
+    """The morphism search compiles its plans to Python source that names
+    no cell.  On chain(4) with its elements renamed to HOSTILE_NAMES, [X, Y]
+    has the literal route's cells, names and triangles, and the search into
+    the nerve, from the empty morphism or out of the 1-prism along the
+    0-prism, yields the plain backtracking search's morphisms in key order;
+    no name appears in the source of any search compiled on the way."""
+    sources = []
+    compile_search = complexes._compile_search
+
+    def spy(*plan):
+        compiled = compile_search(*plan)
+        sources.append(compiled[0])
+        return compiled
+
+    monkeypatch.setattr(complexes, "_compile_search", spy)
+    _clear_plan_caches()
+    base = chain(4)
+    rename = dict(zip(base.elements, HOSTILE_NAMES))
+    hostile = EffectAlgebraTable(
+        "hostile", tuple(rename.values()), rename[base.zero], rename[base.one],
+        {(rename[a], rename[b]): rename[c] for (a, b), c in base.sums.items()})
+    N = _nerve(hostile)
+    assert set(N.edges) == set(HOSTILE_NAMES)
+    for X in (_nerve(chain(1)), N):
+        M = mapping_complex(X, N)
+        vertices, edges = prism_names(X, N)
+        assert list(M.vertex_index.items()) == vertices
+        assert list(M.edge_index.items()) == edges
+        counted, triangles = prism_triangles(X, N, M)
+        assert M.complex.triangles == triangles and len(triangles) == counted
+    P0, P1 = product(simplex(0), N), product(simplex(1), N)
+    for X in (shape_from_name("horn-2-1").codomain, N, P1):
+        want = [_images(f) for f in sorted(_oracle_hom_maps_iter(X, N), key=ComplexMorphism.key)]
+        assert [_images(f) for f in hom_maps_iter(X, N)] == want
+    # Extensions along P0, whose cells lead P1's key, read hostile names.
+    extend = complexes._extender(P1, P0, N._target_index)
+    assert [_images(ComplexMorphism(P1, N, vm, em)) for u in hom_maps(P0, N)
+            for vm, em in extend(u.vertex_map, u.edge_map)] == want
+    assert sources
+    for source in sources:
+        assert not any(name in source for name in HOSTILE_NAMES), source
 
 
 @pytest.mark.parametrize("pair", PRISM_ORACLE_PAIRS,
