@@ -21,7 +21,6 @@ Conventions, used consistently everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 
 class InvariantError(RuntimeError):
@@ -29,7 +28,50 @@ class InvariantError(RuntimeError):
     input.  Raised explicitly, so the checks also run under ``python -O``."""
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """Make ``cls`` an immutable record.  Its fields are its own annotated
+    names in order, and a value the class gives one is its default.
+    ``__init__`` sets the fields, then runs ``__post_init__`` if the class
+    has one.  A record equals only a record of its own class with equal
+    fields; hash and repr read the fields too."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = [f"    _set(self, {n!r}, {n})\n" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    namespace = {"_defaults": defaults, "_set": object.__setattr__}
+    exec(f"def __init__(self{params}):\n{''.join(body)}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def values(self):
+        return tuple([getattr(self, n) for n in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({fields})"
+
+    for method in (__eq__, __setattr__, __delattr__, __hash__, __repr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@_record
 class CheckResult:
     """Outcome of a single named axiom check."""
 
@@ -47,7 +89,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     """Check-by-check validation outcome for one structure."""
 
@@ -73,7 +115,7 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
+@_record
 class SumTable:
     """Partial binary sum on a finite carrier with bottom and top.
 
@@ -114,7 +156,7 @@ class PseudoEffectAlgebraTable(SumTable):
     kind = "pseudo-effect-algebra"
 
 
-@dataclass(frozen=True)
+@_record
 class RelFA:
     """Relational algebra: carrier, mu/eta multiplication data, delta/epsilon
     comultiplication data."""

@@ -38,12 +38,11 @@ from __future__ import annotations
 import collections
 import functools
 import operator
-from dataclasses import dataclass
 
-from .algebra import InvariantError
+from .algebra import InvariantError, _record
 
 
-@dataclass(frozen=True)
+@_record
 class TruncatedEpsilonComplex:
     name: str
     vertices: tuple[str, ...]
@@ -143,7 +142,7 @@ def make_complex(name, vertices, edges, src, tgt, identity, triangles, marked) -
 # Morphisms
 
 
-@dataclass(frozen=True)
+@_record
 class ComplexMorphism:
     domain: TruncatedEpsilonComplex
     codomain: TruncatedEpsilonComplex
@@ -772,7 +771,7 @@ def union_subcomplexes(C: TruncatedEpsilonComplex, parts, name: str) -> Truncate
         tris, marked)
 
 
-@dataclass(frozen=True)
+@_record
 class ShapeInclusion:
     """A literal subcomplex inclusion: domain ids are a subset of codomain
     ids with identical incidence data."""
@@ -945,7 +944,7 @@ SHAPE_NAMES = tuple(_NAMED_SHAPES)
 # Lifting
 
 
-@dataclass(frozen=True)
+@_record
 class LiftingReport:
     shape: str
     mode: str

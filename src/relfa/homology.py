@@ -13,9 +13,8 @@ group of an effect algebra presented by relations [a] - [a+b] + [b].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .algebra import InvariantError, RelFA, SumTable, to_relfa
+from .algebra import InvariantError, RelFA, SumTable, _record, to_relfa
 from .complexes import TruncatedEpsilonComplex
 from .nerve import nerve
 
@@ -137,7 +136,7 @@ def chain_matrices(X: TruncatedEpsilonComplex) -> tuple[Matrix, Matrix]:
                               X.nondegenerate_triangles())
 
 
-@dataclass(frozen=True)
+@_record
 class AbelianGroupPresentation:
     rank: int
     torsion: tuple[int, ...]

@@ -11,8 +11,6 @@ morphism."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import (
     CheckResult,
     EffectAlgebraTable,
@@ -20,6 +18,7 @@ from .algebra import (
     RelFA,
     SumTable,
     ValidationReport,
+    _record,
     _require,
     derived_order,
     height_order,
@@ -50,7 +49,7 @@ from .ortho import is_cancellative
 # Partial-monoid morphisms between sum tables
 
 
-@dataclass(frozen=True)
+@_record
 class PMMorphism:
     """Map between sum tables preserving bottom and every defined sum.
 
@@ -157,7 +156,7 @@ def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:
 # The mapping complex
 
 
-@dataclass(frozen=True)
+@_record
 class MappingComplex:
     """The complex [X, Y] of maps X -> Y, each cell kept as its face key: an
     edge is the triple of the images of the prism edges ``00|x``, ``01|x``
@@ -239,7 +238,7 @@ def interval_algebra(F: SumTable, top: str) -> EffectAlgebraTable:
         elements=carrier, zero=F.zero, one=top, sums=sums)
 
 
-@dataclass(frozen=True)
+@_record
 class HomObjectComponent:
     index: int
     morphism: PMMorphism
@@ -248,10 +247,10 @@ class HomObjectComponent:
     prefix: str
 
 
-@dataclass(frozen=True)
+@_record
 class HomObject:
     algebra: RelFA
-    components: tuple[HomObjectComponent, ...] = field(repr=False)
+    components: tuple[HomObjectComponent, ...]
 
 
 def hom_object_ea(E: SumTable, F: SumTable) -> HomObject:

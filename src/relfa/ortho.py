@@ -13,9 +13,7 @@ and braiding refinements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .algebra import RelFA
+from .algebra import RelFA, _record
 from .complexes import check_lifting, shape_from_name
 from .nerve import nerve
 
@@ -91,7 +89,7 @@ def is_cancellative(F: RelFA) -> tuple[bool, tuple | None]:
     return False, _cancellation_clash(sorted(F.mu))
 
 
-@dataclass(frozen=True)
+@_record
 class ClassificationFlags:
     name: str
     commutative: bool
@@ -102,8 +100,8 @@ class ClassificationFlags:
     orthoalgebra: bool | None
     orthomodular_poset: bool | None
     braided: bool | None
-    witnesses: dict = field(default_factory=dict)
-    cross_checks: dict = field(default_factory=dict)
+    witnesses: dict
+    cross_checks: dict
 
     def to_dict(self) -> dict:
         return {**vars(self), "cross_checks": dict(self.cross_checks),

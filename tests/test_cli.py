@@ -545,3 +545,21 @@ def test_help_and_missing_command():
     assert run_cli("--help").returncode == 0
     assert run_cli().returncode == 2
     assert run_cli("conjugate").returncode == 2
+
+
+def test_startup_imports_neither_dataclasses_nor_inspect(write_structure):
+    """``fa`` start-up stays light: importing the tool and running a
+    fibration check, a failing lift and a small enumeration in one fresh
+    interpreter loads neither ``dataclasses`` nor ``inspect``."""
+    c1, c2 = write_structure(chain(1), "c1.json"), write_structure(chain(2), "c2.json")
+    script = (
+        "import contextlib, io, sys\n"
+        "from relfa.cli import main\n"
+        f"runs = [['kan', {c1!r}, {c2!r}], ['lift', 'boundary-2', {c2!r}],\n"
+        "        ['enumerate', '--size', '3', '--kind', 'effect-algebra']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False)
+    assert proc.stdout.split("\n")[-2:] == ["[0, 1, 0] []", ""], proc.stderr

@@ -3,7 +3,6 @@ and the lifting decision procedure."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -52,6 +51,20 @@ from relfa.complexes import (
 from relfa.enumerate_small import enumerate_small
 from relfa.mapping import mapping_complex
 from relfa.nerve import RECOGNITION_SHAPES, nerve, rotations
+
+
+def record_fields(cls) -> tuple[str, ...]:
+    """The fields of a relfa record class: the annotated names of the class
+    on its method resolution order that declares them."""
+    return tuple(next(c.__dict__["__annotations__"] for c in cls.__mro__
+                      if c.__dict__.get("__annotations__")))
+
+
+def replace(obj, **changes):
+    """The record ``obj`` with some fields changed, built through its class,
+    so that the class's checks run on the new record."""
+    fields = {name: getattr(obj, name) for name in record_fields(type(obj))}
+    return type(obj)(**{**fields, **changes})
 
 
 def complex_counts(C) -> dict[str, int]:
@@ -951,7 +964,7 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):
     hollow = boundary(2).domain
     flat = make_complex("delta2", hollow.vertices, hollow.edges, hollow.src, hollow.tgt,
                         hollow.identity, hollow.triangles, hollow.marked)
-    unmarked = dataclasses.replace(simplex(1), name="sigma1")
+    unmarked = replace(simplex(1), name="sigma1")
     twins = ((simplex(2), flat), (simplex(1, marked_top=True), unmarked))
     Y = _catalog_nerve("chain(2)")
     for real, twin in twins:
@@ -990,7 +1003,7 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):
     first = extensions(C, D)
     assert compiled == ["compile", "exec"]
     factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature())[2])
-    renamed = [dataclasses.replace(Z, name=f"renamed {Z.name}") for Z in (C, D)]
+    renamed = [replace(Z, name=f"renamed {Z.name}") for Z in (C, D)]
     assert extensions(*renamed) == first
     assert compiled == ["compile", "exec"]
     _clear_plan_caches()

@@ -3,7 +3,6 @@ hom object, and the evaluation fibration check."""
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 from collections import Counter
 
@@ -46,7 +45,7 @@ from relfa.mapping import (
     verify_mapping_theorem,
 )
 from relfa.nerve import nerve
-from test_complexes import _clear_plan_caches, _oracle_hom_maps_iter, complex_counts
+from test_complexes import _clear_plan_caches, _oracle_hom_maps_iter, complex_counts, replace
 
 
 def test_morphism_counts_are_frozen():
@@ -140,7 +139,7 @@ def test_explicit_labeling_rejects_every_broken_input(monkeypatch):
         fresh = tuple(f"id-{v}" for v in vertices)
         ends = {**{i: v for i, v in zip(fresh, vertices)},
                 **{e: C.vertices[0] for e in loops}}
-        return dataclasses.replace(M, complex=make_complex(
+        return replace(M, complex=make_complex(
             C.name, C.vertices + tuple(vertices), C.edges + fresh + tuple(loops),
             {**C.src, **ends}, {**C.tgt, **ends},
             {**C.identity, **dict(zip(vertices, fresh))}, triangles, marked))
@@ -153,10 +152,10 @@ def test_explicit_labeling_rejects_every_broken_input(monkeypatch):
     assert verdict(hob, M)
     # Each component's carrier widened to all of F, so that some h(1) + x
     # is undefined.
-    wide = dataclasses.replace(hob, components=tuple(
-        dataclasses.replace(c, carrier=F.elements) for c in hob.components))
+    wide = replace(hob, components=tuple(
+        replace(c, carrier=F.elements) for c in hob.components))
     # The unit moved onto the elements that are not units.
-    moved = dataclasses.replace(hob, algebra=dataclasses.replace(
+    moved = replace(hob, algebra=replace(
         hob.algebra, eta=frozenset(hob.algebra.elements) - hob.algebra.eta))
     broken = [
         (wide, M),
@@ -429,7 +428,7 @@ def _refs(M, cells: tuple[dict, dict]) -> tuple[dict, dict]:
 def test_compose_needs_the_codomain_as_object_or_equal_structure():
     vertex = ComplexMorphism(simplex(0), simplex(1), {"0": "0"}, {"00": "00"})
     assert _compose(_identity(simplex(1)), vertex).key() == vertex.key()
-    marked = dataclasses.replace(simplex(1, marked_top=True), name=simplex(1).name)
+    marked = replace(simplex(1, marked_top=True), name=simplex(1).name)
     with pytest.raises(ValueError, match="composition mismatch"):
         _compose(_identity(marked), vertex)
 

@@ -3,7 +3,6 @@ not only for frozen examples."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 
@@ -34,7 +33,7 @@ from relfa.mapping import mapping_complex
 from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
-from test_complexes import _enumerated_report
+from test_complexes import _enumerated_report, replace
 from test_mapping import _nerve, prism_names, prism_triangles
 
 PROPERTY_ALGEBRAS = {
@@ -59,7 +58,7 @@ def test_counts_and_verdicts_survive_relabeling(name, shape_name, mode, seed):
     B = relabel_relfa(A, {a: f"r{k}" for a, k in zip(A.elements, fresh)})
     shuffled = list(B.elements)
     rng.shuffle(shuffled)
-    B = dataclasses.replace(B, elements=tuple(shuffled))
+    B = replace(B, elements=tuple(shuffled))
     N, M = nerve(A), nerve(B)
     shape = shape_from_name(shape_name)
     for X in (shape.domain, shape.codomain):
@@ -82,7 +81,7 @@ def test_frobenius_report_matches_oracle_after_one_triple_flip(index, field, tri
     A = CATALOG_ALGEBRAS[index]
     t = tuple(A.elements[k % len(A.elements)] for k in triple)
     relation = getattr(A, field)
-    B = dataclasses.replace(A, **{field: relation ^ {t}})
+    B = replace(A, **{field: relation ^ {t}})
     assert validate("frobenius", B).to_dict() == oracle_frobenius(B).to_dict()
 
 
@@ -106,12 +105,12 @@ def _relabelled(A, seed: int):
         B = relabel_table(A, mapping)
         sums = list(B.sums.items())
         rng.shuffle(sums)
-        B = dataclasses.replace(B, sums=dict(sums))
+        B = replace(B, sums=dict(sums))
     else:
         B = relabel_relfa(A, mapping)
     shuffled = list(B.elements)
     rng.shuffle(shuffled)
-    return dataclasses.replace(B, elements=tuple(shuffled))
+    return replace(B, elements=tuple(shuffled))
 
 
 @settings(max_examples=30, deadline=None)
@@ -280,7 +279,7 @@ def _box_report(name: str, seed: int | None = None) -> dict:
         elements, sums = list(A.elements), list(A.sums.items())
         rng.shuffle(elements)
         rng.shuffle(sums)
-        A = dataclasses.replace(A, elements=tuple(elements), sums=dict(sums))
+        A = replace(A, elements=tuple(elements), sums=dict(sums))
     return check_lifting(shape_from_name("box(horn-2-1,horn-2-1)"), nerve(to_relfa(A))).to_dict()
 
 
