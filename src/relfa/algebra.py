@@ -71,6 +71,27 @@ def _record(cls):
     return cls
 
 
+def _depth_first(slots: int, options, place, clear):
+    """Yield once at each full assignment of positions 0..slots-1, depth
+    first.  ``options(k)`` lists the values position k tries, in order, once
+    the earlier positions hold theirs; ``place(k, value)`` records a value
+    and says whether to go deeper; ``clear(k)`` undoes position k when its
+    values run out.  One explicit stack of option iterators: a recursive
+    closure would form a reference cycle left to the collector."""
+    stack: list = []
+    while True:
+        if len(stack) == slots:
+            yield
+        else:
+            stack.append(iter(options(len(stack))))
+        # ``any`` stops at the first value placed and leaves the rest.
+        while stack and not any(place(len(stack) - 1, v) for v in stack[-1]):
+            clear(len(stack) - 1)
+            stack.pop()
+        if not stack:
+            return
+
+
 @_record
 class CheckResult:
     """Outcome of a single named axiom check."""

@@ -17,7 +17,6 @@ any exception but ValueError and OSError) with status 3.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -49,6 +48,7 @@ SEED_ORDERS = ("declared", "sorted")
 
 
 def _digest(path: str) -> str:
+    import hashlib  # imported here, so that only commands that read a file pay for it
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -18,18 +18,24 @@ skipped before any counit is tried, since the Frobenius validator starts
 with those checks.  Larger relational test material comes from a deterministic
 candidate stream: known-good structures together with all of their
 single-step mutations that still present a well-formed complex.
+
+Sum tables and sum-preserving maps are searched by one depth-first search
+routine (``algebra._depth_first``), classes are least relabelings
+(``_least_relabeling``), and relational candidates are built in one place
+(``_assemble_candidate``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 from .algebra import (
     EffectAlgebraTable,
     PseudoEffectAlgebraTable,
     RelFA,
     SumTable,
+    _depth_first,
     _transport_delta,
     to_relfa,
     validate,
@@ -106,27 +112,23 @@ def _forced_cells(n: int) -> dict:
     return T
 
 
+def _least_relabeling(n: int, movable, encode) -> tuple:
+    """The least ``encode(m)`` over the relabelings m of 0..n-1, dicts from
+    old to new label, that permute only the labels in ``movable``."""
+    identity = {k: k for k in range(n)}
+    return min(encode(identity | dict(zip(movable, perm))) for perm in permutations(movable))
+
+
 def _canonical_table(T: dict, n: int) -> tuple:
     """Lexicographically least row-major flattening over relabelings that
     fix bottom and top.  Undefined cells flatten to the sentinel n."""
-    mids = list(range(1, n - 1))
-    best = None
-    for perm in permutations(mids):
-        m = {0: 0}
-        if n > 1:
-            m[n - 1] = n - 1
-        for old, new in zip(mids, perm):
-            m[old] = new
-        inv = {v: k for k, v in m.items()}
-        flat = []
-        for r in range(n):
-            for c in range(n):
-                v = T[(inv[r], inv[c])]
-                flat.append(n if v is None else m[v])
-        form = tuple(flat)
-        if best is None or form < best:
-            best = form
-    return best
+    def encode(m: dict) -> tuple:
+        flat = [0] * (n * n)
+        for (r, c), v in T.items():
+            flat[m[r] * n + m[c]] = n if v is None else m[v]
+        return tuple(flat)
+
+    return _least_relabeling(n, range(1, n - 1), encode)
 
 
 def _table_from_form(n: int, form: tuple, kind: str, index: int) -> SumTable:
@@ -152,18 +154,14 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
         cells = [(i, j) for i in mids for j in mids]
     names = _carrier(n)
     found: dict[tuple, None] = {}
+    T = _forced_cells(n)
 
-    def leaf(T: dict) -> None:
-        sums = {
-            (names[a], names[b]): names[v]
-            for (a, b), v in T.items()
-            if v is not None
-        }
-        candidate = cls("candidate", names, names[0], names[-1], sums)
-        if validate(kind, candidate).passed:
-            found.setdefault(_canonical_table(T, n), None)
+    def options(k: int) -> list:
+        return [None] + [v for v in range(1, n) if v not in cells[k]]
 
-    def fits(i: int, j: int, v, mirrored: bool) -> bool:
+    def place(k: int, v) -> bool:
+        i, j = cells[k]
+        mirrored = commutative and i != j
         T[(i, j)] = v
         if mirrored:
             T[(j, i)] = v
@@ -172,31 +170,17 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
             return False
         return not (_assoc_clash(T, n, i, j) or mirrored and _assoc_clash(T, n, j, i))
 
-    # One explicit stack of option iterators, one per filled cell: a
-    # recursive closure would be a reference cycle left to the collector.
-    T = _forced_cells(n)
-    stack: list = []
-    while True:
-        if len(stack) == len(cells):
-            leaf(T)
-        else:
-            i, j = cells[len(stack)]
-            stack.append(iter([None] + [v for v in range(1, n) if v != i and v != j]))
-        while stack:
-            i, j = cells[len(stack) - 1]
-            mirrored = commutative and i != j
-            for v in stack[-1]:
-                if fits(i, j, v, mirrored):
-                    break
-            else:
-                del T[(i, j)]
-                if mirrored:
-                    del T[(j, i)]
-                stack.pop()
-                continue
-            break
-        else:
-            break
+    def clear(k: int) -> None:
+        i, j = cells[k]
+        del T[(i, j)]
+        if commutative and i != j:
+            del T[(j, i)]
+
+    for _ in _depth_first(len(cells), options, place, clear):
+        sums = {(names[a], names[b]): names[v] for (a, b), v in T.items() if v is not None}
+        candidate = cls("candidate", names, names[0], names[-1], sums)
+        if validate(kind, candidate).passed:
+            found.setdefault(_canonical_table(T, n), None)
     return tuple(sorted(found))
 
 
@@ -204,44 +188,21 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
 # Relational structures
 
 
-def transported_delta(elements, mu, eta, epsilon) -> frozenset:
-    """The comultiplication carried over from the multiplication by the
-    right rotation of the associated complex.  Empty when the complex does
-    not determine the rotation."""
-    probe = RelFA("probe", tuple(elements), frozenset(mu), frozenset(eta),
-                  frozenset(), frozenset(epsilon))
-    try:
-        C = nerve(probe)
-    except ValueError:
-        return frozenset()
-    return _rotated_delta(elements, C)
-
-
-def _rotated_delta(elements, C) -> frozenset:
-    """``transported_delta`` from the probe's complex C."""
-    try:
-        _, beta = rotations(C)
-    except ValueError:
-        return frozenset()
-    return _transport_delta(elements, beta, C.triangles)
-
-
 def _relfa_canonical(A: RelFA) -> tuple:
+    """The least ``(n, mu, eta, delta, eps)`` form of A over its relabelings."""
     n = len(A.elements)
-    idx = {e: k for k, e in enumerate(A.elements)}
-    best = None
-    for perm in permutations(range(n)):
-        m = {e: perm[idx[e]] for e in A.elements}
-        form = (
+
+    def encode(m: dict) -> tuple:
+        r = {e: m[k] for k, e in enumerate(A.elements)}
+        return (
             n,
-            tuple(sorted((m[x], m[y], m[z]) for x, y, z in A.mu)),
-            tuple(sorted(m[u] for u in A.eta)),
-            tuple(sorted((m[z], m[x], m[y]) for z, x, y in A.delta)),
-            tuple(sorted(m[u] for u in A.epsilon)),
+            tuple(sorted((r[x], r[y], r[z]) for x, y, z in A.mu)),
+            tuple(sorted(r[u] for u in A.eta)),
+            tuple(sorted((r[z], r[x], r[y]) for z, x, y in A.delta)),
+            tuple(sorted(r[u] for u in A.epsilon)),
         )
-        if best is None or form < best:
-            best = form
-    return best
+
+    return _least_relabeling(n, range(n), encode)
 
 
 def _relfa_from_form(form: tuple, index: int) -> RelFA:
@@ -257,51 +218,48 @@ def _relfa_from_form(form: tuple, index: int) -> RelFA:
     )
 
 
+def _assemble_candidate(elements, mu, eta, eps, name: str) -> RelFA | None:
+    """A relational candidate, for the exhaustive search and the stream
+    alike: units must be idempotent and the data must present a complex
+    with one absorbing unit on each side of every element.  The
+    comultiplication is always the transported one, empty when the complex
+    has no rotation."""
+    if any((u, u, u) not in mu for u in eta):
+        return None
+    probe = RelFA("probe", elements, mu, eta, frozenset(), eps)
+    try:
+        C = nerve(probe)
+    except ValueError:
+        return None
+    try:
+        _, beta = rotations(C)
+    except ValueError:
+        return RelFA(name, elements, mu, eta, frozenset(), eps)
+    return RelFA(name, elements, mu, eta, _transport_delta(elements, beta, C.triangles), eps)
+
+
 @lru_cache(maxsize=None)
 def _relational_forms(n: int) -> tuple[tuple, ...]:
     els = tuple(f"x{k}" for k in range(n))
-    triples = [(a, b, c) for a in els for b in els for c in els]
-    subsets = [()]
-    for t in triples:
-        subsets = [s for s in subsets] + [s + (t,) for s in subsets]
-    unit_choices = [()]
-    for e in els:
-        unit_choices = [s for s in unit_choices] + [s + (e,) for s in unit_choices]
+    relations = [frozenset(compress(product(els, repeat=3), bits))
+                 for bits in product((0, 1), repeat=n ** 3)]
+    units = [frozenset(compress(els, bits)) for bits in product((0, 1), repeat=n)]
     found: dict[tuple, None] = {}
-    for mu_set, eta_set in product(subsets, unit_choices):
-        mu, eta = frozenset(mu_set), frozenset(eta_set)
-        # validate("frobenius") starts with these monoid checks on (mu, eta).
+    for mu, eta in product(relations, units):
+        # validate("frobenius") starts with these monoid checks on (mu, eta),
+        # and they make every unit idempotent, as ``_assemble_candidate`` asks.
         if not validate("rel-monoid", RelFA("monoid", els, mu, eta, frozenset(),
                                             frozenset())).passed:
             continue
-        for eps_set in unit_choices:
-            eps = frozenset(eps_set)
-            delta = transported_delta(els, mu, eta, eps)
-            candidate = RelFA("candidate", els, mu, eta, delta, eps)
-            if validate("frobenius", candidate).passed:
+        for eps in units:
+            candidate = _assemble_candidate(els, mu, eta, eps, "candidate")
+            if candidate is not None and validate("frobenius", candidate).passed:
                 found.setdefault(_relfa_canonical(candidate), None)
     return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
 # Candidate stream
-
-
-def _assemble_candidate(elements, mu, eta, eps, name: str) -> RelFA | None:
-    """A stream entry: units must be idempotent and the data must present a
-    complex with one absorbing unit on each side of every element.  The
-    comultiplication is always the transported one."""
-    mu = frozenset(mu)
-    eta = frozenset(eta)
-    eps = frozenset(eps)
-    if any((u, u, u) not in mu for u in eta):
-        return None
-    probe = RelFA("probe", tuple(elements), mu, eta, frozenset(), eps)
-    try:
-        C = nerve(probe)
-    except ValueError:
-        return None
-    return RelFA(name, tuple(elements), mu, eta, _rotated_delta(elements, C), eps)
 
 
 def _mutations(base: RelFA) -> list[RelFA]:

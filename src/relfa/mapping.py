@@ -18,6 +18,7 @@ from .algebra import (
     RelFA,
     SumTable,
     ValidationReport,
+    _depth_first,
     _record,
     _require,
     derived_order,
@@ -74,8 +75,9 @@ class PMMorphism:
 def pm_morphisms(E: SumTable, F: SumTable) -> list[PMMorphism]:
     """Every map preserving bottom and all defined sums, sorted by image
     tuple.  Enumeration assigns atoms first and forces every composite
-    element from one of its decompositions, checking affected sums as soon
-    as all three participants have images."""
+    element from one of its decompositions.  A sum x + y = z is checked to
+    be defined in F as soon as x and y have images, and to equal the image
+    of z as soon as all three have."""
     order = height_order(E)
     pos = {a: i for i, a in enumerate(order)}
     decomp: dict[str, tuple[str, str]] = {}
@@ -83,15 +85,17 @@ def pm_morphisms(E: SumTable, F: SumTable) -> list[PMMorphism]:
         z = E.sums[(x, y)]
         if z not in decomp and x != z and y != z:
             decomp[z] = (x, y)
-    sums_by_latest: dict[str, list[tuple[str, str, str]]] = {a: [] for a in order}
+    checks: dict[str, list[tuple[str, str, str]]] = {a: [] for a in order}
     for (x, y), z in E.sums.items():
-        latest = max((x, y, z), key=pos.__getitem__)
-        sums_by_latest[latest].append((x, y, z))
+        terms = max(pos[x], pos[y])
+        checks[order[terms]].append((x, y, z))
+        if pos[z] > terms:
+            checks[z].append((x, y, z))
 
-    out: list[PMMorphism] = []
     image: dict[str, str] = {}
 
-    def candidates(a: str):
+    def options(k: int):
+        a = order[k]
         if a == E.zero:
             return [F.zero]
         if a in decomp:
@@ -99,33 +103,20 @@ def pm_morphisms(E: SumTable, F: SumTable) -> list[PMMorphism]:
             return [] if forced is None else [forced]
         return F.elements
 
-    def consistent(a: str) -> bool:
-        return all(F.sums.get((image[x], image[y])) == image[z]
-                   for x, y, z in sums_by_latest[a])
+    def place(k: int, c: str) -> bool:
+        a = order[k]
+        image[a] = c
+        for x, y, z in checks[a]:
+            s = F.sums.get((image[x], image[y]))
+            if s is None or (z in image and image[z] != s):
+                return False
+        return True
 
-    # One explicit stack of candidate iterators, one per placed element: a
-    # recursive closure would be a reference cycle left to the collector.
-    stack: list = []
-    while True:
-        if len(stack) == len(order):
-            out.append(PMMorphism(E, F, dict(image)))
-        else:
-            stack.append(iter(candidates(order[len(stack)])))
-        while stack:
-            a = order[len(stack) - 1]
-            for c in stack[-1]:
-                image[a] = c
-                if consistent(a):
-                    break
-            else:
-                image.pop(a, None)
-                stack.pop()
-                continue
-            break
-        else:
-            break
-    out.sort(key=lambda h: h.key())
-    return out
+    def clear(k: int) -> None:
+        image.pop(order[k], None)
+
+    maps = [PMMorphism(E, F, dict(image)) for _ in _depth_first(len(order), options, place, clear)]
+    return sorted(maps, key=lambda h: h.key())
 
 
 def conjugate(F: SumTable, f: PMMorphism, b: str) -> PMMorphism:

@@ -69,11 +69,8 @@ def catalog_effect_algebras():
             if isinstance(obj, SumTable) and len(obj.elements) <= 16]
 
 
-def enumerated_effect_algebras(limit: int = 4):
-    out = []
-    for n in range(1, limit + 1):
-        out.extend((t.name, t) for t in enumerate_small(n, "effect-algebra"))
-    return out
+def enumerated_tables(kind: str = "effect-algebra", limit: int = 4):
+    return [(t.name, t) for n in range(1, limit + 1) for t in enumerate_small(n, kind)]
 
 
 def test_criterion_1_validator_recognition_biconditional(capsys):
@@ -105,7 +102,7 @@ def test_criterion_1_validator_recognition_biconditional(capsys):
 def test_criterion_2_internal_lifting_relation_oracle(capsys):
     """The relational lifting relation equals the order-theoretic oracle."""
     with announce(capsys, "criterion 2 - internal lifting relation vs order oracle"):
-        instances = catalog_effect_algebras() + enumerated_effect_algebras()
+        instances = catalog_effect_algebras() + enumerated_tables()
         assert len(instances) == 13 + 6
         for name, E in instances:
             assert boxslash_relation(to_relfa(E)) == boxslash_order_oracle(E), name
@@ -114,7 +111,7 @@ def test_criterion_2_internal_lifting_relation_oracle(capsys):
 def test_criterion_3_classification_flags_vs_order_oracles(capsys):
     """Orthoalgebra/orthomodular flags agree with their order definitions."""
     with announce(capsys, "criterion 3 - classification flags vs order oracles"):
-        instances = catalog_effect_algebras() + enumerated_effect_algebras()
+        instances = catalog_effect_algebras() + enumerated_tables()
         for name, E in instances:
             flags = classify(to_relfa(E))
             assert flags.effect_algebra, name
@@ -133,14 +130,18 @@ def test_criterion_3_classification_flags_vs_order_oracles(capsys):
 
 
 def test_criterion_4_universal_group_is_first_homology(capsys):
-    """H1 of the nerve presents the universal group, on both routes."""
+    """H1 of the nerve presents the universal group, on both routes: on the
+    catalog, and on all 21 effect and pseudo effect algebra classes of size
+    at most 5."""
     with announce(capsys, "criterion 4 - universal group = H1"):
         start = time.monotonic()
         for n in range(1, 6):
             assert h1_universal_group(chain(n)).format() == "Z"
         for k, expected in ((1, "Z"), (2, "Z^2"), (3, "Z^3")):
             assert h1_universal_group(boolean(k)).format() == expected
-        for name, obj in construct_catalog().items():
+        tables = enumerated_tables(limit=5) + enumerated_tables("pseudo-effect-algebra", 5)
+        assert len(tables) == 21
+        for name, obj in [*construct_catalog().items(), *tables]:
             if isinstance(obj, SumTable):
                 nerve_side = h1_universal_group(obj)
                 direct = universal_group_presentation(obj)
@@ -153,11 +154,16 @@ def test_criterion_4_universal_group_is_first_homology(capsys):
 
 
 def test_criterion_5_mapping_space_theorem(capsys):
-    """The mapping complex is the nerve of the componentwise hom object."""
+    """The mapping complex is the nerve of the componentwise hom object: on
+    the ordered pairs of chain(1), chain(2) and boolean(2), and on all 100
+    ordered pairs of the 10 effect algebra classes of size at most 5."""
     with announce(capsys, "criterion 5 - mapping space comparison"):
-        tables = {"chain(1)": chain(1), "chain(2)": chain(2),
-                  "boolean(2)": boolean(2)}
-        for (en, E), (fn, F) in itertools.product(tables.items(), repeat=2):
+        tables = [("chain(1)", chain(1)), ("chain(2)", chain(2)),
+                  ("boolean(2)", boolean(2))]
+        enumerated = enumerated_tables(limit=5)
+        assert len(enumerated) == 10
+        pairs = [*itertools.product(tables, repeat=2), *itertools.product(enumerated, repeat=2)]
+        for (en, E), (fn, F) in pairs:
             start = time.monotonic()
             assert verify_mapping_theorem(E, F), (en, fn)
             elapsed = time.monotonic() - start
@@ -174,7 +180,9 @@ def test_criterion_5_mapping_space_theorem(capsys):
 
 
 def test_criterion_6_evaluation_fibrations(capsys):
-    """Precomposition to the two-element chain is a minimal fibration."""
+    """Precomposition to the two-element chain is a minimal fibration: on 16
+    catalog pairs, and on all 121 ordered pairs of the 11 pseudo effect
+    algebra classes of size at most 5."""
     with announce(capsys, "criterion 6 - evaluation fibration checks"):
         tables = [("chain(1)", chain(1)), ("chain(2)", chain(2)),
                   ("boolean(2)", boolean(2)), ("chain(3)", chain(3))]
@@ -182,6 +190,9 @@ def test_criterion_6_evaluation_fibrations(capsys):
                  for (en, E), (fn, F) in itertools.product(tables, repeat=2)
                  if len(E.elements) * len(F.elements) <= 16]
         assert len(pairs) == 16
+        enumerated = enumerated_tables("pseudo-effect-algebra", 5)
+        assert len(enumerated) == 11
+        pairs += itertools.product(enumerated, repeat=2)
         for (en, E), (fn, F) in pairs:
             report = eval_fibration_check(E, F)
             assert report.passed, (en, fn, [c.name for c in report.failing()])

@@ -23,9 +23,10 @@ from relfa.algebra import (
     validate,
 )
 from relfa.catalog import boolean, chain, construct_catalog
-from relfa.enumerate_small import enumerate_small, transported_delta
+from relfa.enumerate_small import enumerate_small
 from relfa.mapping import mapping_complex
 from relfa.nerve import _transport_delta, nerve, nerve_to_algebra, rotations
+from test_enumerate import transported_delta
 from test_mapping import cyclic_pea
 from test_ortho import join
 

@@ -563,3 +563,20 @@ def test_startup_imports_neither_dataclasses_nor_inspect(write_structure):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=False)
     assert proc.stdout.split("\n")[-2:] == ["[0, 1, 0] []", ""], proc.stderr
+
+
+def test_commands_that_read_no_file_do_not_import_hashlib():
+    """Only a command that reads a structure file hashes it: ``enumerate``
+    and ``catalog list`` in one fresh interpreter leave ``hashlib``
+    unloaded."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from relfa.cli import main\n"
+        "runs = [['enumerate', '--size', '3', '--kind', 'effect-algebra'],\n"
+        "        ['catalog', 'list']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(codes, 'hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False)
+    assert proc.stdout.split("\n")[-2:] == ["[0, 0] False", ""], proc.stderr

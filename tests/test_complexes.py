@@ -1002,7 +1002,7 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):
 
     first = extensions(C, D)
     assert compiled == ["compile", "exec"]
-    factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature())[2])
+    factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature())[1])
     renamed = [replace(Z, name=f"renamed {Z.name}") for Z in (C, D)]
     assert extensions(*renamed) == first
     assert compiled == ["compile", "exec"]

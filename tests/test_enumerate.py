@@ -11,17 +11,32 @@ import json
 import pytest
 
 from relfa import enumerate_small as es
-from relfa.algebra import RelFA, to_relfa, validate
-from relfa.catalog import chain
+from relfa.algebra import RelFA, _transport_delta, to_relfa, validate
+from relfa.catalog import chain, wright_triangle
 from relfa.enumerate_small import (
     CANDIDATE_BOUND,
     KINDS,
     RELATIONAL_BOUND,
     TABLE_BOUND,
     enumerate_small,
-    transported_delta,
 )
+from relfa.mapping import pm_morphisms
+from relfa.nerve import nerve, rotations
 from relfa.structio import structure_to_doc
+
+
+def transported_delta(elements, mu, eta, epsilon) -> frozenset:
+    """Oracle: the comultiplication carried over from the multiplication by
+    the right rotation of the probe's complex; empty when the data present
+    no complex or the complex has no rotation."""
+    probe = RelFA("probe", tuple(elements), frozenset(mu), frozenset(eta),
+                  frozenset(), frozenset(epsilon))
+    try:
+        C = nerve(probe)
+        _, beta = rotations(C)
+    except ValueError:
+        return frozenset()
+    return _transport_delta(elements, beta, C.triangles)
 
 
 def tables_isomorphic(s, t) -> bool:
@@ -168,13 +183,18 @@ def test_incremental_associativity_agrees_with_the_full_scan(monkeypatch, kind):
             assert clash == _full_assoc_conflict(dict(state), n), state
 
 
-def test_table_search_leaves_no_cyclic_garbage():
-    """The table search holds no reference cycle: a call frees all of its
+@pytest.mark.parametrize("search, args, count", [
+    (es._table_forms.__wrapped__, (5, "pseudo-effect-algebra"), 5),
+    (es._relational_forms.__wrapped__, (2,), 5),
+    (pm_morphisms, (wright_triangle(), wright_triangle()), 311),
+], ids=["_table_forms", "_relational_forms", "pm_morphisms"])
+def test_table_search_leaves_no_cyclic_garbage(search, args, count):
+    """No exhaustive search holds a reference cycle: a call frees all of its
     state on return, and leaves nothing for the cyclic collector."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert len(es._table_forms.__wrapped__(5, "pseudo-effect-algebra")) == 5
+        assert len(search(*args)) == count
         gc.collect()
         assert len(gc.garbage) == 0
     finally:
@@ -186,6 +206,19 @@ def test_transported_delta_reproduces_translation():
     for t in (chain(1), chain(2)):
         f = to_relfa(t)
         assert transported_delta(f.elements, f.mu, f.eta, f.epsilon) == f.delta
+
+
+def test_enumeration_is_frozen():
+    """Names, structures and order of every kind up to its bound, the
+    candidate stream included, pinned by one digest."""
+    digest = hashlib.sha256()
+    for kind, bound in (("effect-algebra", 5), ("pseudo-effect-algebra", 5),
+                        ("frobenius", 2), ("frobenius-candidates", 4)):
+        for n in range(1, bound + 1):
+            docs = [structure_to_doc(x) for x in enumerate_small(n, kind)]
+            digest.update(json.dumps(docs, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "8024a2c61fc6cfb2e0156668613d479433c742a2dd45991864dc0fb0b7240342"
 
 
 def test_candidate_stream_counts():

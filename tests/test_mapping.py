@@ -4,6 +4,9 @@ hom object, and the evaluation fibration check."""
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
+import time
 from collections import Counter
 
 import pytest
@@ -74,6 +77,32 @@ def test_pm_morphisms_leaves_no_cyclic_garbage():
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+def test_pm_morphisms_are_frozen_on_the_enumerated_tables():
+    """The maps between all 21 effect and pseudo effect algebra classes of
+    size at most 5, over all 441 ordered pairs, pinned by one digest."""
+    tables = [t for kind in ("effect-algebra", "pseudo-effect-algebra")
+              for n in range(1, 6) for t in enumerate_small(n, kind)]
+    assert len(tables) == 21
+    doc = json.dumps([[E.name, F.name, [list(h.key()) for h in pm_morphisms(E, F)]]
+                      for E in tables for F in tables])
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        "51bb2cb21c9666dff85d8163cf1ce9c3bf741ef94313fc22cc227e7ae352851e"
+
+
+def test_pm_morphisms_check_a_sum_once_its_terms_have_images():
+    """A sum is checked to be defined as soon as both terms have images, so
+    the search out of the Wright triangle, with six free atoms, never walks
+    all 14^6 atom assignments: its 311 maps to itself come in under 2 s."""
+    W = wright_triangle()
+    start = time.perf_counter()
+    keys = [list(h.key()) for h in pm_morphisms(W, W)]
+    elapsed = time.perf_counter() - start
+    assert len(keys) == 311
+    assert hashlib.sha256(json.dumps(keys).encode()).hexdigest() == \
+        "326596d12b2e26f2a85038370463dab0e58472011d09671301ec0ab72ed14136"
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_conjugation_by_bottom_is_identity():
