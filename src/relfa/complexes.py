@@ -285,9 +285,9 @@ _CHUNK = 16
 
 
 @functools.lru_cache(maxsize=_COUNT_PLANS)
-def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
+def _extension_plan(csig: tuple, dsig: tuple):
     """The target-free part of ``_extender`` for C and D with these
-    signatures, compiled: ``(steps, factory)``.  The edge steps
+    signatures, compiled into a factory of searches.  The edge steps
     (``_search_plan``) follow the declared order of C's non-identity edges
     outside D.  Before them comes one vertex step per vertex of C outside
     D, in C's order, which tests the edge steps whose endpoints that vertex
@@ -310,7 +310,7 @@ def _extension_plan(csig: tuple, dsig: tuple) -> tuple:
     for _, s, t, marked, _, _, _ in plan:
         if max(step_of[s], step_of[t]) >= 0:
             vsteps[max(step_of[s], step_of[t])][3].append((s, t, marked))
-    return plan, _compile_search(plan, ready, newly_marked, vsteps)[1]
+    return _compile_search(plan, ready, newly_marked, vsteps)[1]
 
 
 def _compile_search(plan: list, ready: list, newly_marked: list, vsteps: list) -> tuple:
@@ -428,7 +428,7 @@ def _extender(C: TruncatedEpsilonComplex, D: TruncatedEpsilonComplex,
     ``(vmap, emap)`` of the same two dicts, copies of the given maps that
     each full assignment is written into just before it is yielded: copy
     them to keep them."""
-    factory = _extension_plan(C.signature(), D.signature())[1]
+    factory = _extension_plan(C.signature(), D.signature())
     return factory(index.vertices, index.marked_id_vertices, index.by_endpoints,
                    index.marked_endpoints, index.d0_of, index.d1_of, index.d2_of,
                    index.triangles, index.marked, index.identity)

@@ -610,9 +610,9 @@ def test_search_plans_name_no_degenerate_triangle():
     shapes = [shape_from_name(name) for name in SHAPE_NAMES + PLAN_SQUARES]
     plans = [(X, complexes._search_plan(X, list(X.nonidentity_edges())))
              for X in _plan_domains()]
-    plans += [(s.codomain, complexes._extension_plan(s.codomain.signature(),
-                                                     s.domain.signature())[0])
-              for s in shapes]
+    plans += [(C, complexes._search_plan(C, [e for e in C.nonidentity_edges()
+                                             if e not in D.edges]))
+              for C, D in ((s.codomain, s.domain) for s in shapes)]
 
     def filled(slot, a, b, e):
         return (a, b)[:slot] + (e,) + (a, b)[slot:]
@@ -1002,7 +1002,7 @@ def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):
 
     first = extensions(C, D)
     assert compiled == ["compile", "exec"]
-    factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature())[1])
+    factory = weakref.ref(complexes._extension_plan(C.signature(), D.signature()))
     renamed = [replace(Z, name=f"renamed {Z.name}") for Z in (C, D)]
     assert extensions(*renamed) == first
     assert compiled == ["compile", "exec"]

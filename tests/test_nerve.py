@@ -7,7 +7,8 @@ import pytest
 
 from relfa.algebra import RelFA, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra
-from relfa.complexes import check_lifting, make_complex, shape_from_name
+from relfa.complexes import check_lifting, count_homs, make_complex, shape_from_name, simplex
+from relfa.enumerate_small import enumerate_small
 from relfa.nerve import (
     RECOGNITION_SHAPES,
     cross_validate,
@@ -151,3 +152,55 @@ def test_cross_validate_reports_unrecognized_complexes():
     result = cross_validate(broken)
     assert result["direct"] is False
     assert result["round_trip"] is False
+
+
+def _level3_route(T) -> tuple[int, tuple | None]:
+    """The 3-simplices of N(T) read off the sum table T: the number of
+    triples (a, b, c) with (a + b) + c defined, and the first triple, in
+    carrier order, where a + (b + c) is not that same value (None if there
+    is none).  N(T) is read as 2-coskeletal, so a 3-simplex is a map from
+    the boundary of simplex(3): a triple with both bracketings defined and
+    equal.  On an associative table either bracketing is enough."""
+    s = T.sums
+    bracketed = {(a, b, c): (s.get((s.get((a, b)), c)), s.get((a, s.get((b, c)))))
+                 for a in T.elements for b in T.elements for c in T.elements}
+    left = sum(value is not None for value, _ in bracketed.values())
+    return left, next((t for t, (x, y) in bracketed.items() if x != y), None)
+
+
+def _witnessed_products(A) -> tuple[int, int]:
+    """The triple products of the relational algebra A with one witness, in
+    each bracketing: the (a, b, c, x, z) with x in a.b and z in x.c, and the
+    (a, b, c, y, z) with y in b.c and z in a.y."""
+    return (sum(ab == x for _, _, ab in A.mu for x, _, _ in A.mu),
+            sum(bc == y for _, _, bc in A.mu for _, y, _ in A.mu))
+
+
+def test_level_3_of_a_nerve_is_read_off_the_sum_table():
+    """On every effect and pseudo effect algebra class of size at most 5,
+    the maps simplex(3) -> N(T) are the triples with (a + b) + c defined."""
+    tables = [T for kind in ("effect-algebra", "pseudo-effect-algebra")
+              for n in range(1, 6) for T in enumerate_small(n, kind)]
+    assert len(tables) == 21
+    for T in tables:
+        assert _level3_route(T) == (count_homs(simplex(3), nerve(to_relfa(T))), None), T.name
+
+
+def test_level_3_route_breaks_on_a_non_associative_table(not_a_pea):
+    """Without associativity the bracketings part: 22 triples each way, only
+    19 agree, and those 19 are the 3-simplices.  The first triple with one
+    bracketing defined is (a, b, 1): (a + b) + 1 = 1 + 1 = a, and b + 1 is
+    undefined."""
+    assert _level3_route(not_a_pea) == (22, ("a", "b", "1"))
+    assert count_homs(simplex(3), nerve(to_relfa(not_a_pea))) == 19
+
+
+def test_level_3_of_a_relational_nerve_is_the_2_coskeletal_completion():
+    """On a multi-valued algebra a 3-simplex of N(A) is a map from the
+    boundary of simplex(3), not a triple product in either bracketing:
+    frob2_0, where x0.x0 = {x0, x1}, has 15 against 13 witnessed products
+    each way.  The other relational classes of size at most 2 agree."""
+    counts = {A.name: (*_witnessed_products(A), count_homs(simplex(3), nerve(A)))
+              for n in (1, 2) for A in enumerate_small(n, "frobenius")}
+    assert counts == {"frob1_0": (1, 1, 1), "frob2_0": (13, 13, 15), "frob2_1": (4, 4, 4),
+                      "frob2_2": (8, 8, 8), "frob2_3": (8, 8, 8), "frob2_4": (2, 2, 2)}

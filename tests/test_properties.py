@@ -26,6 +26,7 @@ from relfa.complexes import (
     hom_maps,
     make_complex,
     shape_from_name,
+    simplex,
 )
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
@@ -35,6 +36,7 @@ from relfa.structio import parse_structure, serialize_structure
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report, replace
 from test_mapping import _nerve, prism_names, prism_triangles
+from test_nerve import _level3_route
 
 PROPERTY_ALGEBRAS = {
     "chain(2)": to_relfa(chain(2)), "chain(3)": to_relfa(chain(3)),
@@ -137,6 +139,17 @@ def test_counts_survive_relabeling_the_target(name, seed):
         shape = shape_from_name(shape_name)
         for X in (shape.domain, shape.codomain):
             assert count_homs(X, M) == count_homs(X, N), (shape_name, X.name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(n for n, A in CATALOG.items() if isinstance(A, SumTable))),
+       seed=st.integers(0, 2**32 - 1))
+def test_level_3_route_survives_relabeling(name, seed):
+    """Under fresh element names and shuffled declarations, the maps
+    simplex(3) -> N(T) are still the triples with (a + b) + c defined, and
+    the other bracketing still agrees on every triple."""
+    T = _relabelled(CATALOG[name], seed)
+    assert _level3_route(T) == (count_homs(simplex(3), nerve(to_relfa(T))), None)
 
 
 def _relabelled_cells(Y, seed: int):
