@@ -26,12 +26,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import VALIDATE_KINDS, InvariantError, RelFA, SumTable, to_relfa, validate
 from .catalog import construct_catalog
-from .complexes import (
-    TruncatedEpsilonComplex,
-    check_lifting,
-    make_complex,
-    shape_from_name,
-)
+from .complexes import TruncatedEpsilonComplex, check_lifting, shape_from_name
 from .enumerate_small import KINDS as ENUM_KINDS
 from .enumerate_small import enumerate_small
 from .homology import h1_universal_group, universal_group_presentation
@@ -40,6 +35,7 @@ from .ortho import classify
 from .structio import (
     StructureError,
     load_structure,
+    parse_structure,
     save_structure,
     structure_to_doc,
 )
@@ -53,20 +49,17 @@ def _digest(path: str) -> str:
 
 
 def _reorder(obj, seed: str):
-    """Apply the identifier ordering policy to a loaded structure."""
+    """Apply the identifier ordering policy to a loaded structure: under
+    ``sorted``, read back its document with the carrier, and a complex's
+    edge rows, sorted."""
     if seed != "sorted":
         return obj
-    if isinstance(obj, SumTable):
-        return type(obj)(obj.name, tuple(sorted(obj.elements)), obj.zero,
-                         obj.one, dict(obj.sums))
-    if isinstance(obj, RelFA):
-        return RelFA(obj.name, tuple(sorted(obj.elements)), obj.mu, obj.eta,
-                     obj.delta, obj.epsilon, obj.notes)
-    if isinstance(obj, TruncatedEpsilonComplex):
-        return make_complex(obj.name, tuple(sorted(obj.vertices)),
-                            tuple(sorted(obj.edges)), obj.src, obj.tgt,
-                            obj.identity, sorted(obj.triangles), obj.marked)
-    return obj
+    doc = structure_to_doc(obj)
+    carrier = "vertices" if doc["kind"] == "complex" else "elements"
+    doc[carrier] = sorted(doc[carrier])
+    if "edges" in doc:
+        doc["edges"] = sorted(doc["edges"])
+    return parse_structure(json.dumps(doc))
 
 
 def _load(path: str, seed: str):
@@ -480,8 +473,6 @@ def main(argv: list[str] | None = None) -> int:
         results, certificates, inputs, lines = args.func(args, seed)
     except InvariantError as exc:
         return emit_error(str(exc), 3)
-    except FileNotFoundError as exc:
-        return emit_error(f"{exc.filename}: file not found")
     except (ValueError, OSError) as exc:
         return emit_error(str(exc))
     except Exception as exc:

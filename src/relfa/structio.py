@@ -1,13 +1,13 @@
 """Reading and writing structures as self-describing JSON documents.
 
-One document per structure.  The ``kind`` field selects the schema:
+One document per structure; its ``kind`` selects the schema:
 ``effect_algebra`` and ``pseudo_effect_algebra`` carry a sum table of the
-class ``_TABLE_CLASSES`` pairs with the kind (a plain ``SumTable`` has no
-document kind), ``relfa`` the four relational pieces, ``complex`` the full
-incidence data.
-Parsing reports the offending location on every failure; serialization is
-deterministic, so parse followed by serialize is the identity on files this
-module wrote."""
+matching class, ``relfa`` the four relational pieces, ``complex`` the full
+incidence data.  The constructors validate; the parser makes their checks
+first, naming the offending location, except the incidence checks of a
+complex, which ``make_complex`` reports against the source.  Serialization
+is deterministic, so parse followed by serialize is the identity on files
+this module wrote."""
 
 from __future__ import annotations
 
@@ -110,10 +110,7 @@ def parse_structure(text: str, source: str = "input"):
                     f"sum of ({a!r}, {b!r}) given twice with different results "
                     f"{sums[(a, b)]!r} and {c!r}")
             sums[(a, b)] = c
-        try:
-            return _TABLE_CLASSES[kind](name=name, elements=tuple(names), zero=zero, one=one, sums=sums)
-        except ValueError as exc:
-            raise StructureError(source, str(exc))
+        return _TABLE_CLASSES[kind](name=name, elements=tuple(names), zero=zero, one=one, sums=sums)
 
     if kind == "relfa":
         mu = _triples(doc, "mu", source, universe)
@@ -122,12 +119,9 @@ def parse_structure(text: str, source: str = "input"):
         _check_members(eta, universe, "eta", source)
         epsilon = _string_list(doc, "epsilon", source)
         _check_members(epsilon, universe, "epsilon", source)
-        try:
-            return RelFA(name=name, elements=tuple(names),
-                         mu=frozenset(mu), eta=frozenset(eta),
-                         delta=frozenset(delta), epsilon=frozenset(epsilon))
-        except ValueError as exc:
-            raise StructureError(source, str(exc))
+        return RelFA(name=name, elements=tuple(names),
+                     mu=frozenset(mu), eta=frozenset(eta),
+                     delta=frozenset(delta), epsilon=frozenset(epsilon))
 
     edges = _need(doc, "edges", list, source)
     edge_ids, src, tgt = [], {}, {}

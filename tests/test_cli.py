@@ -15,10 +15,11 @@ import pytest
 
 import relfa
 from relfa import __version__
-from relfa.algebra import RelFA
-from relfa.catalog import boolean, chain, wright_triangle
-from relfa.complexes import check_lifting, make_complex, shape_from_name
+from relfa.algebra import RelFA, SumTable, to_relfa
+from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
+from relfa.complexes import TruncatedEpsilonComplex, check_lifting, make_complex, shape_from_name
 from relfa.enumerate_small import enumerate_small
+from relfa.nerve import nerve
 from relfa.structio import load_structure, save_structure
 
 CLI = [sys.executable, "-m", "relfa.cli"]
@@ -148,6 +149,24 @@ def test_missing_file_exits_2():
     proc, report = run_json("validate", "/no/such/structure.json")
     assert proc.returncode == 2
     assert "error" in report
+
+
+@pytest.mark.parametrize("argv", [("nerve", "c2.json", "--out", "nodir/x.json"),
+                                  ("catalog", "export", "chain(2)", "--out", "nodir/x.json")])
+def test_unwritable_output_path_exits_2_with_the_os_message(argv, tmp_path, monkeypatch,
+                                                           capsys):
+    """A file that cannot be written is reported with the operating
+    system's message, plain and in the --json report."""
+    from relfa import cli
+
+    monkeypatch.chdir(tmp_path)
+    save_structure(chain(2), "c2.json")
+    message = "[Errno 2] No such file or directory: 'nodir/x.json'"
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cli.main(["--json", *argv]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["exit"], report["error"]) == (2, message)
 
 
 def test_validate_rejects_identities_of_unknown_vertices(tmp_path):
@@ -284,6 +303,70 @@ def test_classify_rejects_inputs_that_are_not_frobenius(write_structure):
     assert run_cli("classify", write_structure(chain(2))).returncode == 0
 
 
+def test_hom_rejects_relational_files(write_structure, capsys):
+    from relfa import cli
+
+    c1 = write_structure(chain(1), "c1.json")
+    group = write_structure(cyclic_group_algebra(3), "z3.json")
+    assert cli.main(["hom", c1, group]) == 2
+    assert capsys.readouterr().err == f"error: {group}: expected a sum table\n"
+
+
+def test_classify_cross_check_disagreement_is_a_certificate(monkeypatch, capsys,
+                                                            boolean2_file):
+    """A cross-check that fails on a Frobenius algebra is two routes that
+    disagree: exit 1 with a classification-cross-check certificate."""
+    from relfa import cli
+    from relfa.ortho import ClassificationFlags
+
+    real = cli.classify
+
+    def flipped(algebra):
+        flags = real(algebra)
+        key = min(flags.cross_checks)
+        return ClassificationFlags(**{**vars(flags), "cross_checks": {
+            **flags.cross_checks, key: not flags.cross_checks[key]}})
+
+    key = min(real(to_relfa(boolean(2))).cross_checks)
+    monkeypatch.setattr(cli, "classify", flipped)
+    assert cli.main(["--json", "classify", boolean2_file]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (cert,) = report["certificates"]
+    assert (cert["type"], cert["structure"], cert["failed"]) == \
+        ("classification-cross-check", "relfa(boolean(2))", [key])
+    assert report["results"]["cross_checks"][key] is False
+
+
+def test_homology_disagreement_is_a_certificate(monkeypatch, capsys, boolean2_file):
+    from relfa import cli
+
+    real = cli.universal_group_presentation
+    other = real(chain(1))
+    assert other.invariants() != real(boolean(2)).invariants()
+    monkeypatch.setattr(cli, "universal_group_presentation", lambda table: other)
+    assert cli.main(["homology", boolean2_file]) == 1
+    assert "(DISAGREES)" in capsys.readouterr().out
+    assert cli.main(["--json", "homology", boolean2_file]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["presentations_agree"] is False
+    (cert,) = report["certificates"]
+    assert (cert["type"], cert["direct"]) == ("homology-mismatch", other.to_dict())
+
+
+def test_hom_mapping_disagreement_is_a_certificate(monkeypatch, capsys, write_structure):
+    from relfa import cli, mapping
+
+    c1 = write_structure(chain(1), "c1.json")
+    monkeypatch.setattr(mapping, "verify_mapping_theorem", lambda E, F, hob: False)
+    assert cli.main(["--json", "hom", c1, c1]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["mapping_complex_matches"] is False
+    (cert,) = report["certificates"]
+    assert (cert["type"], cert["source"], cert["target"]) == \
+        ("mapping-comparison", "chain(1)", "chain(1)")
+    assert cert["components"] == report["results"]["components"]
+
+
 def test_kan_passes_on_small_pair(write_structure):
     c1 = write_structure(chain(1), "c1.json")
     c2 = write_structure(chain(2), "c2.json")
@@ -367,6 +450,13 @@ def test_lift_unknown_shape_exits_2(chain2_file):
     assert report["error"] == "unknown shape name 'horn-2-5'"
 
 
+def test_lift_malformed_box_shape_exits_2(chain2_file, capsys):
+    from relfa import cli
+
+    assert cli.main(["lift", "box(horn-1-0)", chain2_file]) == 2
+    assert capsys.readouterr().err == "error: malformed box shape name 'box(horn-1-0)'\n"
+
+
 def test_enumerate_emits_loadable_files(tmp_path):
     out = tmp_path / "emitted"
     proc, report = run_json("enumerate", "--size", "4", "--kind",
@@ -444,8 +534,17 @@ def test_seed_order_sorted_reorders_but_keeps_verdicts(chain2_file, capsys):
         assert status == 2 and "--seed-order" in captured.err, argv
 
 
+def _seed_order_entry(catalog, name):
+    """A catalog entry, or for ``nerve(X)`` the nerve of catalog entry X."""
+    if name.startswith("nerve("):
+        entry = catalog[name[6:-1]]
+        return nerve(entry if isinstance(entry, RelFA) else to_relfa(entry))
+    return catalog[name]
+
+
 @pytest.mark.parametrize("name", ["chain(3)", "boolean(2)", "group_algebra(Z/3)",
-                                  "horizontal_sum(boolean(2),chain(3))", "pea5_4"])
+                                  "horizontal_sum(boolean(2),chain(3))", "pea5_4",
+                                  "nerve(horizontal_sum(boolean(2),chain(3)))"])
 def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_structure,
                                                              capsys, name):
     from relfa import cli
@@ -454,10 +553,12 @@ def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_stru
         structure = next(t for t in enumerate_small(5, "pseudo-effect-algebra")
                          if t.name == name)
     else:
-        structure = catalog[name]
+        structure = _seed_order_entry(catalog, name)
     path = write_structure(structure, "entry.json")
-    commands = [["validate", path], ["classify", path]]
-    if not isinstance(structure, RelFA):
+    commands = [["validate", path]]
+    if not isinstance(structure, TruncatedEpsilonComplex):
+        commands.append(["classify", path])
+    if isinstance(structure, SumTable):
         commands.append(["kan", write_structure(chain(1), "chain1.json"), path])
     for argv in commands:
         reports = []
@@ -480,17 +581,22 @@ def test_seed_order_keeps_validate_classify_and_kan_verdicts(catalog, write_stru
 
 
 @pytest.mark.parametrize("name", ["chain(3)", "boolean(2)", "group_algebra(Z/3)",
-                                  "horizontal_sum(boolean(2),chain(3))"])
+                                  "horizontal_sum(boolean(2),chain(3))",
+                                  "nerve(boolean(2))",
+                                  "nerve(horizontal_sum(boolean(2),chain(3)))"])
 def test_seed_order_keeps_nerve_homology_and_hom_reports(catalog, write_structure,
                                                          capsys, name):
     """nerve, homology, and hom against chain(1) in both directions, give
-    the same --json results and exit status under both seed orders."""
+    the same --json results and exit status under both seed orders; a
+    complex file takes homology only."""
     from relfa import cli
 
-    structure = catalog[name]
+    structure = _seed_order_entry(catalog, name)
     path = write_structure(structure, "entry.json")
-    commands = [["nerve", path], ["homology", path]]
-    if not isinstance(structure, RelFA):
+    commands = [["homology", path]]
+    if not isinstance(structure, TruncatedEpsilonComplex):
+        commands.insert(0, ["nerve", path])
+    if isinstance(structure, SumTable):
         one = write_structure(chain(1), "chain1.json")
         commands += [["hom", one, path], ["hom", path, one]]
     for argv in commands:
@@ -501,14 +607,16 @@ def test_seed_order_keeps_nerve_homology_and_hom_reports(catalog, write_structur
         assert reports[0] == reports[1], argv
 
 
-@pytest.mark.parametrize("name", ["chain(2)", "boolean(2)", "wright-triangle"])
+@pytest.mark.parametrize("name", ["chain(2)", "boolean(2)", "wright-triangle",
+                                  "nerve(wright-triangle)"])
 def test_seed_order_keeps_lift_reports(catalog, write_structure, capsys, name):
     """A lifting report depends only on names, in either form: under
     --seed-order sorted its --json results are the same bytes, a
-    count-comparison witness included."""
+    count-comparison witness included, for an algebra file and a complex
+    file alike."""
     from relfa import cli
 
-    path = write_structure(catalog[name], "entry.json")
+    path = write_structure(_seed_order_entry(catalog, name), "entry.json")
     methods = set()
     for shape in ("horn-2-1", "box(horn-2-1,horn-2-1)", "box(boundary-1,boundary-1)"):
         reports = []
@@ -519,7 +627,7 @@ def test_seed_order_keeps_lift_reports(catalog, write_structure, capsys, name):
             methods.add(results["method"])
         assert reports[0] == reports[1], shape
     assert "enumeration" in methods
-    if name == "wright-triangle":
+    if "wright-triangle" in name:
         assert "count-comparison" in methods
 
 

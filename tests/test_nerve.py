@@ -20,6 +20,7 @@ from relfa.nerve import (
     rotations,
     unit_vertices,
 )
+from relfa.ortho import classify
 
 
 def test_recognition_shape_lists_are_frozen():
@@ -152,6 +153,20 @@ def test_cross_validate_reports_unrecognized_complexes():
     result = cross_validate(broken)
     assert result["direct"] is False
     assert result["round_trip"] is False
+
+
+def test_an_algebra_without_endpoints_has_no_nerve():
+    """Element b absorbs no idempotent unit, so the nerve does not build:
+    cross_validate says so with the endpoint message, and classify leaves
+    braided undecided."""
+    A = RelFA("noends", ("a", "b"), frozenset({("a", "a", "a")}), frozenset({"a"}),
+              frozenset(), frozenset({"a"}))
+    result = cross_validate(A)
+    assert (result["nerve_built"], result["recognized"], result["round_trip"]) == \
+        (False, False, False)
+    assert result["detail"] == ("noends: element 'b' has 0 absorbing sources and "
+                                "0 absorbing targets; need exactly one of each")
+    assert classify(A).braided is None
 
 
 def _level3_route(T) -> tuple[int, tuple | None]:

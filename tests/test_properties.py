@@ -4,6 +4,7 @@ not only for frozen examples."""
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 from hypothesis import given, settings
@@ -32,7 +33,13 @@ from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
 from relfa.mapping import mapping_complex
 from relfa.nerve import nerve, recognize_nerve
-from relfa.structio import parse_structure, serialize_structure
+from relfa.structio import (
+    KINDS,
+    StructureError,
+    parse_structure,
+    serialize_structure,
+    structure_to_doc,
+)
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report, replace
 from test_mapping import _nerve, prism_names, prism_triangles
@@ -227,6 +234,58 @@ def test_structio_round_trip_is_the_identity(name, form, seed):
     B = _relabelled(CATALOG[name], seed)
     relational = to_relfa(B) if isinstance(B, SumTable) else B
     obj = {"declared": B, "relational": relational, "nerve": nerve(relational)}[form]
+    text = serialize_structure(obj)
+    assert serialize_structure(parse_structure(text)) == text
+
+
+def _mutate(doc: dict, rng: random.Random) -> None:
+    """Replace, delete or append one field of a structure document, one row
+    or entry of a field, or one entry of such a row.  New values mix the
+    document's names, an unknown name, the kinds and values of other JSON
+    types."""
+    carrier = doc.get("elements", doc.get("vertices"))
+    names = [x for x in carrier if isinstance(x, str)][:3] if isinstance(carrier, list) else []
+    pool = [*names, "z", *KINDS, 0, None, [], {}, ["z"], [*names, "z"][:3], names[:1] * 3]
+    target = doc
+    for _ in range(rng.randint(0, 2)):
+        inner = [v for v in (target.values() if isinstance(target, dict) else target)
+                 if isinstance(v, (list, dict)) and v]
+        if not inner:
+            break
+        target = rng.choice(inner)
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    action = rng.choice(("replace", "delete", "append")) if keys else "append"
+    value = json.loads(json.dumps(rng.choice(pool)))
+    if action == "delete":
+        del target[rng.choice(keys)]
+    elif action == "replace":
+        target[rng.choice(keys)] = value
+    elif isinstance(target, dict):
+        target[rng.choice([*names, "z", "extra"])] = value
+    else:
+        target.append(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CATALOG)),
+       form=st.sampled_from(("declared", "relational", "nerve")),
+       seed=st.integers(0, 2**32 - 1))
+def test_mutated_documents_parse_or_raise_structure_error(name, form, seed):
+    """A catalog document (a sum table or a relational algebra as declared,
+    a relational algebra, or a nerve) with one to three random edits either
+    parses to a structure whose document reads back unchanged, or raises
+    StructureError; no other exception escapes the parser."""
+    rng = random.Random(seed)
+    A = CATALOG[name]
+    relational = to_relfa(A) if isinstance(A, SumTable) else A
+    doc = structure_to_doc({"declared": A, "relational": relational,
+                            "nerve": nerve(relational)}[form])
+    for _ in range(rng.randint(1, 3)):
+        _mutate(doc, rng)
+    try:
+        obj = parse_structure(json.dumps(doc))
+    except StructureError:
+        return
     text = serialize_structure(obj)
     assert serialize_structure(parse_structure(text)) == text
 

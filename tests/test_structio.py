@@ -146,3 +146,38 @@ def test_complex_identities_of_unknown_vertices_are_located():
 def test_structure_to_doc_rejects_foreign_objects():
     with pytest.raises((TypeError, ValueError)):
         structure_to_doc(42)
+
+
+TABLE_DOC = {"kind": "effect_algebra", "name": "c", "elements": ["0", "1"],
+             "zero": "0", "one": "1",
+             "sums": [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"]]}
+RELFA_DOC = {"kind": "relfa", "name": "c", "elements": ["e"],
+             "mu": [["e", "e", "e"]], "eta": ["e"],
+             "delta": [["e", "e", "e"]], "epsilon": ["e"]}
+COMPLEX_DOC = {"kind": "complex", "name": "c", "vertices": ["v"],
+               "edges": [["i", "v", "v"]], "identities": {"v": "i"},
+               "triangles": [], "marked": []}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**TABLE_DOC, "elements": "01"}, "f.json.elements: expected list, got str"),
+    ({**TABLE_DOC, "elements": ["0", 1]}, "f.json.elements[1]: expected a string"),
+    ({**TABLE_DOC, "zero": "z"}, "f.json.zero[0]: unknown identifier 'z'"),
+    ({**TABLE_DOC, "sums": [["0", "0"]]}, "f.json.sums[0]: expected a triple of strings"),
+    ({**RELFA_DOC, "eta": ["u"]}, "f.json.eta[0]: unknown identifier 'u'"),
+    ({**COMPLEX_DOC, "edges": [["i", "v"]]}, "f.json.edges[0]: expected [id, source, target]"),
+    ({**COMPLEX_DOC, "identities": {"v": 1}}, "f.json.identities.v: expected an edge id"),
+    ({**COMPLEX_DOC, "edges": [["i", "v", "v"], ["a", "v", "w"]]},
+     "f.json: c: edge 'a' has endpoints outside the vertex set"),
+    ({**COMPLEX_DOC, "vertices": ["v", "w"]},
+     "f.json: c: vertex 'w' lacks a well-formed identity edge"),
+    ({**COMPLEX_DOC, "triangles": [["i", "i", "q"]]},
+     "f.json: c: triangle ('i', 'i', 'q') references unknown edge"),
+    ({**COMPLEX_DOC, "marked": ["q"]}, "f.json: c: marked id 'q' is not an edge"),
+])
+def test_rejections_name_their_location(doc, message):
+    """Each kind's field, row and entry checks, and the complex checks that
+    only the complex constructor makes, give these exact messages."""
+    with pytest.raises(StructureError) as err:
+        parse_structure(json.dumps(doc), source="f.json")
+    assert str(err.value) == message
