@@ -2,16 +2,19 @@
 
 Dispatches validation, classification, nerve construction, homology,
 mapping complexes, fibration checks, lifting properties, enumeration, and
-the builtin catalog.  Reports carry the command echo, the tool version, and
-a digest of every input file; with ``--json`` the report serialization is
-byte-stable across runs.  A failing property attaches a certificate, and a
-report exits with status 1 exactly when it carries one; a lifting
-certificate embeds the full failing boundary assignment and, as
-``rerun``, the shell command that repeats the check: ``fa lift`` with the
-shape, the file (with ``./`` before a name that starts with ``-``),
-``--unique`` and ``--seed-order`` as given.  Input problems
-exit with status 2, and a bug in relfa (a violated internal invariant, or
-any exception but ValueError and OSError) with status 3.
+the builtin catalog.  ``main`` builds the one report of a run: the
+command echo, the tool version, a digest of every input file, results,
+certificates and exit status, and for a command that did not finish the
+error, with empty inputs, results and certificates.  With ``--json`` the
+report serialization is byte-stable across runs.  Commands take their
+parsed arguments alone, and ``_load`` applies ``--seed-order``.  A
+failing property attaches a certificate, and a report exits with status 1
+exactly when it carries one; a lifting certificate embeds the full failing
+boundary assignment and, as ``rerun``, the shell command that repeats the
+check: ``fa lift`` with the shape, the file (with ``./`` before a name
+that starts with ``-``), ``--unique`` and ``--seed-order`` as given.
+Input problems exit with status 2, and a bug in relfa (a violated internal
+invariant, or any exception but ValueError and OSError) with status 3.
 """
 
 from __future__ import annotations
@@ -48,23 +51,19 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _reorder(obj, seed: str):
-    """Apply the identifier ordering policy to a loaded structure: under
-    ``sorted``, read back its document with the carrier, and a complex's
-    edge rows, sorted."""
-    if seed != "sorted":
-        return obj
-    doc = structure_to_doc(obj)
-    carrier = "vertices" if doc["kind"] == "complex" else "elements"
-    doc[carrier] = sorted(doc[carrier])
-    if "edges" in doc:
-        doc["edges"] = sorted(doc["edges"])
-    return parse_structure(json.dumps(doc))
-
-
-def _load(path: str, seed: str):
+def _load(path: str, order: str):
+    """A structure file and its input digest.  Under ``--seed-order sorted``
+    the structure is read back from its document with the carrier, and a
+    complex's edge rows, sorted."""
     obj = load_structure(path)
-    return _reorder(obj, seed), {"path": path, "sha256": _digest(path)}
+    if order == "sorted":
+        doc = structure_to_doc(obj)
+        carrier = "vertices" if doc["kind"] == "complex" else "elements"
+        doc[carrier] = sorted(doc[carrier])
+        if "edges" in doc:
+            doc["edges"] = sorted(doc["edges"])
+        obj = parse_structure(json.dumps(doc))
+    return obj, {"path": path, "sha256": _digest(path)}
 
 
 def _as_relational(obj, path: str):
@@ -81,11 +80,11 @@ def _as_table(obj, path: str) -> SumTable:
     raise StructureError(path, "expected a sum table")
 
 
-def _load_tables(args, seed):
+def _load_tables(args):
     """The source and target sum tables of a two-file command, with their
     input digests."""
-    eobj, edig = _load(args.source, seed)
-    fobj, fdig = _load(args.target, seed)
+    eobj, edig = _load(args.source, args.seed_order)
+    fobj, fdig = _load(args.target, args.seed_order)
     return _as_table(eobj, args.source), _as_table(fobj, args.target), [edig, fdig]
 
 
@@ -116,8 +115,8 @@ def _safe_filename(name: str) -> str:
 # Commands
 
 
-def cmd_validate(args, seed):
-    obj, digest = _load(args.file, seed)
+def cmd_validate(args):
+    obj, digest = _load(args.file, args.seed_order)
     if isinstance(obj, TruncatedEpsilonComplex):
         if args.kind is not None:
             raise StructureError(args.file,
@@ -135,8 +134,8 @@ def cmd_validate(args, seed):
     return results, certificates, [digest], lines
 
 
-def cmd_classify(args, seed):
-    obj, digest = _load(args.file, seed)
+def cmd_classify(args):
+    obj, digest = _load(args.file, args.seed_order)
     algebra = _as_relational(obj, args.file)
     flags = classify(algebra)
     results = flags.to_dict()
@@ -172,8 +171,8 @@ def cmd_classify(args, seed):
     return results, certificates, [digest], lines
 
 
-def cmd_nerve(args, seed):
-    obj, digest = _load(args.file, seed)
+def cmd_nerve(args):
+    obj, digest = _load(args.file, args.seed_order)
     N = nerve(_as_relational(obj, args.file))
     rep = recognize_nerve(N)
     results = {
@@ -196,8 +195,8 @@ def cmd_nerve(args, seed):
     return results, certificates, [digest], lines
 
 
-def cmd_homology(args, seed):
-    obj, digest = _load(args.file, seed)
+def cmd_homology(args):
+    obj, digest = _load(args.file, args.seed_order)
     pres = h1_universal_group(obj)
     results = {"h1": pres.to_dict()}
     certificates = []
@@ -219,10 +218,10 @@ def cmd_homology(args, seed):
     return results, certificates, [digest], lines
 
 
-def cmd_hom(args, seed):
+def cmd_hom(args):
     # imported here, so that only hom and kan pay for it
     from .mapping import hom_object_ea, verify_mapping_theorem
-    E, F, inputs = _load_tables(args, seed)
+    E, F, inputs = _load_tables(args)
     hob = hom_object_ea(E, F)
     components = [{"index": comp.index,
                    "morphism": {a: comp.morphism.image[a] for a in E.elements},
@@ -254,9 +253,9 @@ def cmd_hom(args, seed):
     return results, certificates, inputs, lines
 
 
-def cmd_kan(args, seed):
+def cmd_kan(args):
     from .mapping import eval_fibration_check
-    E, F, inputs = _load_tables(args, seed)
+    E, F, inputs = _load_tables(args)
     rep = eval_fibration_check(E, F)
     results = rep.to_dict()
     certificates = _failure_certificates(rep, "fibration")
@@ -266,9 +265,9 @@ def cmd_kan(args, seed):
     return results, certificates, inputs, lines
 
 
-def cmd_lift(args, seed):
+def cmd_lift(args):
     shape = shape_from_name(args.shape)
-    obj, digest = _load(args.file, seed)
+    obj, digest = _load(args.file, args.seed_order)
     if isinstance(obj, TruncatedEpsilonComplex):
         C = obj
     else:
@@ -290,7 +289,8 @@ def cmd_lift(args, seed):
             "rerun": shlex.join(["fa", "lift", shape.name, os.path.join(os.curdir, args.file)
                                  if args.file.startswith("-") else args.file]
                                 + (["--unique"] if args.unique else [])
-                                + (["--seed-order", "sorted"] if seed == "sorted" else [])),
+                                + (["--seed-order", "sorted"]
+                                   if args.seed_order == "sorted" else [])),
         })
     lines = [f"{shape.name} against {C.name} ({mode}): "
              f"{'PASS' if rep.passed else 'FAIL'}"]
@@ -301,7 +301,7 @@ def cmd_lift(args, seed):
     return results, certificates, [digest], lines
 
 
-def cmd_enumerate(args, seed):
+def cmd_enumerate(args):
     items = enumerate_small(args.size, args.kind)
     names = [x.name for x in items]
     results = {"kind": args.kind, "size": args.size, "count": len(items),
@@ -324,7 +324,7 @@ def cmd_enumerate(args, seed):
     return results, [], [], lines
 
 
-def cmd_catalog(args, seed):
+def cmd_catalog(args):
     store = construct_catalog()
     if args.action == "list":
         entries = []
@@ -449,52 +449,32 @@ def main(argv: list[str] | None = None) -> int:
             raw, argparse.Namespace(json=False, seed_order="declared"))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    json_out, seed = args.json, args.seed_order
-
-    def emit_error(message: str, status: int = 2) -> int:
-        if json_out:
-            report = {
-                "command": raw,
-                "version": __version__,
-                "inputs": [],
-                "results": {},
-                "certificates": [],
-                "error": message,
-                "exit": status,
-            }
-            # A closed stdout leaves the status as it is: it is 2 or 3 already.
-            _emit([json.dumps(report, indent=2, sort_keys=True)])
-        else:
-            label = "internal error" if status == 3 else "error"
-            print(f"{label}: {message}", file=sys.stderr)
-        return status
-
+    report = {"command": raw, "version": __version__,
+              "inputs": [], "results": {}, "certificates": []}
     try:
-        results, certificates, inputs, lines = args.func(args, seed)
+        report["results"], report["certificates"], report["inputs"], lines = args.func(args)
     except InvariantError as exc:
-        return emit_error(str(exc), 3)
+        report.update(error=str(exc), exit=3)
     except (ValueError, OSError) as exc:
-        return emit_error(str(exc))
+        report.update(error=str(exc), exit=2)
     except Exception as exc:
         import traceback  # imported here, so that only a bug pays for it
         traceback.print_exc()
-        return emit_error(f"{type(exc).__name__}: {exc}", 3)
-
-    status = 1 if certificates else 0
-    report = {
-        "command": raw,
-        "version": __version__,
-        "inputs": inputs,
-        "results": results,
-        "certificates": certificates,
-        "exit": status,
-    }
-    if json_out:
-        lines = [json.dumps(report, indent=2, sort_keys=True)]
+        report.update(error=f"{type(exc).__name__}: {exc}", exit=3)
     else:
-        lines = lines + [f"certificate: {json.dumps(cert, sort_keys=True)}"
-                         for cert in certificates]
-    return status if _emit(lines) else 2
+        report["exit"] = 1 if report["certificates"] else 0
+    status = report["exit"]
+    if args.json:
+        lines = [json.dumps(report, indent=2, sort_keys=True)]
+    elif "error" in report:
+        label = "internal error" if status == 3 else "error"
+        print(f"{label}: {report['error']}", file=sys.stderr)
+        return status
+    else:
+        lines += [f"certificate: {json.dumps(cert, sort_keys=True)}"
+                  for cert in report["certificates"]]
+    # A closed stdout makes a finished command exit 2; an error exits 2 or 3 already.
+    return status if _emit(lines) else max(status, 2)
 
 
 if __name__ == "__main__":

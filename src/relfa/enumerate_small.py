@@ -22,7 +22,9 @@ single-step mutations that still present a well-formed complex.
 Sum tables and sum-preserving maps are searched by one depth-first search
 routine (``algebra._depth_first``), classes are least relabelings
 (``_least_relabeling``), and relational candidates are built in one place
-(``_assemble_candidate``).
+(``_assemble_candidate``).  The exhaustive kinds share one size check, with
+the bound picked by kind, and the candidate stream lists the bases of each
+size once, one per signature, before it mutates them.
 """
 
 from __future__ import annotations
@@ -285,23 +287,16 @@ def _candidate_stream(limit: int) -> tuple[RelFA, ...]:
             out.append(c)
 
     for m in range(1, limit + 1):
-        bases: dict[tuple, RelFA] = {}
-
-        def base(c: RelFA) -> None:
-            bases.setdefault(c.signature(), c)
-
-        for t in enumerate_small(m, "effect-algebra"):
-            base(to_relfa(t))
-        for t in enumerate_small(m, "pseudo-effect-algebra"):
-            base(to_relfa(t))
-        if m >= 2:
-            base(cyclic_group_algebra(m))
-        if m == 4:
-            base(klein_group_algebra())
-        if m <= RELATIONAL_BOUND:
-            for c in enumerate_small(m, "frobenius"):
-                base(c)
-        for b in bases.values():
+        bases = [to_relfa(t) for kind in _TABLES for t in enumerate_small(m, kind)]
+        bases += [cyclic_group_algebra(m)] if m >= 2 else []
+        bases += [klein_group_algebra()] if m == 4 else []
+        bases += enumerate_small(m, "frobenius") if m <= RELATIONAL_BOUND else []
+        # Every effect algebra class is also a pseudo effect algebra class:
+        # one base per signature keeps its mutations from being built twice.
+        unique: dict[tuple, RelFA] = {}
+        for b in bases:
+            unique.setdefault(b.signature(), b)
+        for b in unique.values():
             add(b)
             for mut in _mutations(b):
                 add(mut)
@@ -320,21 +315,16 @@ def enumerate_small(size: int, kind: str) -> list:
         raise ValueError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError(f"size must be a positive integer, got {size!r}")
-    if kind in _TABLES:
-        if size > TABLE_BOUND:
+    if kind == "frobenius-candidates":
+        if size > CANDIDATE_BOUND:
             raise ValueError(
-                f"{kind} enumeration is exhaustive only up to size "
-                f"{TABLE_BOUND}; got {size}")
-        forms = _table_forms(size, kind)
-        return [_table_from_form(size, f, kind, k) for k, f in enumerate(forms)]
+                f"the candidate stream is generated only up to size "
+                f"{CANDIDATE_BOUND}; got {size}")
+        return list(_candidate_stream(size))
+    bound = RELATIONAL_BOUND if kind == "frobenius" else TABLE_BOUND
+    if size > bound:
+        raise ValueError(f"{kind} enumeration is exhaustive only up to size {bound}; got {size}")
     if kind == "frobenius":
-        if size > RELATIONAL_BOUND:
-            raise ValueError(
-                f"frobenius enumeration is exhaustive only up to size "
-                f"{RELATIONAL_BOUND}; got {size}")
         return [_relfa_from_form(f, k) for k, f in enumerate(_relational_forms(size))]
-    if size > CANDIDATE_BOUND:
-        raise ValueError(
-            f"the candidate stream is generated only up to size "
-            f"{CANDIDATE_BOUND}; got {size}")
-    return list(_candidate_stream(size))
+    forms = _table_forms(size, kind)
+    return [_table_from_form(size, f, kind, k) for k, f in enumerate(forms)]

@@ -100,8 +100,9 @@ def parse_structure(text: str, source: str = "input"):
     if kind in _TABLE_CLASSES:
         zero = _need(doc, "zero", str, source)
         one = _need(doc, "one", str, source)
-        _check_members([zero], universe, "zero", source)
-        _check_members([one], universe, "one", source)
+        for key, x in (("zero", zero), ("one", one)):
+            if x not in universe:
+                raise StructureError(f"{source}.{key}", f"unknown identifier {x!r}")
         sums: dict[tuple[str, str], str] = {}
         for i, (a, b, c) in enumerate(_triples(doc, "sums", source, universe)):
             if (a, b) in sums and sums[(a, b)] != c:

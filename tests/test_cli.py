@@ -15,7 +15,7 @@ import pytest
 
 import relfa
 from relfa import __version__
-from relfa.algebra import RelFA, SumTable, to_relfa
+from relfa.algebra import RelFA, SumTable, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
 from relfa.complexes import TruncatedEpsilonComplex, check_lifting, make_complex, shape_from_name
 from relfa.enumerate_small import enumerate_small
@@ -122,6 +122,51 @@ def test_exit_is_one_exactly_when_the_report_carries_a_certificate(
         assert cli.main(["--json", *argv]) == expected, argv
         report = json.loads(capsys.readouterr().out)
         assert report["exit"] == expected == (1 if report["certificates"] else 0), argv
+
+
+ENVELOPE = {"command", "version", "inputs", "results", "certificates", "exit"}
+
+
+def test_json_envelope_is_the_same_for_every_outcome(monkeypatch, capsys, tmp_path, chain2_file):
+    """A finished command's --json report, passing or failing, has exactly
+    the envelope keys; an error report, for bad input or a bug, adds
+    ``error`` and has empty inputs, results and certificates."""
+    from relfa import InvariantError, cli
+
+    def broken(obj):
+        raise InvariantError("d1 * d2 is not zero")
+
+    monkeypatch.setattr(cli, "h1_universal_group", broken)
+    runs = [(["validate", chain2_file], 0), (["lift", "boundary-2", chain2_file], 1),
+            (["validate", str(tmp_path / "missing.json")], 2),
+            (["lift", "horn-2-5", chain2_file], 2), (["homology", chain2_file], 3)]
+    for argv, status in runs:
+        assert cli.main(["--json", *argv]) == status, argv
+        report = json.loads(capsys.readouterr().out)
+        assert (report["command"], report["version"], report["exit"]) == \
+            (["--json", *argv], __version__, status)
+        if status < 2:
+            assert set(report) == ENVELOPE, argv
+            assert report["inputs"] and report["results"], argv
+            assert bool(report["certificates"]) == (status == 1), argv
+        else:
+            assert set(report) == ENVELOPE | {"error"}, argv
+            assert (report["inputs"], report["results"], report["certificates"]) == \
+                ([], {}, []), argv
+            assert report["error"], argv
+
+
+@pytest.mark.parametrize("kind", ["frobenius", "rel-monoid"])
+def test_validate_checks_a_sum_table_as_its_relational_algebra(kind, capsys, chain2_file):
+    """--kind frobenius and --kind rel-monoid check a sum table file through
+    its relational algebra."""
+    from relfa import cli
+
+    assert cli.main(["--json", "validate", "--kind", kind, chain2_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    expected = validate(kind, to_relfa(chain(2))).to_dict()
+    assert report["results"] == json.loads(json.dumps(expected))
+    assert report["results"]["name"] == "relfa(chain(2))"
 
 
 @pytest.mark.parametrize("argv", [("catalog", "list"), ("--json", "kan", "{chain1}", "{chain1}"),

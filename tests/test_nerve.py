@@ -3,6 +3,8 @@ the algebra-complex round trip."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from relfa.algebra import RelFA, to_relfa, validate
@@ -153,6 +155,32 @@ def test_cross_validate_reports_unrecognized_complexes():
     result = cross_validate(broken)
     assert result["direct"] is False
     assert result["round_trip"] is False
+
+
+def test_every_recognized_nerve_rebuilds(catalog):
+    """Recognition guarantees the unique marked edges and the one left and
+    one right rotation per edge that nerve_to_algebra reads: over the
+    candidate stream, the catalog and the sum tables up to size 5, every
+    recognized nerve rebuilds to a Frobenius algebra."""
+    candidates = list(enumerate_small(4, "frobenius-candidates"))
+    candidates += [x if isinstance(x, RelFA) else to_relfa(x) for x in catalog.values()]
+    candidates += [to_relfa(t) for kind in ("effect-algebra", "pseudo-effect-algebra")
+                   for n in range(1, 6) for t in enumerate_small(n, kind)]
+    recognized = [N for N in map(nerve, candidates) if recognize_nerve(N).passed]
+    assert (len(candidates), len(recognized)) == (449, 62)
+    for N in recognized:
+        assert validate("frobenius", nerve_to_algebra(N)).passed, N.name
+
+
+def test_cross_validate_propagates_a_failed_rebuild(monkeypatch):
+    """A rebuild that fails after recognition passed is a bug in relfa: the
+    error propagates instead of becoming the verdict round_trip False."""
+    def broken(C):
+        raise ValueError("rebuild failed")
+
+    monkeypatch.setattr(importlib.import_module("relfa.nerve"), "nerve_to_algebra", broken)
+    with pytest.raises(ValueError, match="rebuild failed"):
+        cross_validate(to_relfa(chain(3)))
 
 
 def test_an_algebra_without_endpoints_has_no_nerve():

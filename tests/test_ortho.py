@@ -255,6 +255,16 @@ def test_classification_of_group_algebra():
     assert flags.cross_checks["counit_singleton_equivalence"]
 
 
+def test_classification_of_a_frobenius_algebra_with_two_units():
+    """frob2_4 has the units x0 and x1, so eta_singleton fails with both as
+    its witness."""
+    (F,) = [f for f in enumerate_small(2, "frobenius") if f.name == "frob2_4"]
+    flags = classify(F)
+    assert flags.eta_singleton is False
+    assert flags.witnesses["eta_singleton"] == ["x0", "x1"]
+    assert flags.effect_algebra is False
+
+
 def test_classification_serializes():
     doc = classify(to_relfa(chain(2))).to_dict()
     assert doc["name"] == "relfa(chain(2))"

@@ -162,7 +162,7 @@ COMPLEX_DOC = {"kind": "complex", "name": "c", "vertices": ["v"],
 @pytest.mark.parametrize("doc, message", [
     ({**TABLE_DOC, "elements": "01"}, "f.json.elements: expected list, got str"),
     ({**TABLE_DOC, "elements": ["0", 1]}, "f.json.elements[1]: expected a string"),
-    ({**TABLE_DOC, "zero": "z"}, "f.json.zero[0]: unknown identifier 'z'"),
+    ({**TABLE_DOC, "zero": "z"}, "f.json.zero: unknown identifier 'z'"),
     ({**TABLE_DOC, "sums": [["0", "0"]]}, "f.json.sums[0]: expected a triple of strings"),
     ({**RELFA_DOC, "eta": ["u"]}, "f.json.eta[0]: unknown identifier 'u'"),
     ({**COMPLEX_DOC, "edges": [["i", "v"]]}, "f.json.edges[0]: expected [id, source, target]"),
@@ -174,6 +174,7 @@ COMPLEX_DOC = {"kind": "complex", "name": "c", "vertices": ["v"],
     ({**COMPLEX_DOC, "triangles": [["i", "i", "q"]]},
      "f.json: c: triangle ('i', 'i', 'q') references unknown edge"),
     ({**COMPLEX_DOC, "marked": ["q"]}, "f.json: c: marked id 'q' is not an edge"),
+    ({**TABLE_DOC, "one": "z"}, "f.json.one: unknown identifier 'z'"),
 ])
 def test_rejections_name_their_location(doc, message):
     """Each kind's field, row and entry checks, and the complex checks that
