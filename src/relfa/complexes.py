@@ -383,7 +383,7 @@ def _compile_search(plan: list, ready: list, newly_marked: list, vsteps: list) -
         for loop, tests, after in levels[start:start + _CHUNK]:
             lines.append(indent + loop)
             indent += "    "
-            for test in tests:
+            for test in dict.fromkeys(tests):
                 lines += [indent + test, indent + "    continue"]
             lines += [indent + line for line in after]
         if start + _CHUNK < len(levels):
@@ -995,7 +995,8 @@ def check_lifting(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     failing boundary, up to ``_MAX_FAILURES`` and in key order, with its
     number of extensions, and has an empty detail.  A
     ``count-comparison`` report gives both counts in its detail and, when
-    it fails, one failing boundary, found by descending on pinned counts
+    it fails, one failing boundary: the first in key order if it does not
+    extend, else one found by descending on pinned counts
     (``_search_unfillable``).  Both forms name the same first failure: the
     failing boundary that comes first in key order.  So every failing
     report has a witness, and since key order follows the shape's declared
@@ -1129,7 +1130,9 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     """The first boundary morphism in key order with no extension, on a
     determined problem whose ``dom_count`` boundary morphisms outnumber its
     ``cod_count`` morphisms: the witness the enumeration form of
-    ``check_lifting`` lists first.
+    ``check_lifting`` lists first.  The first boundary morphism in key
+    order is tested first: with no extension it is that witness, and only
+    if it extends does the search descend.
 
     Restriction is injective, so of the boundary morphisms that agree with
     an assignment p of some domain variables, count(D|p) - count(C|p) have
@@ -1147,6 +1150,10 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
     the assignment, or every variable is pinned, they are scanned in
     order; a scan that finds no witness means a pinned count was wrong."""
     C, D = shape.codomain, shape.domain
+    extensions = _extender(C, D, index)
+    vm, em = next(_extender(D, _EMPTY, index)({}, {}))
+    if next(extensions(vm, em), None) is None:
+        return {"boundary": _describe_morphism(D, vm, em), "extensions": 0}
     variables = [("V", v) for v in D.vertices] + [("E", e) for e in D.nonidentity_edges()]
     plans = (_count_plan(D.signature(), index.one_vertex),
              _count_plan(C.signature(), index.one_vertex))
@@ -1175,7 +1182,6 @@ def _search_unfillable(shape: ShapeInclusion, X: TruncatedEpsilonComplex,
             raise InvariantError(f"{shape.name} against {X.name}: the counts differ "
                                  f"but no image of {name} leaves an unfillable boundary")
         dom_count, cod_count, vmap, emap, prefix = dom, cod, vm, em, grown
-    extensions = _extender(C, D, index)
     for vm, em in _extender(D, prefix, index)(vmap, emap):
         if next(extensions(vm, em), None) is None:
             return {"boundary": _describe_morphism(D, vm, em), "extensions": 0}

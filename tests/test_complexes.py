@@ -18,7 +18,7 @@ import pytest
 
 import relfa
 from relfa import complexes
-from relfa.algebra import RelFA, to_relfa
+from relfa.algebra import RelFA, relabel_table, to_relfa
 from relfa.catalog import (
     boolean,
     chain,
@@ -848,10 +848,54 @@ def _first_unfillable(shape, X):
     C, D = shape.codomain, shape.domain
     restrictions = {ComplexMorphism(D, X, f.vertex_map, f.edge_map).key()
                     for f in hom_maps_iter(C, X)}
-    u = next(u for u in hom_maps(D, X) if u.key() not in restrictions)
+    u = next(u for u in hom_maps_iter(D, X) if u.key() not in restrictions)
     return {"boundary": {"vertices": {v: u.vertex_map[v] for v in D.vertices},
                          "edges": {e: u.edge_map[e] for e in D.nonidentity_edges()}},
             "extensions": 0}
+
+
+def _spy_on_descent(monkeypatch) -> list:
+    """Record each subcomplex the witness search spans to descend along."""
+    spanned = []
+    span = complexes._spanned
+
+    def spy(D, variables):
+        spanned.append(len(variables))
+        return span(D, variables)
+
+    monkeypatch.setattr(complexes, "_spanned", spy)
+    return spanned
+
+
+def test_witness_search_tests_the_first_boundary_before_descending(monkeypatch):
+    """The witness search of box(horn-2-1,horn-2-1) on the Wright triangle
+    tests the first boundary morphism in key order first.  Under names
+    whose least is not the bottom, that boundary has no extension, so the
+    search runs no pinned count and spans no subcomplex to descend along.
+    Under the catalog's names, whose least is the bottom, it extends and
+    the search descends.  Both give the first unfillable boundary."""
+    pinned = []
+    run = complexes._run_count_plan
+
+    def spy(plan, tables, pins):
+        if pins:
+            pinned.append(dict(pins))
+        return run(plan, tables, pins)
+
+    monkeypatch.setattr(complexes, "_run_count_plan", spy)
+    spanned = _spy_on_descent(monkeypatch)
+    shape = shape_from_name("box(horn-2-1,horn-2-1)")
+    A = wright_triangle()
+    reversed_names = relabel_table(A, {a: f"x{i}" for i, a in enumerate(reversed(A.elements))})
+    for B, descends in ((reversed_names, False), (A, True)):
+        X = nerve(to_relfa(B))
+        assert (min(X.edges) == B.zero) == descends
+        pinned.clear()
+        spanned.clear()
+        report = check_lifting(shape, X)
+        assert report.method == "count-comparison" and not report.passed
+        assert bool(pinned) == bool(spanned) == descends, B.name
+        assert report.failures == (_first_unfillable(shape, X),), B.name
 
 
 @pytest.mark.parametrize("scan_below", (0, 3))
@@ -859,9 +903,13 @@ def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan
     """Every failing determined problem of the frozen report set, and the
     shapes that fail on two targets with several vertices, decided by the
     counts and given the witness a plain scan finds: the first failure the
-    enumeration form of the same problem lists."""
+    enumeration form of the same problem lists.  The problems take both
+    branches of the search: some fail on their first boundary morphism and
+    span nothing to descend along, and on some the search descends."""
     monkeypatch.setattr(complexes, "_ENUMERATION_LIMIT", 0)
     monkeypatch.setattr(complexes, "_SCAN_BELOW", scan_below)
+    spanned = _spy_on_descent(monkeypatch)
+    branches = set()
     several = (simplex(3),
                mapping_complex(nerve(to_relfa(chain(1))), nerve(to_relfa(chain(2)))).complex)
     problems = _report_problems() + [(name, X, "exists") for X in several
@@ -871,10 +919,16 @@ def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan
         shape = shape_from_name(shape_name)
         if not complexes._determined_missing_edges(shape, complexes._TargetIndex(X)):
             continue
+        spanned.clear()
         report = check_lifting(shape, X, mode)
         if not report.passed:
             assert report.method == "count-comparison"
             key = (shape_name, X.name)
+            u = next(hom_maps_iter(shape.domain, X))
+            first = report.failures[0]["boundary"] == complexes._describe_morphism(
+                shape.domain, u.vertex_map, u.edge_map)
+            assert not (first and spanned), (key, mode)
+            branches.add("first" if first else "descent" if spanned else "scan")
             if key not in witnesses:
                 witnesses[key] = _first_unfillable(shape, X)
             assert report.failures == (witnesses[key],), (key, mode)
@@ -885,6 +939,7 @@ def test_count_guided_witness_is_the_first_unfillable_boundary(monkeypatch, scan
             assert enumerated.failures[0] == report.failures[0], (key, mode)
     assert len(witnesses) > 80
     assert {X.name for X in several} <= {name for _, name in witnesses}
+    assert {"first", "descent"} <= branches
 
 
 # sha256 of `fa --json lift "box(horn-2-1,horn-2-1)" <file>` run in the
@@ -953,6 +1008,47 @@ def test_hom_maps_iter_is_the_same_after_the_plan_cache_is_cleared():
             before = _images(hom_maps_iter(X, Y))
             _clear_plan_caches()
             assert _images(hom_maps_iter(X, Y)) == before, (name, X.name)
+
+
+def _loop_tests(source: str) -> list[list[str]]:
+    """The test lines of each loop of a generated search source."""
+    loops = []
+    for line in source.splitlines():
+        body = line.lstrip()
+        depth = len(line) - len(body)
+        if body.startswith("for "):
+            loops.append((depth, []))
+        elif body.startswith("if ") and loops and depth == loops[-1][0] + 4:
+            loops[-1][1].append(body)
+    return [tests for _, tests in loops]
+
+
+def test_search_sources_test_each_condition_once_per_loop(monkeypatch):
+    """No loop of a compiled search repeats a test: out of the 1-prism of a
+    nerve, whose second vertex completes many edges with the same
+    endpoints, along its 0-prism or not, and out of every shape's codomain
+    along its domain."""
+    sources = []
+    compile_search = complexes._compile_search
+
+    def spy(*plan):
+        compiled = compile_search(*plan)
+        sources.append(compiled[0])
+        return compiled
+
+    monkeypatch.setattr(complexes, "_compile_search", spy)
+    _clear_plan_caches()
+    N = _catalog_nerve("chain(2)")
+    P0, P1 = product(simplex(0), N), product(simplex(1), N)
+    assert len(list(hom_maps_iter(P1, N))) == count_homs(P1, N)
+    u = next(hom_maps_iter(P0, N))
+    assert next(complexes._extender(P1, P0, N._target_index)(u.vertex_map, u.edge_map))
+    for name in SHAPE_NAMES:
+        check_lifting(shape_from_name(name), N)
+    assert len(sources) > 2
+    for source in sources:
+        for tests in _loop_tests(source):
+            assert len(tests) == len(set(tests)), source
 
 
 def test_plans_and_indexes_are_keyed_by_structure_not_by_name(monkeypatch):

@@ -6,10 +6,12 @@ from __future__ import annotations
 import functools
 import json
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relfa import complexes
 from relfa.algebra import (
     PseudoEffectAlgebraTable,
     SumTable,
@@ -366,6 +368,23 @@ def test_lift_reports_do_not_depend_on_declaration_order(name, seed):
     assert report == _box_report(name)
     assert report["method"] == {"wright-triangle": "count-comparison",
                                 "chain(4)": "enumeration"}[name]
+
+
+@settings(max_examples=5, deadline=None)
+@given(fresh=st.permutations(range(len(wright_triangle().elements))))
+def test_count_comparison_witness_under_fresh_names(fresh):
+    """Under fresh names for the Wright triangle, whichever element gets
+    the least name, the count-comparison witness of box(horn-2-1,horn-2-1)
+    is the first failure of its enumeration form."""
+    A = wright_triangle()
+    X = nerve(to_relfa(relabel_table(A, {a: f"r{k}" for a, k in zip(A.elements, fresh)})))
+    shape = shape_from_name("box(horn-2-1,horn-2-1)")
+    report = check_lifting(shape, X)
+    assert report.method == "count-comparison" and not report.passed
+    with mock.patch.object(complexes, "_ENUMERATION_LIMIT", float("inf")):
+        enumerated = check_lifting(shape, X)
+    assert enumerated.method == "enumeration"
+    assert report.failures == enumerated.failures[:1]
 
 
 @st.composite
