@@ -1097,6 +1097,12 @@ def _relative_lifting(shape: ShapeInclusion, p: ComplexMorphism, mode: str) -> L
             if (n == 0 if mode == "exists" else n != 1) and len(failures) < _MAX_FAILURES:
                 failures.append({"boundary": _describe_morphism(D, vmap, emap), "extensions": n,
                                  "over": _describe_morphism(C, wv, we)})
+    return _relative_report(shape, mode, squares, fillers, failures)
+
+
+def _relative_report(shape: ShapeInclusion, mode: str, squares: int, fillers: int,
+                     failures=()) -> LiftingReport:
+    """The report of a relative problem of ``check_lifting``."""
     return LiftingReport(shape.name, mode, "enumeration", not failures, squares,
                          tuple(failures), f"{squares} squares, {fillers} candidate fillers")
 

@@ -4,6 +4,7 @@ hom object, and the evaluation fibration check."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from collections import Counter
@@ -738,6 +739,150 @@ def test_eval_fibration_check_agrees_with_the_relative_oracle(pair):
     homs: dict = {}
     want = [_relative_lifting_check(shape, p, homs) for shape in FIBRATION_SHAPES]
     assert list(eval_fibration_check(*pair).checks) == want
+
+
+# Criterion 6's 137 pairs, in its order, then FIBRATION_PEA_PAIRS.
+CRITERION_6_PEAS = [T for n in range(1, 6) for T in enumerate_small(n, "pseudo-effect-algebra")]
+EVAL_REPORT_PAIRS = CRITERION_6_PAIRS + [(E, F) for E in CRITERION_6_PEAS
+                                         for F in CRITERION_6_PEAS] + FIBRATION_PEA_PAIRS
+# sha256 over the JSON of eval_fibration_check(E, F).to_dict() on
+# EVAL_REPORT_PAIRS, one line each (keys sorted).  Computed when every
+# check was decided by the relative scan of check_lifting.
+EVAL_REPORTS_SHA256 = "7fdad116dddd751231bf5f6885bf83537c11ef61a15b6019cac9dcfc05614f73"
+
+
+def test_eval_reports_are_frozen():
+    digest = hashlib.sha256()
+    for E, F in EVAL_REPORT_PAIRS:
+        report = eval_fibration_check(E, F)
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode() + b"\n")
+    assert len(EVAL_REPORT_PAIRS) == 137 + len(FIBRATION_PEA_PAIRS)
+    assert digest.hexdigest() == EVAL_REPORTS_SHA256
+
+
+def _scans(p):
+    """The relative scan of check_lifting over p for each fibration shape."""
+    return [check_lifting(shape, p.domain, "unique", over=p) for shape in FIBRATION_SHAPES]
+
+
+def _with_scanned(run, monkeypatch):
+    """run(), and the names of the shapes it left to the relative scan of
+    check_lifting in the mapping module: those that failed their face-table
+    tests."""
+    scanned = []
+
+    def spy(shape, *args, **kwargs):
+        scanned.append(shape.name)
+        return check_lifting(shape, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mapping, "check_lifting", spy)
+        return run(), scanned
+
+
+def _assert_horn_3_follows_from_boundary_2(p, scans):
+    """Where the boundary-2 scan passes, every horn-3 scan passes, with one
+    square per map simplex(3) -> X."""
+    by_shape = {report.shape: report for report in scans}
+    if by_shape["boundary-2"].passed:
+        k = count_homs(simplex(3), p.domain)
+        for i in range(4):
+            report = by_shape[f"horn-3-{i}"]
+            assert report.passed and report.boundaries == k, report.shape
+
+
+def test_eval_fibration_checks_are_the_relative_scans(monkeypatch):
+    """On criterion 6's pairs and FIBRATION_PEA_PAIRS, each check of
+    eval_fibration_check is the CheckResult of the relative scan over its
+    restriction map, though every shape passes its face-table test and no
+    scan runs; horn-3 passes wherever boundary-2 does."""
+    for E, F in EVAL_REPORT_PAIRS:
+        p = _evaluation_map(E, F)
+        scans = _scans(p)
+        want = [CheckResult(f"{r.shape}:unique-relative-lift", r.passed,
+                            r.failures[0] if r.failures else None, r.detail) for r in scans]
+        report, scanned = _with_scanned(lambda: eval_fibration_check(E, F), monkeypatch)
+        assert list(report.checks) == want and scanned == [], (E.name, F.name)
+        _assert_horn_3_follows_from_boundary_2(p, scans)
+
+
+CONTROL_INCLUSIONS = ("horn-1-0", "horn-1-1", "horn-2-0", "horn-2-1", "horn-2-2",
+                      "boundary-2", "mark-edge")
+
+
+@pytest.mark.parametrize("target", [chain(2), chain(3), boolean(2), cyclic_pea(3)],
+                         ids=lambda target: target.name)
+def test_face_table_tests_agree_with_the_scan_on_failing_restrictions(target, monkeypatch):
+    """On the restrictions [B, Y] -> [A, Y] along seven shape inclusions
+    A ⊆ B, six of which fail some shape, a fibration shape passes its
+    face-table test exactly when its scan passes, and each report is the
+    scan's, witness included."""
+    Y = _nerve(target)
+    failing = []
+    for name in CONTROL_INCLUSIONS:
+        shape = shape_from_name(name)
+        A, B = shape.domain, shape.codomain
+        incl = ComplexMorphism(A, B, {v: v for v in A.vertices}, {e: e for e in A.edges})
+        p = mapping.restriction_map(mapping_complex(B, Y), mapping_complex(A, Y), incl)
+        scans = _scans(p)
+        reports, scanned = _with_scanned(lambda: mapping._fibration_reports(p), monkeypatch)
+        assert reports == scans, name
+        assert scanned == [r.shape for r in scans if not r.passed], name
+        _assert_horn_3_follows_from_boundary_2(p, scans)
+        if scanned:
+            failing.append(name)
+    assert failing == [name for name in CONTROL_INCLUSIONS if name != "boundary-2"]
+
+
+def _folding(X, S, cells):
+    """The morphism X -> S that sends each cell c of X to cells.get(c, c)."""
+    p = ComplexMorphism(X, S, {v: cells.get(v, v) for v in X.vertices},
+                        {e: cells.get(e, e) for e in X.edges})
+    p.check()
+    return p
+
+
+def test_face_table_tests_count_lifts_in_both_directions():
+    """An extra vertex over 1 with no edge into it breaks horn-1-1 and
+    keeps horn-1-0; a second copy of the edge 12, in a copy of each
+    triangle of 12, gives the horn (02, 01) two lifts and breaks horn-2-0,
+    though on every horn the fillers' images agree as sets.  Every report is
+    the scan's."""
+    S1, S2 = simplex(1), simplex(2)
+    extra_vertex = _folding(make_complex(
+        "edge+vertex", S1.vertices + ("1b",), S1.edges + ("1b1b",),
+        {**S1.src, "1b1b": "1b"}, {**S1.tgt, "1b1b": "1b"}, {**S1.identity, "1b": "1b1b"},
+        (), ()), S1, {"1b": "1", "1b1b": "11"})
+    copies = [itertools.product(*[(e, "12b") if e == "12" else (e,) for e in t])
+              for t in S2.triangles]
+    second_filler = _folding(make_complex(
+        "two-fillers", S2.vertices, S2.edges + ("12b",), {**S2.src, "12b": "1"},
+        {**S2.tgt, "12b": "2"}, S2.identity, itertools.chain(*copies), ()),
+        S2, {"12b": "12"})
+    failing = []
+    for p in (extra_vertex, second_filler):
+        scans = _scans(p)
+        assert mapping._fibration_reports(p) == scans
+        failing.append({r.shape: r for r in scans if not r.passed})
+    assert "horn-1-0" not in failing[0] and "horn-1-1" in failing[0]
+    assert failing[1]["horn-2-0"].failures[0]["extensions"] == 2
+
+
+def test_horn_3_is_scanned_where_boundary_2_fails(monkeypatch):
+    """On maps of nerves, the horn-3 shapes pass their face-table test only
+    with boundary-2.  Where boundary-2 fails they go to the scan, which can
+    pass them, and every report is still the scan's."""
+    scanned_passes = 0
+    for pair in [(chain(1), boolean(2)), (boolean(2), chain(3))]:
+        X, Y = (_nerve(algebra) for algebra in pair)
+        for p in hom_maps(X, Y):
+            scans = _scans(p)
+            reports, scanned = _with_scanned(lambda: mapping._fibration_reports(p), monkeypatch)
+            assert reports == scans
+            horn_3 = [r for r in scans if r.shape.startswith("horn-3")]
+            assert [r.shape in scanned for r in horn_3] == [("boundary-2" in scanned)] * 4
+            scanned_passes += sum(r.passed and r.shape in scanned for r in horn_3)
+    assert scanned_passes
 
 
 @pytest.mark.parametrize("pair", [(chain(1), boolean(2)), (boolean(2), chain(3))],

@@ -33,7 +33,7 @@ from relfa.complexes import (
 )
 from relfa.enumerate_small import enumerate_small
 from relfa.homology import full_chain_h1, h1_of_complex, universal_group_presentation
-from relfa.mapping import mapping_complex
+from relfa.mapping import eval_fibration_check, mapping_complex
 from relfa.nerve import nerve, recognize_nerve
 from relfa.structio import (
     KINDS,
@@ -44,7 +44,7 @@ from relfa.structio import (
 )
 from test_algebra import catalog_algebras, oracle_derived_order, oracle_frobenius
 from test_complexes import _enumerated_report, replace
-from test_mapping import _nerve, prism_names, prism_triangles
+from test_mapping import EVAL_REPORT_PAIRS, _nerve, prism_names, prism_triangles
 from test_nerve import _level3_route
 
 PROPERTY_ALGEBRAS = {
@@ -315,6 +315,17 @@ def test_criterion_1_survives_relabeling(index, seed):
     direct, recognized = _criterion_1(_relabelled(A, seed))
     assert direct == recognized
     assert (direct, recognized) == _criterion_1(A)
+
+
+@settings(max_examples=15, deadline=None)
+@given(index=st.integers(0, len(EVAL_REPORT_PAIRS) - 1), seed=st.integers(0, 2**32 - 1))
+def test_eval_fibration_report_survives_relabeling(index, seed):
+    """Fresh element names and a shuffled declaration order of both algebras
+    leave the whole evaluation fibration report unchanged: the face-table
+    tests that decide it do not depend on the order they read cells in."""
+    E, F = EVAL_REPORT_PAIRS[index]
+    relabelled = eval_fibration_check(_relabelled(E, seed), _relabelled(F, seed + 1))
+    assert relabelled.to_dict() == eval_fibration_check(E, F).to_dict()
 
 
 # The horn(1,1) square and the three m+n = 2 boundary squares; on these
