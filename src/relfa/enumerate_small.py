@@ -4,17 +4,20 @@ Sum tables are searched directly: the bottom row and column are forced by
 neutrality, sums against the top are forced undefined for nonzero arguments,
 and only the interior cells are free.  Candidate values exclude the bottom
 and both arguments, since a sum equal to one of its arguments forces the
-other to be zero.  Branches are cut on duplicated supplements and on
+other to be zero.  Branches are cut on duplicated supplements, on missing
+ones (a cell that finishes a row or a column with no top in it), and on
 associativity conflicts, defined or undefined, among the triples that read
 the cell just decided: the table before it had none, so no other triple can
-hold one.  Every surviving leaf is still passed through the full validator,
-which remains the authority.  Representatives are the lexicographically
-least relabelings under permutations fixing bottom and top.
+hold one.  Representatives are the lexicographically least relabelings
+under permutations fixing bottom and top.  Every surviving leaf takes its
+representative, and the full validator, which remains the authority,
+decides each representative once, at its first leaf.
 
 Relational structures are searched exhaustively only at very small sizes,
 with the comultiplication transported through the rotation of the
-multiplication.  A multiplication and unit that fail the monoid checks are
-skipped before any counit is tried, since the Frobenius validator starts
+multiplication.  Only unit-strict multiplications are tried with each
+nonempty unit set, and a multiplication and unit that fail the monoid checks
+are skipped before any counit is tried, since the Frobenius validator starts
 with those checks.  Larger relational test material comes from a deterministic
 candidate stream: known-good structures together with all of their
 single-step mutations that still present a well-formed complex.
@@ -102,6 +105,15 @@ def _supplement_clash(T: dict, n: int, i: int, j: int) -> bool:
     return False
 
 
+def _supplement_missing(T: dict, n: int, i: int, j: int) -> bool:
+    """True when the fresh cell (i, j) finishes row i with no top in it, so
+    i has no right supplement, or column j, so j has no left supplement."""
+    top = n - 1
+    row = [T.get((i, c), _OPEN) for c in range(n)]
+    column = [T.get((r, j), _OPEN) for r in range(n)]
+    return any(_OPEN not in line and top not in line for line in (row, column))
+
+
 def _forced_cells(n: int) -> dict:
     T: dict = {}
     for k in range(n):
@@ -147,6 +159,11 @@ def _table_from_form(n: int, form: tuple, kind: str, index: int) -> SumTable:
 
 @lru_cache(maxsize=None)
 def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
+    """The least form of every class of the kind on n elements.  A cell is
+    cut when it duplicates a supplement, finishes a row or a column with no
+    top, or gives a triple reading it an associativity conflict.  Each leaf
+    takes its least form, and ``validate`` decides each form once: tables
+    with one form are isomorphic and get one verdict."""
     cls = _TABLES[kind][0]
     commutative = kind == "effect-algebra"
     mids = range(1, n - 1)
@@ -155,7 +172,7 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
     else:
         cells = [(i, j) for i in mids for j in mids]
     names = _carrier(n)
-    found: dict[tuple, None] = {}
+    verdicts: dict[tuple, bool] = {}
     T = _forced_cells(n)
 
     def options(k: int) -> list:
@@ -170,6 +187,10 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
         if v == n - 1 and (_supplement_clash(T, n, i, j)
                            or mirrored and _supplement_clash(T, n, j, i)):
             return False
+        # The table is symmetric in the commutative case, so the row and
+        # column the mirror finishes are those of the cell, transposed.
+        if _supplement_missing(T, n, i, j):
+            return False
         return not (_assoc_clash(T, n, i, j) or mirrored and _assoc_clash(T, n, j, i))
 
     def clear(k: int) -> None:
@@ -179,11 +200,12 @@ def _table_forms(n: int, kind: str) -> tuple[tuple, ...]:
             del T[(j, i)]
 
     for _ in _depth_first(len(cells), options, place, clear):
-        sums = {(names[a], names[b]): names[v] for (a, b), v in T.items() if v is not None}
-        candidate = cls("candidate", names, names[0], names[-1], sums)
-        if validate(kind, candidate).passed:
-            found.setdefault(_canonical_table(T, n), None)
-    return tuple(sorted(found))
+        form = _canonical_table(T, n)
+        if form not in verdicts:
+            sums = {(names[a], names[b]): names[v] for (a, b), v in T.items() if v is not None}
+            candidate = cls("candidate", names, names[0], names[-1], sums)
+            verdicts[form] = validate(kind, candidate).passed
+    return tuple(sorted(form for form, passed in verdicts.items() if passed))
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +264,28 @@ def _assemble_candidate(elements, mu, eta, eps, name: str) -> RelFA | None:
 
 @lru_cache(maxsize=None)
 def _relational_forms(n: int) -> tuple[tuple, ...]:
+    """The least form of every Frobenius class on n elements.  Each
+    nonempty unit set eta is tried only with the multiplications that hold
+    no (u, y, z) with y != z and no (x, u, z) with x != z for u in eta.
+    Every (mu, eta) skipped fails unit-existence or unit-strictness, and
+    ``validate("rel-monoid")`` still runs on each one tried."""
     els = tuple(f"x{k}" for k in range(n))
-    relations = [frozenset(compress(product(els, repeat=3), bits))
-                 for bits in product((0, 1), repeat=n ** 3)]
     units = [frozenset(compress(els, bits)) for bits in product((0, 1), repeat=n)]
     found: dict[tuple, None] = {}
-    for mu, eta in product(relations, units):
-        # validate("frobenius") starts with these monoid checks on (mu, eta),
-        # and they make every unit idempotent, as ``_assemble_candidate`` asks.
-        if not validate("rel-monoid", RelFA("monoid", els, mu, eta, frozenset(),
-                                            frozenset())).passed:
-            continue
-        for eps in units:
-            candidate = _assemble_candidate(els, mu, eta, eps, "candidate")
-            if candidate is not None and validate("frobenius", candidate).passed:
-                found.setdefault(_relfa_canonical(candidate), None)
+    for eta in units[1:]:  # units[0] is the empty set
+        free = [(x, y, z) for x, y, z in product(els, repeat=3)
+                if not (x in eta and y != z or y in eta and x != z)]
+        for bits in product((0, 1), repeat=len(free)):
+            mu = frozenset(compress(free, bits))
+            # validate("frobenius") starts with these monoid checks on (mu, eta),
+            # and they make every unit idempotent, as ``_assemble_candidate`` asks.
+            if not validate("rel-monoid", RelFA("monoid", els, mu, eta, frozenset(),
+                                                frozenset())).passed:
+                continue
+            for eps in units:
+                candidate = _assemble_candidate(els, mu, eta, eps, "candidate")
+                if candidate is not None and validate("frobenius", candidate).passed:
+                    found.setdefault(_relfa_canonical(candidate), None)
     return tuple(sorted(found))
 
 

@@ -18,7 +18,12 @@ from relfa import __version__
 from relfa.algebra import RelFA, SumTable, to_relfa, validate
 from relfa.catalog import boolean, chain, cyclic_group_algebra, wright_triangle
 from relfa.complexes import TruncatedEpsilonComplex, check_lifting, make_complex, shape_from_name
-from relfa.enumerate_small import enumerate_small
+from relfa.enumerate_small import (
+    CANDIDATE_BOUND,
+    RELATIONAL_BOUND,
+    TABLE_BOUND,
+    enumerate_small,
+)
 from relfa.nerve import nerve
 from relfa.structio import load_structure, save_structure
 
@@ -674,6 +679,27 @@ def test_seed_order_keeps_lift_reports(catalog, write_structure, capsys, name):
     assert "enumeration" in methods
     if "wright-triangle" in name:
         assert "count-comparison" in methods
+
+
+@pytest.mark.parametrize("kind, bound", [("effect-algebra", TABLE_BOUND),
+                                         ("pseudo-effect-algebra", TABLE_BOUND),
+                                         ("frobenius", RELATIONAL_BOUND),
+                                         ("frobenius-candidates", CANDIDATE_BOUND)])
+def test_seed_order_keeps_enumerate_output(capsys, kind, bound):
+    """enumerate reads no structure file: at each kind's bound its --json
+    report and exit status are the same under both seed orders, but for the
+    command line the report echoes."""
+    from relfa import cli
+
+    runs = []
+    for order in ([], ["--seed-order", "sorted"]):
+        argv = ["--json", *order, "enumerate", "--size", str(bound), "--kind", kind]
+        status = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("command") == argv
+        runs.append((status, report))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_json_reports_are_byte_identical(chain2_file):

@@ -7,11 +7,12 @@ import gc
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from relfa import enumerate_small as es
-from relfa.algebra import RelFA, _transport_delta, to_relfa, validate
+from relfa.algebra import RelFA, _depth_first, _transport_delta, to_relfa, validate
 from relfa.catalog import chain, wright_triangle
 from relfa.enumerate_small import (
     CANDIDATE_BOUND,
@@ -181,6 +182,141 @@ def test_incremental_associativity_agrees_with_the_full_scan(monkeypatch, kind):
             nodes[state] = nodes.get(state, False) or result
         for state, clash in nodes.items():
             assert clash == _full_assoc_conflict(dict(state), n), state
+
+
+def table_forms_oracle(n: int, kind: str) -> tuple:
+    """Oracle: the sum-table search with no cut on missing supplements, every
+    leaf through the validator and every passing leaf's form kept."""
+    cls = es._TABLES[kind][0]
+    commutative = kind == "effect-algebra"
+    mids = range(1, n - 1)
+    cells = [(i, j) for i in mids for j in mids if i <= j or not commutative]
+    names = es._carrier(n)
+    T = es._forced_cells(n)
+    found = set()
+
+    def options(k):
+        return [None] + [v for v in range(1, n) if v not in cells[k]]
+
+    def place(k, v):
+        i, j = cells[k]
+        mirrored = commutative and i != j
+        T[(i, j)] = v
+        if mirrored:
+            T[(j, i)] = v
+        if v == n - 1 and (es._supplement_clash(T, n, i, j)
+                           or mirrored and es._supplement_clash(T, n, j, i)):
+            return False
+        return not (es._assoc_clash(T, n, i, j) or mirrored and es._assoc_clash(T, n, j, i))
+
+    def clear(k):
+        i, j = cells[k]
+        del T[(i, j)]
+        if commutative and i != j:
+            del T[(j, i)]
+
+    for _ in _depth_first(len(cells), options, place, clear):
+        sums = {(names[a], names[b]): names[v] for (a, b), v in T.items() if v is not None}
+        if validate(kind, cls("candidate", names, names[0], names[-1], sums)).passed:
+            found.add(es._canonical_table(T, n))
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("kind, top_size", [("effect-algebra", 6),
+                                            ("pseudo-effect-algebra", 5)])
+def test_table_forms_match_the_search_without_the_existence_cut(kind, top_size):
+    for n in range(1, top_size + 1):
+        assert es._table_forms(n, kind) == table_forms_oracle(n, kind), n
+
+
+def _full_missing_supplement(T: dict, n: int) -> bool:
+    """Oracle: some row or column of the table is fully decided and holds
+    no top."""
+    lines = [[(r, c) for c in range(n)] for r in range(n)]
+    lines += [[(r, c) for r in range(n)] for c in range(n)]
+    return any(all(cell in T for cell in line) and n - 1 not in [T[cell] for cell in line]
+               for line in lines)
+
+
+@pytest.mark.parametrize("kind", ["effect-algebra", "pseudo-effect-algebra"])
+def test_missing_supplement_cut_agrees_with_the_full_scan(monkeypatch, kind):
+    """At every node of the table search the check of the row and column
+    the fresh cell finishes cuts exactly when a full scan of every row and
+    column finds one decided with no top."""
+    real = es._supplement_missing
+    calls = []
+
+    def recording(T, n, i, j):
+        result = real(T, n, i, j)
+        calls.append((tuple(sorted(T.items(), key=lambda kv: kv[0])), result))
+        return result
+
+    monkeypatch.setattr(es, "_supplement_missing", recording)
+    cuts = 0
+    for n in range(1, 6):
+        assert not _full_missing_supplement(es._forced_cells(n), n)
+        calls.clear()
+        assert es._table_forms.__wrapped__(n, kind) == es._table_forms(n, kind)
+        for state, cut in calls:
+            assert cut == _full_missing_supplement(dict(state), n), state
+        cuts += sum(cut for _, cut in calls)
+    assert cuts > 0
+
+
+@pytest.mark.parametrize("n, kind, leaves, validations", [
+    (5, "effect-algebra", 16, 4),
+    (5, "pseudo-effect-algebra", 18, 5),
+    (6, "effect-algebra", 142, 10),
+    (6, "pseudo-effect-algebra", 168, 13),
+])
+def test_table_search_work_counts(monkeypatch, n, kind, leaves, validations):
+    """Every leaf takes one canonical form, and the validator runs once per
+    form: at size 6 one pseudo effect algebra form still fails it."""
+    counts = Counter()
+
+    def spy(name, real):
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+        return counting
+
+    monkeypatch.setattr(es, "_canonical_table", spy("leaves", es._canonical_table))
+    monkeypatch.setattr(es, "validate", spy("validations", es.validate))
+    es._table_forms.__wrapped__(n, kind)
+    assert counts == {"leaves": leaves, "validations": validations}
+
+
+def test_relational_search_work_counts(monkeypatch):
+    """At size 2 only unit-strict multiplications with a nonempty unit set
+    reach the monoid check."""
+    kinds = Counter()
+    real = es.validate
+
+    def counting(kind, obj):
+        kinds[kind] += 1
+        return real(kind, obj)
+
+    monkeypatch.setattr(es, "validate", counting)
+    assert len(es._relational_forms.__wrapped__(2)) == 5
+    assert kinds == {"rel-monoid": 68, "frobenius": 36}
+
+
+def test_size_six_table_classes():
+    """The search is ready for size 6 while TABLE_BOUND stays 5: 10
+    commutative and 12 pseudo classes, 2 of them non-commutative, each
+    passing its validator and no two isomorphic."""
+    classes = {kind: [es._table_from_form(6, f, kind, k)
+                      for k, f in enumerate(es._table_forms(6, kind))]
+               for kind in ("effect-algebra", "pseudo-effect-algebra")}
+    assert {kind: len(ts) for kind, ts in classes.items()} == \
+        {"effect-algebra": 10, "pseudo-effect-algebra": 12}
+    peas = classes["pseudo-effect-algebra"]
+    assert sum(not validate("effect-algebra", t).passed for t in peas) == 2
+    for kind, tables in classes.items():
+        for t in tables:
+            assert validate(kind, t).passed, t.name
+        for s, t in itertools.combinations(tables, 2):
+            assert not tables_isomorphic(s, t), (s.name, t.name)
 
 
 @pytest.mark.parametrize("search, args, count", [
